@@ -1,18 +1,22 @@
 //! Shared experiment-grid definitions.
 //!
 //! The fault-injection matrix and the Figure 1 sweep are exercised from
-//! three places: their bench targets, the `sim_throughput` self-benchmark
+//! three places: their harnesses, the `sim_throughput` self-benchmark
 //! (which re-runs the fault grid to measure deterministic work), and the
 //! golden-digest regression test (which asserts the emitted JSON is
 //! byte-identical to committed files). Defining the grids once here
 //! guarantees all three agree on every cell parameter — a drifted copy
 //! would silently invalidate the golden files and the perf baseline.
+//!
+//! Every grid runs through [`run_grid`] on the warm-forked runner; the
+//! cold per-cell functions ([`run_fault_cell`], [`run_scenario_cell`],
+//! [`run_fig01_app`]) stay as the reference the tests compare it to.
 
 use crate::runner::{PoolStats, WorkCounters};
 use crate::warm::{run_forked_cells, ForkStats};
-use crate::{sized_config, PAPER_THREADS};
+use crate::{apply_paper_ratios, sized_config, PAPER_THREADS};
 use nvmgc_core::fault::{FaultPlan, Severity};
-use nvmgc_core::GcConfig;
+use nvmgc_core::{GcConfig, GcStats};
 use nvmgc_heap::DevicePlacement;
 use nvmgc_metrics::ExperimentReport;
 use nvmgc_workloads::cassandra::{server_spec, CassandraPhase};
@@ -30,6 +34,24 @@ pub const FAULT_MATRIX_HORIZON_NS: u64 = 40_000_000;
 /// Fault-matrix GC worker threads: above the header-map activation
 /// threshold so the `+all` cells exercise saturation faults.
 pub const FAULT_MATRIX_THREADS: usize = 12;
+
+/// What a grid run returns: each cell's row and deterministic work
+/// counters in declaration order, the pool timing, the fork accounting.
+pub type Grid<R> = (Vec<(R, WorkCounters)>, PoolStats, ForkStats);
+
+/// The one grid function: runs every cell of `cells` on the warm-forked
+/// runner (see [`crate::warm`]) — labeled by `label`, configured by
+/// `config` — and folds each finished or failed run into its row with
+/// `outcome`, the same fold the cold per-cell path applies.
+fn run_grid<C: Sync, R: Send>(
+    cells: &[C],
+    label: fn(&C) -> String,
+    config: fn(&C) -> AppRunConfig,
+    outcome: fn(&C, Result<AppRunResult, RunError>) -> (R, WorkCounters),
+) -> Grid<R> {
+    let runs = cells.iter().map(|c| (label(c), config(c))).collect();
+    run_forked_cells(runs, |i, res| outcome(&cells[i], res))
+}
 
 /// One cell of the fault-injection matrix.
 #[derive(Clone)]
@@ -63,12 +85,6 @@ impl FaultCell {
 /// The fault-matrix grid, in declaration (= output) order. `fast` trims
 /// apps and seeds to one each, matching `NVMGC_FAST=1` harness behavior.
 pub fn fault_matrix_cells(fast: bool) -> Vec<FaultCell> {
-    let apps: &[&'static str] = if fast {
-        &["page-rank"]
-    } else {
-        &["page-rank", "kmeans"]
-    };
-    let seeds: &[u64] = if fast { &[0xB0A7] } else { &[0xB0A7, 0xC0FFEE] };
     let configs: Vec<(&'static str, GcConfig)> = vec![
         ("vanilla", GcConfig::vanilla(FAULT_MATRIX_THREADS)),
         ("+all", GcConfig::plus_all(FAULT_MATRIX_THREADS, 0)),
@@ -94,6 +110,19 @@ pub fn fault_matrix_cells(fast: bool) -> Vec<FaultCell> {
             gc
         }),
     ];
+    fault_product(fast, configs)
+}
+
+/// The app × config × severity × seed product shared by the fault and
+/// plan matrices, in declaration (= output) order. `fast` trims apps and
+/// seeds to one each.
+fn fault_product(fast: bool, configs: Vec<(&'static str, GcConfig)>) -> Vec<FaultCell> {
+    let apps: &[&'static str] = if fast {
+        &["page-rank"]
+    } else {
+        &["page-rank", "kmeans"]
+    };
+    let seeds: &[u64] = if fast { &[0xB0A7] } else { &[0xB0A7, 0xC0FFEE] };
     let mut cells = Vec::new();
     for &app in apps {
         for (config_name, gc) in &configs {
@@ -113,31 +142,36 @@ pub fn fault_matrix_cells(fast: bool) -> Vec<FaultCell> {
     cells
 }
 
-/// Builds the run configuration of a fault-matrix cell.
+/// A paper-ratio run configuration on the reduced matrix heap, under
+/// the fault plan generated from `(seed, severity)`.
 ///
 /// Reduced matrix heap: the sweep is about fault behavior, not paper
 /// ratios, and it must stay cheap enough to run at every severity. It
 /// still has to hold the Spark profiles' live sets (anchors + a couple
 /// of survivor generations) with room to spare, or cells die of heap
 /// exhaustion instead of exercising the fault plane.
-pub fn fault_matrix_config(cell: &FaultCell) -> AppRunConfig {
-    let mut cfg = sized_config(app(cell.app), cell.gc.clone());
+pub(crate) fn matrix_config(
+    spec: WorkloadSpec,
+    gc: GcConfig,
+    seed: u64,
+    severity: Severity,
+) -> AppRunConfig {
+    let mut cfg = sized_config(spec, gc);
     cfg.heap.region_size = 32 << 10;
     cfg.heap.heap_regions = 256;
     cfg.heap.young_regions = 64;
-    let heap_bytes = cfg.heap_bytes();
-    if cfg.gc.write_cache.enabled && cfg.gc.write_cache.max_bytes != u64::MAX {
-        cfg.gc.write_cache.max_bytes = (heap_bytes / 32).max(cfg.heap.region_size as u64);
-    }
-    if cfg.gc.header_map.enabled {
-        cfg.gc.header_map.max_bytes = (heap_bytes / 32).max(1 << 20);
-    }
-    cfg.gc.fault = FaultPlan::generate(cell.seed, cell.severity, FAULT_MATRIX_HORIZON_NS);
+    apply_paper_ratios(&mut cfg);
+    cfg.gc.fault = FaultPlan::generate(seed, severity, FAULT_MATRIX_HORIZON_NS);
     cfg
 }
 
+/// Builds the run configuration of a fault-matrix cell.
+pub fn fault_matrix_config(cell: &FaultCell) -> AppRunConfig {
+    matrix_config(app(cell.app), cell.gc.clone(), cell.seed, cell.severity)
+}
+
 /// One row of `results/fault_matrix.json`.
-#[derive(Serialize, Clone)]
+#[derive(Serialize, Clone, Default)]
 pub struct FaultRow {
     /// Workload name.
     pub app: String,
@@ -209,16 +243,13 @@ pub fn run_fault_cell(cell: &FaultCell) -> (FaultRow, WorkCounters) {
 /// emitting byte-identical rows.
 ///
 /// [`SimSnapshot`]: nvmgc_workloads::SimSnapshot
-pub fn run_fault_grid(fast: bool) -> (Vec<(FaultRow, WorkCounters)>, PoolStats, ForkStats) {
-    let cells: Vec<(String, AppRunConfig, _)> = fault_matrix_cells(fast)
-        .into_iter()
-        .map(|cell| {
-            let cfg = fault_matrix_config(&cell);
-            let label = cell.label();
-            (label, cfg, move |res| fault_cell_outcome(&cell, res))
-        })
-        .collect();
-    run_forked_cells(cells)
+pub fn run_fault_grid(fast: bool) -> Grid<FaultRow> {
+    run_grid(
+        &fault_matrix_cells(fast),
+        FaultCell::label,
+        fault_matrix_config,
+        fault_cell_outcome,
+    )
 }
 
 /// Folds one finished (or failed) run into its fault-matrix row; shared
@@ -227,65 +258,35 @@ fn fault_cell_outcome(
     cell: &FaultCell,
     result: Result<AppRunResult, RunError>,
 ) -> (FaultRow, WorkCounters) {
+    let mode = |durable: bool| if durable { "durable" } else { "volatile" }.to_owned();
     let base = FaultRow {
         app: cell.app.to_owned(),
         config: cell.config_name.to_owned(),
-        map_mode: if cell.gc.durable_map_active() {
-            "durable".to_owned()
-        } else {
-            "volatile".to_owned()
-        },
+        map_mode: mode(cell.gc.durable_map_active()),
         severity: cell.severity.name().to_owned(),
         plan_seed: cell.seed,
-        outcome: String::new(),
-        ok: false,
-        corruption: false,
-        cycles: 0,
-        digest_checks: 0,
-        gc_fault_events: 0,
-        power_failure_checks: 0,
-        discarded_lines: 0,
-        torn_lines: 0,
-        recovered_cycles: 0,
-        resumed_evacuations: 0,
-        replayed_map_entries: 0,
-        alloc_mode: if cell.gc.durable_alloc_active() {
-            "durable".to_owned()
-        } else {
-            "volatile".to_owned()
-        },
-        alloc_reconciled: 0,
-        alloc_rebuilt: 0,
-        alloc_fences: 0,
-        total_ns: 0,
-        total_pause_ns: 0,
+        alloc_mode: mode(cell.gc.durable_alloc_active()),
+        ..FaultRow::default()
     };
     match result {
         Ok(res) => {
             let counters = WorkCounters::from_run(&res);
+            let sum = |of: fn(&GcStats) -> u64| res.cycles.iter().map(of).sum::<u64>();
             let row = FaultRow {
                 outcome: "ok".to_owned(),
                 ok: true,
                 cycles: res.gc.cycles(),
                 digest_checks: res.digest_checks,
-                gc_fault_events: res.cycles.iter().map(|c| c.fault_events.total()).sum(),
-                power_failure_checks: res
-                    .cycles
-                    .iter()
-                    .map(|c| c.fault_events.power_failure_checks)
-                    .sum(),
-                discarded_lines: res
-                    .cycles
-                    .iter()
-                    .map(|c| c.fault_events.discarded_lines)
-                    .sum(),
-                torn_lines: res.cycles.iter().map(|c| c.fault_events.torn_lines).sum(),
-                recovered_cycles: res.cycles.iter().map(|c| c.recovered_cycles).sum(),
-                resumed_evacuations: res.cycles.iter().map(|c| c.resumed_evacuations).sum(),
-                replayed_map_entries: res.cycles.iter().map(|c| c.replayed_map_entries).sum(),
-                alloc_reconciled: res.cycles.iter().map(|c| c.alloc_reconciled).sum(),
-                alloc_rebuilt: res.cycles.iter().map(|c| c.alloc_rebuilt_regions).sum(),
-                alloc_fences: res.cycles.iter().map(|c| c.alloc_fences).sum(),
+                gc_fault_events: sum(|c| c.fault_events.total()),
+                power_failure_checks: counters.oracle_checks,
+                discarded_lines: sum(|c| c.fault_events.discarded_lines),
+                torn_lines: sum(|c| c.fault_events.torn_lines),
+                recovered_cycles: sum(|c| c.recovered_cycles),
+                resumed_evacuations: sum(|c| c.resumed_evacuations),
+                replayed_map_entries: sum(|c| c.replayed_map_entries),
+                alloc_reconciled: sum(|c| c.alloc_reconciled),
+                alloc_rebuilt: sum(|c| c.alloc_rebuilt_regions),
+                alloc_fences: sum(|c| c.alloc_fences),
                 total_ns: res.total_ns,
                 total_pause_ns: res.gc.total_pause_ns(),
                 ..base
@@ -318,12 +319,6 @@ fn fault_cell_outcome(
 /// crash, recover and resume through the shared policy code under the
 /// durable configurations.
 pub fn plan_matrix_cells(fast: bool) -> Vec<FaultCell> {
-    let apps: &[&'static str] = if fast {
-        &["page-rank"]
-    } else {
-        &["page-rank", "kmeans"]
-    };
-    let seeds: &[u64] = if fast { &[0xB0A7] } else { &[0xB0A7, 0xC0FFEE] };
     fn durable_alloc(mut gc: GcConfig) -> GcConfig {
         gc.header_map.durable = true;
         gc.allocator.durable = true;
@@ -347,39 +342,20 @@ pub fn plan_matrix_cells(fast: bool) -> Vec<FaultCell> {
             durable_alloc(GcConfig::semispace_plus_all(t, 0)),
         ),
     ];
-    let mut cells = Vec::new();
-    for &app in apps {
-        for (config_name, gc) in &configs {
-            for severity in Severity::ALL {
-                for &seed in seeds {
-                    cells.push(FaultCell {
-                        app,
-                        config_name,
-                        gc: gc.clone(),
-                        severity,
-                        seed,
-                    });
-                }
-            }
-        }
-    }
-    cells
+    fault_product(fast, configs)
 }
 
 /// Runs the plan-axis grid with one warmup per warm group. The warm key
 /// excludes the collector kind, so all three plans of a (app, severity,
 /// seed) tuple fork from the same warm image — and still emit rows
 /// byte-identical to cold per-cell runs.
-pub fn run_plan_grid(fast: bool) -> (Vec<(FaultRow, WorkCounters)>, PoolStats, ForkStats) {
-    let cells: Vec<(String, AppRunConfig, _)> = plan_matrix_cells(fast)
-        .into_iter()
-        .map(|cell| {
-            let cfg = fault_matrix_config(&cell);
-            let label = cell.label();
-            (label, cfg, move |res| fault_cell_outcome(&cell, res))
-        })
-        .collect();
-    run_forked_cells(cells)
+pub fn run_plan_grid(fast: bool) -> Grid<FaultRow> {
+    run_grid(
+        &plan_matrix_cells(fast),
+        FaultCell::label,
+        fault_matrix_config,
+        fault_cell_outcome,
+    )
 }
 
 /// Assembles the `results/plan_matrix.json` report from its rows.
@@ -492,24 +468,14 @@ pub fn scenario_matrix_cells(fast: bool) -> Vec<ScenarioCell> {
 /// violation windows can be attributed to fault windows and
 /// persistence fences as well as GC pauses.
 pub fn scenario_matrix_config(cell: &ScenarioCell) -> AppRunConfig {
-    let mut cfg = sized_config(server_spec(CassandraPhase::Write), cell.gc.clone());
-    cfg.heap.region_size = 32 << 10;
-    cfg.heap.heap_regions = 256;
-    cfg.heap.young_regions = 64;
-    let heap_bytes = cfg.heap_bytes();
-    if cfg.gc.write_cache.enabled && cfg.gc.write_cache.max_bytes != u64::MAX {
-        cfg.gc.write_cache.max_bytes = (heap_bytes / 32).max(cfg.heap.region_size as u64);
-    }
-    if cfg.gc.header_map.enabled {
-        cfg.gc.header_map.max_bytes = (heap_bytes / 32).max(1 << 20);
-    }
-    cfg.gc.fault = FaultPlan::generate(cell.seed, cell.severity, FAULT_MATRIX_HORIZON_NS);
+    let spec = server_spec(CassandraPhase::Write);
+    let mut cfg = matrix_config(spec, cell.gc.clone(), cell.seed, cell.severity);
     cfg.trace = true;
     cfg
 }
 
 /// One row of `results/scenario_matrix.json`.
-#[derive(Serialize, Clone)]
+#[derive(Serialize, Clone, Default)]
 pub struct ScenarioRow {
     /// Load-shape label.
     pub scenario: String,
@@ -568,18 +534,15 @@ pub fn run_scenario_cell(cell: &ScenarioCell) -> (ScenarioRow, WorkCounters) {
 
 /// Runs the whole scenario grid with one warmup per warm group (all
 /// configurations of a severity share the same server warmup). The
-/// client simulation happens inside each cell's post-processing closure,
-/// so its cost parallelizes with the server runs.
-pub fn run_scenario_grid(fast: bool) -> (Vec<(ScenarioRow, WorkCounters)>, PoolStats, ForkStats) {
-    let cells: Vec<(String, AppRunConfig, _)> = scenario_matrix_cells(fast)
-        .into_iter()
-        .map(|cell| {
-            let cfg = scenario_matrix_config(&cell);
-            let label = cell.label();
-            (label, cfg, move |res| scenario_cell_outcome(&cell, res))
-        })
-        .collect();
-    run_forked_cells(cells)
+/// client simulation happens inside each cell's fold, on the pool
+/// worker, so its cost parallelizes with the server runs.
+pub fn run_scenario_grid(fast: bool) -> Grid<ScenarioRow> {
+    run_grid(
+        &scenario_matrix_cells(fast),
+        ScenarioCell::label,
+        scenario_matrix_config,
+        scenario_cell_outcome,
+    )
 }
 
 /// Folds one finished (or failed) server run into its scenario row by
@@ -595,25 +558,9 @@ fn scenario_cell_outcome(
         config: cell.config_name.to_owned(),
         severity: cell.severity.name().to_owned(),
         seed: cell.seed,
-        outcome: String::new(),
-        ok: false,
         clients: spec.clients,
-        requests: 0,
-        batches: 0,
-        horizon_ns: 0,
-        gc_cycles: 0,
-        total_pause_ns: 0,
-        max_pause_ns: 0,
         slo_ns: spec.slo_ns,
-        p50_ms: 0.0,
-        p99_ms: 0.0,
-        p999_ms: 0.0,
-        p9999_ms: 0.0,
-        max_ms: 0.0,
-        histogram: String::new(),
-        violations: Vec::new(),
-        gc_attributed_windows: 0,
-        violating_requests: 0,
+        ..ScenarioRow::default()
     };
     match result {
         Ok(res) => {
@@ -699,26 +646,78 @@ pub fn fig01_apps(fast: bool) -> Vec<WorkloadSpec> {
     apps
 }
 
-/// Runs one Figure 1 application under vanilla G1 on all-DRAM and then
-/// all-NVM placement.
-pub fn run_fig01_app(spec: &WorkloadSpec) -> Fig01Row {
-    let run = |placement: DevicePlacement| {
-        let mut cfg = sized_config(spec.clone(), GcConfig::vanilla(PAPER_THREADS));
-        cfg.heap.placement = placement;
-        run_app(&cfg).expect("run succeeds")
-    };
-    let dram = run(DevicePlacement::all_dram());
-    let nvm = run(DevicePlacement::all_nvm());
+/// Mutator seconds, GC seconds and GC share of one Figure 1 run.
+type Fig01Run = (f64, f64, f64);
+
+fn fig01_run(res: &AppRunResult) -> Fig01Run {
+    (res.mutator_seconds(), res.gc_seconds(), res.gc_share())
+}
+
+/// The Figure 1 placements, in run (and cell) order.
+fn fig01_placements() -> [(&'static str, DevicePlacement); 2] {
+    [
+        ("dram", DevicePlacement::all_dram()),
+        ("nvm", DevicePlacement::all_nvm()),
+    ]
+}
+
+fn fig01_config(spec: &WorkloadSpec, placement: DevicePlacement) -> AppRunConfig {
+    let mut cfg = sized_config(spec.clone(), GcConfig::vanilla(PAPER_THREADS));
+    cfg.heap.placement = placement;
+    cfg
+}
+
+fn fig01_row(app: &str, dram: Fig01Run, nvm: Fig01Run) -> Fig01Row {
     Fig01Row {
-        app: spec.name.to_owned(),
-        dram_app_ms: dram.mutator_seconds() * 1e3,
-        dram_gc_ms: dram.gc_seconds() * 1e3,
-        nvm_app_ms: nvm.mutator_seconds() * 1e3,
-        nvm_gc_ms: nvm.gc_seconds() * 1e3,
-        gc_slowdown: nvm.gc_seconds() / dram.gc_seconds().max(1e-12),
-        app_slowdown: nvm.mutator_seconds() / dram.mutator_seconds().max(1e-12),
-        nvm_gc_share: nvm.gc_share(),
+        app: app.to_owned(),
+        dram_app_ms: dram.0 * 1e3,
+        dram_gc_ms: dram.1 * 1e3,
+        nvm_app_ms: nvm.0 * 1e3,
+        nvm_gc_ms: nvm.1 * 1e3,
+        gc_slowdown: nvm.1 / dram.1.max(1e-12),
+        app_slowdown: nvm.0 / dram.0.max(1e-12),
+        nvm_gc_share: nvm.2,
     }
+}
+
+/// Runs one Figure 1 application cold under vanilla G1 on all-DRAM and
+/// then all-NVM placement.
+pub fn run_fig01_app(spec: &WorkloadSpec) -> Fig01Row {
+    let [dram, nvm] = fig01_placements()
+        .map(|(_, p)| fig01_run(&run_app(&fig01_config(spec, p)).expect("run succeeds")));
+    fig01_row(spec.name, dram, nvm)
+}
+
+/// Runs the Figure 1 roster on the warm-forked runner, one cell per
+/// (application, placement), and pairs the cells back into rows
+/// byte-identical to [`run_fig01_app`]'s.
+pub fn run_fig01_grid(fast: bool) -> Grid<Fig01Row> {
+    let apps = fig01_apps(fast);
+    let cells = apps
+        .iter()
+        .flat_map(|spec| {
+            fig01_placements().map(|(heap, p)| {
+                (
+                    format!("app={} heap={heap}", spec.name),
+                    fig01_config(spec, p),
+                )
+            })
+        })
+        .collect();
+    let (runs, pool, forks) = run_forked_cells(cells, |_, res| {
+        let res = res.expect("run succeeds");
+        (fig01_run(&res), WorkCounters::from_run(&res))
+    });
+    let rows = apps
+        .iter()
+        .zip(runs.chunks_exact(2))
+        .map(|(spec, pair)| {
+            let mut counters = pair[0].1;
+            counters.add(&pair[1].1);
+            (fig01_row(spec.name, pair[0].0, pair[1].0), counters)
+        })
+        .collect();
+    (rows, pool, forks)
 }
 
 /// Assembles the `results/fig01_dram_vs_nvm.json` report from its rows.

@@ -1,10 +1,21 @@
-//! Shared utilities for the experiment harnesses.
+//! The experiment harnesses and the one driver that runs them.
 //!
-//! Every bench target under `benches/` regenerates one table or figure of
-//! the paper: it prints the same rows/series the paper reports and writes
-//! a machine-readable copy under `results/`. This module holds the
-//! plumbing they share: paper-ratio config sizing, the results directory,
-//! and environment knobs.
+//! Every harness in [`harnesses`] regenerates one table or figure of the
+//! paper: it prints the same rows/series the paper reports and writes a
+//! machine-readable copy under `results/`. A harness is a value in the
+//! static [`REGISTRY`] holding only what is unique to it — its cells, the
+//! fold from a finished run to a row, its table columns, its
+//! paper-comparison lines and its exit gates. The [`driver`] owns the
+//! rest (banner, warm-forked execution, work-counter totals, tables,
+//! reports, the nonzero exit) and is the whole of the single `harness`
+//! bench target:
+//!
+//! ```text
+//! cargo bench -p nvmgc-bench --bench harness -- <id>… | all | --list
+//! ```
+//!
+//! This module holds the plumbing they share: paper-ratio config sizing,
+//! the results directory, and environment knobs.
 //!
 //! Environment:
 //!
@@ -17,21 +28,22 @@
 
 #![warn(missing_docs)]
 
+pub mod driver;
 pub mod grids;
+pub mod harnesses;
 pub mod runner;
 pub mod warm;
 
+pub use driver::{cli, run_harness, Driver, Harness};
 pub use grids::{
     fault_matrix_cells, fault_matrix_config, fault_matrix_report, fig01_apps, fig01_report,
     plan_matrix_cells, plan_matrix_report, run_fault_cell, run_fault_grid, run_fig01_app,
-    run_plan_grid, run_scenario_cell, run_scenario_grid, scenario_matrix_cells,
+    run_fig01_grid, run_plan_grid, run_scenario_cell, run_scenario_grid, scenario_matrix_cells,
     scenario_matrix_config, scenario_matrix_report, FaultCell, FaultRow, Fig01Row, ScenarioCell,
     ScenarioRow, FAULT_MATRIX_HORIZON_NS, FAULT_MATRIX_THREADS,
 };
-pub use runner::{
-    jobs, run_cells, run_cells_with, run_labeled_cells, run_labeled_cells_with, write_throughput,
-    PoolStats, WorkCounters,
-};
+pub use harnesses::REGISTRY;
+pub use runner::{jobs, run_cells, throughput_report, PoolStats, WorkCounters};
 pub use warm::{fork_summary, run_forked_cells, ForkStats};
 
 use nvmgc_core::GcConfig;
@@ -76,6 +88,14 @@ pub fn seed() -> u64 {
 /// map sized at the paper's ratio (1/32 of the heap each).
 pub fn sized_config(spec: WorkloadSpec, gc: GcConfig) -> AppRunConfig {
     let mut cfg = AppRunConfig::standard(spec, gc);
+    apply_paper_ratios(&mut cfg);
+    cfg.seed = seed();
+    cfg
+}
+
+/// Sizes the write cache and header map at the paper's ratio for `cfg`'s
+/// current heap geometry (re-applied after a harness resizes the heap).
+pub(crate) fn apply_paper_ratios(cfg: &mut AppRunConfig) {
     let heap_bytes = cfg.heap_bytes();
     if cfg.gc.write_cache.enabled && cfg.gc.write_cache.max_bytes != u64::MAX {
         cfg.gc.write_cache.max_bytes = (heap_bytes / 32).max(cfg.heap.region_size as u64);
@@ -83,8 +103,6 @@ pub fn sized_config(spec: WorkloadSpec, gc: GcConfig) -> AppRunConfig {
     if cfg.gc.header_map.enabled {
         cfg.gc.header_map.max_bytes = (heap_bytes / 32).max(1 << 20);
     }
-    cfg.seed = seed();
-    cfg
 }
 
 /// Trims a roster to a representative subset in fast mode.
@@ -93,15 +111,6 @@ pub fn maybe_trim<T>(mut items: Vec<T>, keep: usize) -> Vec<T> {
         items.truncate(keep);
     }
     items
-}
-
-/// Prints the standard experiment banner.
-pub fn banner(id: &str, paper_ref: &str) {
-    println!("== {id} — reproduces {paper_ref} ==");
-    if fast_mode() {
-        println!("   (NVMGC_FAST=1: reduced roster/sweep)");
-    }
-    println!();
 }
 
 #[cfg(test)]

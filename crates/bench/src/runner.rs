@@ -9,14 +9,17 @@
 //! determinism guarantee: a cell computes the same value whether it runs
 //! first, last, or concurrently with every other cell.
 //!
-//! [`run_cells`] executes a cell list on a scoped-thread job pool
-//! (`NVMGC_JOBS` workers, default: available parallelism) and returns the
-//! values **in declaration order**, so harness output — including the
-//! JSON written under `results/` — is byte-identical for any job count.
+//! [`run_cells`] executes a labeled cell list on a scoped-thread job pool
+//! (the driver passes [`jobs()`]: `NVMGC_JOBS` workers, default available
+//! parallelism) and returns the values **in declaration order**, so
+//! harness output — including the JSON written under `results/` — is
+//! byte-identical for any job count.
 //!
-//! The pool also times itself; harnesses call [`write_throughput`] to
-//! publish the runner self-benchmark to `results/sim_throughput.json`.
-//! The record has two parts with different trust levels:
+//! The pool also times itself; the driver prints every grid's simulated
+//! ns per wall second, and the `sim_throughput` harness alone publishes
+//! the runner self-benchmark to `results/sim_throughput.json`
+//! ([`throughput_report`]). The record has two parts with different
+//! trust levels:
 //!
 //! - [`WorkCounters`] — deterministic work performed by the grid
 //!   (simulated ns, engine steps, bus grants, LLC installs, bulk grant
@@ -29,12 +32,10 @@
 //! wall-clock into an experiment's JSON would break the
 //! bit-identical-results property the runner exists to preserve.
 
-use crate::results_dir;
-use nvmgc_metrics::{write_json, ExperimentReport};
+use nvmgc_metrics::ExperimentReport;
 use nvmgc_workloads::AppRunResult;
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -65,7 +66,7 @@ pub fn jobs() -> usize {
 }
 
 /// Timing of one [`run_cells`] invocation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PoolStats {
     /// Workers the pool actually used (capped at the cell count).
     pub jobs: usize,
@@ -87,39 +88,6 @@ impl PoolStats {
     }
 }
 
-/// Runs `cells` on a pool of [`jobs()`] workers; see [`run_cells_with`].
-pub fn run_cells<T, F>(cells: Vec<F>) -> (Vec<T>, PoolStats)
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_cells_with(jobs(), cells)
-}
-
-/// Like [`run_cells_with`] with auto-numbered cell labels.
-pub fn run_cells_with<T, F>(jobs: usize, cells: Vec<F>) -> (Vec<T>, PoolStats)
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let labeled = cells
-        .into_iter()
-        .enumerate()
-        .map(|(i, f)| (format!("#{i}"), f))
-        .collect();
-    run_labeled_cells_with(jobs, labeled)
-}
-
-/// Runs `(label, cell)` pairs on a pool of [`jobs()`] workers; see
-/// [`run_labeled_cells_with`].
-pub fn run_labeled_cells<T, F>(cells: Vec<(String, F)>) -> (Vec<T>, PoolStats)
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_labeled_cells_with(jobs(), cells)
-}
-
 /// Runs every cell exactly once on a pool of at most `jobs` scoped
 /// threads and returns the results in declaration order.
 ///
@@ -133,81 +101,55 @@ where
 /// names its experiment cell instead of surfacing as a bare join error.
 /// When several cells panic, the one with the lowest declaration index is
 /// reported (deterministic for any job count).
-pub fn run_labeled_cells_with<T, F>(jobs: usize, cells: Vec<(String, F)>) -> (Vec<T>, PoolStats)
+pub fn run_cells<T, F>(jobs: usize, cells: Vec<(String, F)>) -> (Vec<T>, PoolStats)
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
     let n = cells.len();
     let jobs = jobs.min(n).max(1);
-    // NVMGC_CELL_TIMES=1: print each cell's wall time to stderr (serial
-    // pool only — parallel timings interleave and mislead). Informational
-    // aid for finding hot cells; never touches result output.
-    let cell_times = std::env::var("NVMGC_CELL_TIMES")
-        .map(|v| v == "1")
-        .unwrap_or(false);
     let start = Instant::now();
-    let values: Vec<T> = if jobs <= 1 {
-        cells
-            .into_iter()
-            .map(|(label, f)| {
-                let cell_start = Instant::now();
-                let value = match catch_unwind(AssertUnwindSafe(f)) {
-                    Ok(v) => v,
-                    Err(p) => panic!(
-                        "experiment cell '{label}' panicked: {}",
-                        panic_message(p.as_ref())
-                    ),
-                };
-                if cell_times {
-                    eprintln!("cell {:>8.3}s  {label}", cell_start.elapsed().as_secs_f64());
+    // FnOnce cells are claimed (taken) exactly once each; results are
+    // written to the slot matching the cell's declaration index.
+    let (labels, cells): (Vec<String>, Vec<F>) = cells.into_iter().unzip();
+    let tasks: Vec<Mutex<Option<F>>> = cells.into_iter().map(|f| Mutex::new(Some(f))).collect();
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..jobs {
+            s.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
-                value
-            })
-            .collect()
-    } else {
-        // FnOnce cells are claimed (taken) exactly once each; results are
-        // written to the slot matching the cell's declaration index.
-        let (labels, cells): (Vec<String>, Vec<F>) = cells.into_iter().unzip();
-        let tasks: Vec<Mutex<Option<F>>> = cells.into_iter().map(|f| Mutex::new(Some(f))).collect();
-        let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let cell = tasks[i]
+                let cell = tasks[i]
+                    .lock()
+                    .expect("cell slot poisoned")
+                    .take()
+                    .expect("cell claimed twice");
+                match catch_unwind(AssertUnwindSafe(cell)) {
+                    Ok(value) => *slots[i].lock().expect("result slot poisoned") = Some(value),
+                    Err(p) => panics
                         .lock()
-                        .expect("cell slot poisoned")
-                        .take()
-                        .expect("cell claimed twice");
-                    match catch_unwind(AssertUnwindSafe(cell)) {
-                        Ok(value) => *slots[i].lock().expect("result slot poisoned") = Some(value),
-                        Err(p) => panics
-                            .lock()
-                            .expect("panic list poisoned")
-                            .push((i, panic_message(p.as_ref()))),
-                    }
-                });
-            }
-        });
-        let mut failed = panics.into_inner().expect("panic list poisoned");
-        if let Some((i, msg)) = failed.drain(..).min_by_key(|&(i, _)| i) {
-            panic!("experiment cell '{}' panicked: {msg}", labels[i]);
+                        .expect("panic list poisoned")
+                        .push((i, panic_message(p.as_ref()))),
+                }
+            });
         }
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("cell completed")
-            })
-            .collect()
-    };
+    });
+    let mut failed = panics.into_inner().expect("panic list poisoned");
+    if let Some((i, msg)) = failed.drain(..).min_by_key(|&(i, _)| i) {
+        panic!("experiment cell '{}' panicked: {msg}", labels[i]);
+    }
+    let values: Vec<T> = slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("result slot poisoned")
+                .expect("cell completed")
+        })
+        .collect();
     let stats = PoolStats {
         jobs,
         cells: n,
@@ -271,13 +213,10 @@ impl WorkCounters {
                 .iter()
                 .map(|c| c.fault_events.power_failure_checks)
                 .sum(),
-            // Fork accounting is grid-level, not per-run; the forked-grid
-            // runner adds it onto the summed totals. Client counters come
-            // from the scenario layer, which runs after the server sim.
-            snapshot_forks: 0,
-            warmup_steps_saved: 0,
-            client_requests: 0,
-            client_cohorts: 0,
+            // Fork accounting is grid-level, not per-run; the driver adds
+            // it onto the summed totals. Client counters come from the
+            // scenario layer, which runs after the server sim.
+            ..WorkCounters::default()
         }
     }
 
@@ -318,7 +257,7 @@ impl WorkCounters {
 /// key is absent. The vendored `serde_json` is serialize-only, so the
 /// perf gate reads its baseline back with this scanner instead of a
 /// parser; it is sufficient for the flat counter block
-/// [`write_throughput`] emits, where every counter key is unique.
+/// [`throughput_report`] emits, where every counter key is unique.
 pub fn scan_counter(text: &str, key: &str) -> Option<u64> {
     let needle = format!("\"{key}\":");
     let at = text.find(&needle)? + needle.len();
@@ -356,22 +295,18 @@ struct ThroughputRecord {
     wall_clock: WallClock,
 }
 
-/// Writes the runner self-benchmark for `harness` to
-/// `results/sim_throughput.json` (latest harness run wins) and prints a
-/// one-line summary. `counters` is the summed deterministic work of the
-/// grid's cells — the gated payload; the pool's wall-clock timing is
-/// recorded as an informational sidecar.
-pub fn write_throughput(
+/// Assembles `results/sim_throughput.json`: the runner self-benchmark
+/// over `harness`'s grid. Only the `sim_throughput` harness writes it,
+/// so the committed perf-gate baseline is always that harness's grid.
+/// `counters` is the summed deterministic work of the grid's cells — the
+/// gated payload; the pool's wall-clock timing is recorded as an
+/// informational sidecar.
+pub fn throughput_report(
     harness: &str,
     stats: &PoolStats,
     counters: &WorkCounters,
-) -> std::io::Result<PathBuf> {
-    let rate = stats.sim_ns_per_wall_second(counters.simulated_ns);
-    println!(
-        "runner: {} cells on {} job(s) in {:.2} s — {:.3e} simulated ns / wall s",
-        stats.cells, stats.jobs, stats.wall_seconds, rate
-    );
-    let report = ExperimentReport {
+) -> ExperimentReport<impl Serialize> {
+    ExperimentReport {
         id: "sim_throughput".to_owned(),
         paper_ref: "simulator self-benchmark".to_owned(),
         notes: "counters are deterministic and budget-gated in CI; wall_clock varies \
@@ -385,21 +320,26 @@ pub fn write_throughput(
             wall_clock: WallClock {
                 jobs: stats.jobs,
                 wall_seconds: stats.wall_seconds,
-                sim_ns_per_wall_second: rate,
+                sim_ns_per_wall_second: stats.sim_ns_per_wall_second(counters.simulated_ns),
             },
         },
-    };
-    write_json(&results_dir(), &report)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Labels cells `#0`, `#1`, … for tests that do not care about names.
+    fn numbered<F>(cells: Vec<F>) -> Vec<(String, F)> {
+        let label = |(i, f)| (format!("#{i}"), f);
+        cells.into_iter().enumerate().map(label).collect()
+    }
+
     #[test]
     fn results_come_back_in_declaration_order() {
         let cells: Vec<_> = (0..37).map(|i| move || i * i).collect();
-        let (got, stats) = run_cells_with(4, cells);
+        let (got, stats) = run_cells(4, numbered(cells));
         assert_eq!(got, (0..37).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(stats.cells, 37);
         assert_eq!(stats.jobs, 4);
@@ -407,22 +347,22 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let make = || (0..20).map(|i| move || i * 3 + 1).collect::<Vec<_>>();
-        let (serial, _) = run_cells_with(1, make());
-        let (parallel, _) = run_cells_with(8, make());
+        let make = || numbered((0..20).map(|i| move || i * 3 + 1).collect());
+        let (serial, _) = run_cells(1, make());
+        let (parallel, _) = run_cells(8, make());
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn jobs_capped_at_cell_count() {
-        let (got, stats) = run_cells_with(64, vec![|| 1, || 2]);
+        let (got, stats) = run_cells(64, numbered(vec![|| 1, || 2]));
         assert_eq!(got, vec![1, 2]);
         assert_eq!(stats.jobs, 2);
     }
 
     #[test]
     fn empty_grid_is_fine() {
-        let (got, stats) = run_cells_with(8, Vec::<fn() -> u8>::new());
+        let (got, stats) = run_cells(8, numbered(Vec::<fn() -> u8>::new()));
         assert!(got.is_empty());
         assert_eq!(stats.cells, 0);
     }
@@ -436,8 +376,8 @@ mod tests {
                 Box::new(|| panic!("boom {}", 7)),
             ),
         ];
-        let err = catch_unwind(AssertUnwindSafe(|| run_labeled_cells_with(1, cells)))
-            .expect_err("must propagate");
+        let err =
+            catch_unwind(AssertUnwindSafe(|| run_cells(1, cells))).expect_err("must propagate");
         let msg = panic_message(err.as_ref());
         assert!(msg.contains("app=cassandra gc=+all"), "{msg}");
         assert!(msg.contains("boom 7"), "{msg}");
@@ -451,8 +391,8 @@ mod tests {
             ("b".to_owned(), Box::new(|| 2)),
             ("second-failure".to_owned(), Box::new(|| panic!("two"))),
         ];
-        let err = catch_unwind(AssertUnwindSafe(|| run_labeled_cells_with(4, cells)))
-            .expect_err("must propagate");
+        let err =
+            catch_unwind(AssertUnwindSafe(|| run_cells(4, cells))).expect_err("must propagate");
         let msg = panic_message(err.as_ref());
         assert!(msg.contains("first-failure"), "{msg}");
         assert!(msg.contains("one"), "{msg}");
@@ -528,7 +468,7 @@ mod tests {
 
     #[test]
     fn scanner_round_trips_a_written_record() {
-        // The gate reads back exactly what write_throughput writes: the
+        // The gate reads back exactly what throughput_report emits: the
         // serialized counter block must be scannable key by key.
         let counters = WorkCounters {
             simulated_ns: 7,

@@ -14,9 +14,11 @@
 //! property test in `nvmgc-workloads`). Groups are executed on the same
 //! deterministic parallel pool as unforked grids, and results come back
 //! in cell declaration order, so harness output stays byte-identical for
-//! any `NVMGC_JOBS` value *and* for the cold runner.
+//! any `NVMGC_JOBS` value *and* for the cold reference path
+//! (`run_app` cell by cell — the golden-digest test byte-compares the
+//! two on the FAST fault matrix).
 
-use crate::runner::{run_labeled_cells, PoolStats};
+use crate::runner::{jobs, run_cells, PoolStats};
 use nvmgc_workloads::runner::RunError;
 use nvmgc_workloads::{run_app, AppRunConfig, AppRunResult, SimSnapshot};
 use std::collections::HashMap;
@@ -37,95 +39,71 @@ pub struct ForkStats {
     pub warmup_steps_saved: u64,
 }
 
-/// Runs a grid of `(label, config, postprocess)` cells with one warmup
-/// per warm group, forking each cell from the group's snapshot.
+/// Runs a grid of `(label, config)` cells with one warmup per warm
+/// group, forking each cell from the group's snapshot, and folds every
+/// finished (or failed) run with `fold(cell index, result)` on the pool
+/// worker that produced it.
 ///
-/// The postprocess closure receives exactly what a cold `run_app` would
-/// have produced for that cell. Results return in declaration order; the
-/// pool stats time the whole grid including warmups.
+/// `fold` receives exactly what a cold `run_app` would have produced for
+/// that cell. Results return in declaration order; the pool stats time
+/// the whole grid including warmups.
 ///
 /// If a group's warmup itself fails (a typed setup/mutator error), every
 /// member falls back to a cold run so each cell reports its own error —
 /// identical to the unforked grid's behavior.
 pub fn run_forked_cells<T, F>(
-    cells: Vec<(String, AppRunConfig, F)>,
+    cells: Vec<(String, AppRunConfig)>,
+    fold: F,
 ) -> (Vec<T>, PoolStats, ForkStats)
 where
     T: Send,
-    F: FnOnce(Result<AppRunResult, RunError>) -> T + Send,
+    F: Fn(usize, Result<AppRunResult, RunError>) -> T + Sync,
 {
-    // `NVMGC_COLD=1` forces singleton groups: every cell re-simulates
-    // its own warmup, exactly the pre-snapshot sweep. The emitted rows
-    // must be byte-identical to the forked default — CI's
-    // `snapshot-suite` job diffs the two to re-prove fork == cold on
-    // the full FAST grid, not just the property-test workloads.
-    let cold = std::env::var("NVMGC_COLD")
-        .map(|v| v == "1")
-        .unwrap_or(false);
     // Group cells by warm key, preserving declaration order of both the
     // groups (first occurrence) and the members within each group.
     let mut group_of: HashMap<String, usize> = HashMap::new();
-    let mut groups: Vec<Vec<(usize, String, AppRunConfig, F)>> = Vec::new();
-    for (i, (label, cfg, post)) in cells.into_iter().enumerate() {
-        let key = if cold {
-            format!("cold-cell-{i}")
-        } else {
-            SimSnapshot::warm_key_for(&cfg)
-        };
-        let g = *group_of.entry(key).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push((i, label, cfg, post));
+    let mut groups: Vec<Vec<(usize, String, AppRunConfig)>> = Vec::new();
+    for (i, (label, cfg)) in cells.into_iter().enumerate() {
+        let g = *group_of
+            .entry(SimSnapshot::warm_key_for(&cfg))
+            .or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+        groups[g].push((i, label, cfg));
     }
     let n_groups = groups.len();
 
     // One pool task per warm group: warm once, fork each member.
-    type GroupOut<T> = (Vec<(usize, T)>, u64, u64);
-    type GroupTask<'a, T> = Box<dyn FnOnce() -> GroupOut<T> + Send + 'a>;
-    let tasks: Vec<(String, GroupTask<'_, T>)> = groups
+    let fold = &fold;
+    let tasks: Vec<(String, _)> = groups
         .into_iter()
         .map(|members| {
-            let label = format!(
-                "warm-group[{}] {}",
-                members.len(),
-                members.first().map(|(_, l, _, _)| l.as_str()).unwrap_or("")
-            );
-            let task = Box::new(move || {
-                let mut out: Vec<(usize, T)> = Vec::with_capacity(members.len());
-                let mut iter = members.into_iter();
-                if iter.len() == 1 {
-                    let (i, _, cfg, post) = iter.next().expect("one member");
-                    out.push((i, post(run_app(&cfg))));
-                    return (out, 0, 0);
-                }
-                let first_cfg = iter.as_slice()[0].2.clone();
-                match SimSnapshot::capture(&first_cfg) {
-                    Ok(snap) => {
-                        let mut forks = 0u64;
-                        let saved_each = snap.warmup_allocated_objects();
-                        for (i, _, cfg, post) in iter {
-                            out.push((i, post(snap.fork(&cfg))));
-                            forks += 1;
-                        }
-                        let saved = (forks - 1) * saved_each;
-                        (out, forks, saved)
-                    }
+            let label = format!("warm-group[{}] {}", members.len(), members[0].1);
+            let task = move || {
+                let forks = members.len() as u64;
+                // Singleton groups have nothing to share and run cold.
+                let snap = (forks > 1).then(|| SimSnapshot::capture(&members[0].2));
+                let run = |cfg: &AppRunConfig| match &snap {
+                    Some(Ok(snap)) => snap.fork(cfg),
                     // Shared warmup failed: run every member cold so each
                     // cell surfaces its own typed error.
-                    Err(_) => {
-                        for (i, _, cfg, post) in iter {
-                            out.push((i, post(run_app(&cfg))));
-                        }
-                        (out, 0, 0)
-                    }
+                    _ => run_app(cfg),
+                };
+                let out: Vec<(usize, T)> = members
+                    .iter()
+                    .map(|(i, _, cfg)| (*i, fold(*i, run(cfg))))
+                    .collect();
+                match &snap {
+                    Some(Ok(snap)) => (out, forks, (forks - 1) * snap.warmup_allocated_objects()),
+                    _ => (out, 0, 0),
                 }
-            }) as Box<dyn FnOnce() -> GroupOut<T> + Send>;
+            };
             (label, task)
         })
         .collect();
 
-    let (group_results, pool) = run_labeled_cells(tasks);
+    let (group_results, pool) = run_cells(jobs(), tasks);
 
     let mut stats = ForkStats {
         groups: n_groups,
@@ -181,18 +159,13 @@ mod tests {
                     .total_ns
             })
             .collect();
-        let cells: Vec<(String, AppRunConfig, _)> = variants
+        let cells: Vec<(String, AppRunConfig)> = variants
             .iter()
             .enumerate()
-            .map(|(i, gc)| {
-                (
-                    format!("cell#{i}"),
-                    small_cfg(gc.clone()),
-                    |res: Result<AppRunResult, RunError>| res.expect("fork succeeds").total_ns,
-                )
-            })
+            .map(|(i, gc)| (format!("cell#{i}"), small_cfg(gc.clone())))
             .collect();
-        let (forked, pool, stats) = run_forked_cells(cells);
+        let (forked, pool, stats) =
+            run_forked_cells(cells, |_, res| res.expect("fork succeeds").total_ns);
         assert_eq!(forked, cold);
         assert_eq!(pool.cells, 2);
         assert_eq!(stats.groups, 1, "identical warmups must share one group");
@@ -202,17 +175,12 @@ mod tests {
 
     #[test]
     fn distinct_warmups_do_not_group() {
-        let cells: Vec<(String, AppRunConfig, _)> = [4usize, 8]
+        let cells: Vec<(String, AppRunConfig)> = [4usize, 8]
             .iter()
-            .map(|&t| {
-                (
-                    format!("threads={t}"),
-                    small_cfg(GcConfig::vanilla(t)),
-                    |res: Result<AppRunResult, RunError>| res.expect("run succeeds").total_ns,
-                )
-            })
+            .map(|&t| (format!("threads={t}"), small_cfg(GcConfig::vanilla(t))))
             .collect();
-        let (vals, _, stats) = run_forked_cells(cells);
+        let (vals, _, stats): (Vec<u64>, _, _) =
+            run_forked_cells(cells, |_, res| res.expect("run succeeds").total_ns);
         assert_eq!(vals.len(), 2);
         assert_eq!(stats.groups, 2, "thread count is part of the warm key");
         assert_eq!(stats.snapshot_forks, 0, "singleton groups run cold");

@@ -3,10 +3,10 @@
 //! The parallel runner's contract is that the job count never changes
 //! results: every cell owns its full simulation state, and results are
 //! collected in declaration order. This test drives a real (shrunken)
-//! experiment grid through `run_cells_with` at 1 and 4 jobs and asserts
+//! experiment grid through `run_cells` at 1 and 4 jobs and asserts
 //! the JSON written under a results directory is byte-identical.
 
-use nvmgc_bench::run_cells_with;
+use nvmgc_bench::run_cells;
 use nvmgc_core::fault::{FaultPlan, Severity};
 use nvmgc_core::GcConfig;
 use nvmgc_metrics::{
@@ -23,16 +23,18 @@ struct Cell {
     total_ns: u64,
 }
 
+type Labeled<T> = Vec<(String, Box<dyn FnOnce() -> T + Send>)>;
+
 /// The experiment grid: two apps × two GC configs on a small heap so the
 /// whole test stays in CI time budgets.
-fn grid() -> Vec<Box<dyn FnOnce() -> Cell + Send>> {
-    let mut cells: Vec<Box<dyn FnOnce() -> Cell + Send>> = Vec::new();
+fn grid() -> Labeled<Cell> {
+    let mut cells: Labeled<Cell> = Vec::new();
     for name in ["page-rank", "scrabble"] {
         for (label, gc) in [
             ("vanilla", GcConfig::vanilla(4)),
             ("+all", GcConfig::plus_all(4, 0)),
         ] {
-            cells.push(Box::new(move || {
+            let cell = Box::new(move || {
                 let mut spec = app(name);
                 spec.alloc_young_multiple = spec.alloc_young_multiple.min(3.0);
                 let mut cfg = AppRunConfig::standard(spec, gc);
@@ -46,7 +48,8 @@ fn grid() -> Vec<Box<dyn FnOnce() -> Cell + Send>> {
                     gc_ms: res.gc_seconds() * 1e3,
                     total_ns: res.total_ns,
                 }
-            }));
+            });
+            cells.push((format!("{name}/{label}"), cell));
         }
     }
     cells
@@ -68,8 +71,8 @@ fn write_report(tag: &str, data: Vec<Cell>) -> Vec<u8> {
 
 #[test]
 fn serial_and_parallel_runs_write_identical_json() {
-    let (serial, stats1) = run_cells_with(1, grid());
-    let (parallel, stats4) = run_cells_with(4, grid());
+    let (serial, stats1) = run_cells(1, grid());
+    let (parallel, stats4) = run_cells(4, grid());
     assert_eq!(stats1.jobs, 1);
     assert_eq!(stats4.jobs, 4);
     assert_eq!(serial.len(), parallel.len());
@@ -97,13 +100,13 @@ struct TraceCell {
 /// exports. Tracing must not perturb runner determinism, and the event
 /// log itself (timestamps, order, annotations) must serialize to the
 /// same bytes at any job count.
-fn traced_grid() -> Vec<Box<dyn FnOnce() -> TraceCell + Send>> {
-    let mut cells: Vec<Box<dyn FnOnce() -> TraceCell + Send>> = Vec::new();
+fn traced_grid() -> Labeled<TraceCell> {
+    let mut cells: Labeled<TraceCell> = Vec::new();
     for (label, gc) in [
         ("vanilla", GcConfig::vanilla(4)),
         ("+all", GcConfig::plus_all(4, 0)),
     ] {
-        cells.push(Box::new(move || {
+        let cell = Box::new(move || {
             let mut spec = app("page-rank");
             spec.alloc_young_multiple = spec.alloc_young_multiple.min(3.0);
             let mut cfg = AppRunConfig::standard(spec, gc);
@@ -119,7 +122,8 @@ fn traced_grid() -> Vec<Box<dyn FnOnce() -> TraceCell + Send>> {
                 timeline: timeline_rows(&res.nvm_series, res.bin_ns, &res.trace),
                 trace: chrome_trace(&res.trace),
             }
-        }));
+        });
+        cells.push((label.to_owned(), cell));
     }
     cells
 }
@@ -140,8 +144,8 @@ fn write_trace_report(tag: &str, data: Vec<TraceCell>) -> Vec<u8> {
 
 #[test]
 fn trace_json_is_identical_across_job_counts() {
-    let (serial, _) = run_cells_with(1, traced_grid());
-    let (parallel, _) = run_cells_with(2, traced_grid());
+    let (serial, _) = run_cells(1, traced_grid());
+    let (parallel, _) = run_cells(2, traced_grid());
     let serial_json = write_trace_report("serial", serial);
     let parallel_json = write_trace_report("parallel", parallel);
     assert_eq!(

@@ -1,12 +1,17 @@
 //! Golden-digest regression test.
 //!
 //! Runs the FAST fig01 and fault-matrix grids through the exact shared
-//! grid code the bench harnesses use ([`nvmgc_bench::grids`]) and
-//! asserts the produced JSON is byte-identical to the golden files
-//! committed under `tests/golden/`. Any change to simulator timing,
-//! scheduling, RNG consumption, or report formatting shows up here as a
-//! byte diff — the same property CI checks for the full-scale committed
+//! grid code the harnesses use ([`nvmgc_bench::grids`]) and asserts the
+//! produced JSON is byte-identical to the golden files committed under
+//! `tests/golden/`. Any change to simulator timing, scheduling, RNG
+//! consumption, or report formatting shows up here as a byte diff — the
+//! same property CI checks for the full-scale committed
 //! `results/*.json`, but cheap enough to run in every test pass.
+//!
+//! Each grid is produced twice — by the warm-forked grid function the
+//! harness runs, and cell by cell through the cold reference path — and
+//! *both* must match the golden: the proof that fork == cold on the real
+//! grids, not only on the property-test workloads.
 //!
 //! When a change *intentionally* alters simulated behavior, regenerate
 //! the goldens by running this test with `NVMGC_BLESS_GOLDEN=1` and
@@ -14,7 +19,7 @@
 
 use nvmgc_bench::{
     fault_matrix_cells, fault_matrix_report, fig01_apps, fig01_report, run_fault_cell,
-    run_fig01_app, run_labeled_cells,
+    run_fault_grid, run_fig01_app, run_fig01_grid,
 };
 use nvmgc_metrics::write_json;
 use std::path::Path;
@@ -59,20 +64,17 @@ fn assert_matches_golden<T: serde::Serialize>(
 
 #[test]
 fn fault_matrix_fast_json_matches_golden() {
-    let cells: Vec<(String, _)> = fault_matrix_cells(true)
-        .into_iter()
-        .map(|cell| (cell.label(), move || run_fault_cell(&cell).0))
-        .collect();
-    let (rows, _) = run_labeled_cells(cells);
-    assert_matches_golden(&fault_matrix_report(rows), "fault_matrix.fast.json");
+    let forked: Vec<_> = run_fault_grid(true).0.into_iter().map(|r| r.0).collect();
+    assert_matches_golden(&fault_matrix_report(forked), "fault_matrix.fast.json");
+    let cells = fault_matrix_cells(true);
+    let cold: Vec<_> = cells.iter().map(|cell| run_fault_cell(cell).0).collect();
+    assert_matches_golden(&fault_matrix_report(cold), "fault_matrix.fast.json");
 }
 
 #[test]
 fn fig01_fast_json_matches_golden() {
-    let cells: Vec<(String, _)> = fig01_apps(true)
-        .into_iter()
-        .map(|spec| (spec.name.to_owned(), move || run_fig01_app(&spec)))
-        .collect();
-    let (rows, _) = run_labeled_cells(cells);
-    assert_matches_golden(&fig01_report(rows), "fig01_dram_vs_nvm.fast.json");
+    let forked: Vec<_> = run_fig01_grid(true).0.into_iter().map(|r| r.0).collect();
+    assert_matches_golden(&fig01_report(forked), "fig01_dram_vs_nvm.fast.json");
+    let cold: Vec<_> = fig01_apps(true).iter().map(run_fig01_app).collect();
+    assert_matches_golden(&fig01_report(cold), "fig01_dram_vs_nvm.fast.json");
 }

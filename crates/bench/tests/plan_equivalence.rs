@@ -16,7 +16,7 @@
 //!   rebuilding the allocator free stack under the recovery oracles),
 //!   resumes, and completes with every digest check passing.
 
-use nvmgc_bench::{plan_matrix_cells, run_fault_cell, run_labeled_cells_with, FaultRow};
+use nvmgc_bench::{plan_matrix_cells, run_cells, run_fault_cell, FaultRow};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -66,8 +66,8 @@ fn semispace_rows_are_byte_identical_at_jobs_1_and_2() {
             .map(|cell| (cell.label(), move || run_fault_cell(&cell).0))
             .collect::<Vec<(String, _)>>()
     };
-    let (serial, s1) = run_labeled_cells_with(1, cells());
-    let (parallel, s2) = run_labeled_cells_with(2, cells());
+    let (serial, s1) = run_cells(1, cells());
+    let (parallel, s2) = run_cells(2, cells());
     assert_eq!(s1.jobs, 1);
     assert_eq!(s2.jobs, 2);
     assert_eq!(serial.len(), parallel.len());

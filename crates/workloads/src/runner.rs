@@ -550,20 +550,11 @@ fn finish_run(
     let mut futile_cycles = 0usize;
     let mut bytes_at_last_gc = u64::MAX;
     let mut pending_step = Some(first_step);
-    // Scratch attribution timers (NVMGC_CELL_TIMES=1): wall seconds in
-    // the mutator phase, GC phase and verifier per run.
-    let prof = std::env::var("NVMGC_CELL_TIMES")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let mut t_mut = std::time::Duration::ZERO;
-    let mut t_gc = std::time::Duration::ZERO;
-    let mut t_verify = std::time::Duration::ZERO;
 
     loop {
         let step = match pending_step.take() {
             Some(step) => step,
             None => {
-                let t0 = std::time::Instant::now();
                 let step = mutator.run(&mut heap, &mut mem).map_err(|e| {
                     fail(
                         RunPhase::Mutator,
@@ -571,7 +562,6 @@ fn finish_run(
                         RunFailure::Gc(GcError::Heap(e)),
                     )
                 })?;
-                t_mut += t0.elapsed();
                 let gc_start = mutator.clock;
                 mem.sampler_mut()
                     .mark_phase(phase_start, gc_start, PhaseKind::Mutator);
@@ -589,22 +579,7 @@ fn finish_run(
         };
         let gc_start = mutator.clock;
         match step {
-            MutatorStep::Done => {
-                if prof {
-                    let s = mem.stats();
-                    let ops: u64 = s.reads.iter().sum::<u64>() + s.writes.iter().sum::<u64>();
-                    eprintln!(
-                        "  phases: mutator {:>7.3}s  gc {:>7.3}s  verify {:>7.3}s  allocs {}  memops {}  ({})",
-                        t_mut.as_secs_f64(),
-                        t_gc.as_secs_f64(),
-                        t_verify.as_secs_f64(),
-                        mutator.allocated_objects(),
-                        ops,
-                        cfg.spec.name
-                    );
-                }
-                break;
-            }
+            MutatorStep::Done => break,
             MutatorStep::NeedsGc => {
                 let cycle = cycles.len();
                 if mutator.allocated_bytes() == bytes_at_last_gc {
@@ -628,7 +603,6 @@ fn finish_run(
                         * h.config().region_size as u64
                 };
                 let before_bytes = occupied(&heap);
-                let tv = std::time::Instant::now();
                 let before_digest = if verify_runs {
                     Some(
                         verify_heap(&heap, &mutator.roots)
@@ -637,8 +611,6 @@ fn finish_run(
                 } else {
                     None
                 };
-                t_verify += tv.elapsed();
-                let tg = std::time::Instant::now();
                 let mut attempt = if mixed {
                     mixed_cycles += 1;
                     gc.collect_mixed(&mut heap, &mut mem, &mut mutator.roots, gc_start)
@@ -665,8 +637,6 @@ fn finish_run(
                     }
                 }
                 .map_err(|e| fail(RunPhase::Gc, cycle, RunFailure::Gc(e)))?;
-                t_gc += tg.elapsed();
-                let tv = std::time::Instant::now();
                 if let Some(before) = before_digest {
                     let after = verify_heap(&heap, &mutator.roots)
                         .map_err(|e| fail(RunPhase::Verify, cycle, RunFailure::Verify(e)))?;
@@ -679,7 +649,6 @@ fn finish_run(
                     }
                     digest_checks += 1;
                 }
-                t_verify += tv.elapsed();
                 if cfg.keep_gc_log {
                     let kind = if mixed { GcKind::Mixed } else { GcKind::Young };
                     gc_log.record(
