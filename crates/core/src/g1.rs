@@ -12,25 +12,25 @@
 //!    mapped NVM survivor regions (non-temporal stores + one fence);
 //! 3. **header-map cleanup**: all workers zero the map in parallel.
 //!
-//! The same front end also drives the PS-like collector (see [`crate::ps`])
-//! — the two differ in survivor-space allocation and prefetch policy, which
-//! live in [`crate::collector`].
+//! The same front end drives every plan ([`crate::plan`]): the PS-like and
+//! semispace collectors differ from G1 only in the survivor-space copy
+//! policy their plan names, which lives in [`crate::policy::copy`].
 
 use crate::collector::{CycleShared, Worker};
 use crate::config::GcConfig;
+use crate::durable;
 use crate::error::{accounting, GcError};
 use crate::fault::FaultState;
-use crate::header_map::{HeaderMap, ENTRY_BYTES};
-use crate::marking;
+use crate::header_map::HeaderMap;
+use crate::marking::{self, MarkState};
 use crate::oracle;
 use crate::plan;
 use crate::policy::drain::drain_allocator_journal;
-use crate::recovery::CrashState;
+use crate::recovery::{self, CrashState};
 use crate::scheduler::{self, PacketKind};
 use crate::stack::{Task, WorkPool};
 use crate::stats::{GcStats, RunGcStats};
 use crate::write_cache::WriteCachePool;
-use nvmgc_heap::verify::{classify_lines, LineCoverage};
 use nvmgc_heap::{Addr, Heap, RegionId, RegionKind};
 use nvmgc_memsim::{DeviceId, MemorySystem, Ns, PhaseKind, TraceCat, TRACK_CYCLE};
 use std::collections::VecDeque;
@@ -42,28 +42,6 @@ pub struct GcCycleOutcome {
     pub stats: GcStats,
     /// Simulated time at which mutators resume.
     pub end_ns: Ns,
-}
-
-/// Parameters of a resumed (post-crash) collection cycle, produced by
-/// [`G1Collector::recover_from_crash`]'s durable-prefix walk.
-struct ResumeState {
-    /// The crash being recovered from.
-    crash: CrashState,
-    /// Forwarding records found intact inside the durable prefix.
-    replayed: u64,
-    /// Forwarding records re-evacuated from intact from-space.
-    resumed: u64,
-    /// Write-combining lines the crash image reports discarded.
-    discarded: u64,
-    /// XPLines the crash image reports torn.
-    torn: u64,
-    /// Allocator lower-table entries the recovery scan found diverged
-    /// from the durable view and reconciled.
-    alloc_reconciled: u64,
-    /// Free regions the recovery scan rebuilt from the lower tables.
-    alloc_rebuilt: u64,
-    /// Allocator journal fences charged during the recovery scan.
-    alloc_fences: u64,
 }
 
 /// A young-generation copying collector with the paper's NVM-aware
@@ -161,180 +139,11 @@ impl G1Collector {
         roots: &mut [Addr],
         crash: CrashState,
     ) -> Result<GcCycleOutcome, GcError> {
-        let at = crash.at_ns;
-        // Every forwarding record the crashed cycle established:
-        // (fence metadata key, NVM entry address for map entries, old, new).
-        let mut records: Vec<(u64, Option<u64>, Addr, Addr)> = Vec::new();
-        if let Some(map) = self.hmap.as_ref() {
-            for (idx, old, new) in map.snapshot_indexed() {
-                records.push((
-                    oracle::map_entry_meta_key(idx),
-                    Some(map.entry_addr(idx)),
-                    old,
-                    new,
-                ));
-            }
-        }
-        for &(old, new) in &crash.full_installs {
-            records.push((oracle::header_meta_key(old), None, old, new));
-        }
-
-        struct Decision {
-            meta_key: u64,
-            entry_addr: Option<u64>,
-            old: Addr,
-            new: Addr,
-            size: u32,
-            dst: RegionId,
-            durable: bool,
-        }
-        let mut decisions: Vec<Decision> = Vec::new();
-        let (mut discarded, mut torn) = (0u64, 0u64);
-        {
-            let img = mem.crash_image(DeviceId::Nvm);
-            if let Some(img) = &img {
-                discarded = img.discarded_lines;
-                torn = img.torn_lines;
-            }
-            for (meta_key, entry_addr, old, new) in records {
-                if old == new {
-                    // Self-forward: the object never moved; its retention
-                    // is re-seeded from the crash state.
-                    continue;
-                }
-                let Ok(dst) = heap.region_of(new) else {
-                    continue;
-                };
-                if heap.region_of(old).is_err() {
-                    continue;
-                }
-                // Size from whichever copy still has a readable header
-                // (full-fallback installs forwarded the from-space one).
-                let size = if !heap.header(old).is_forwarded() {
-                    heap.object_size(old)
-                } else if !heap.header(new).is_forwarded() {
-                    heap.object_size(new)
-                } else {
-                    continue;
-                };
-                // Durable iff the install fence, the destination region's
-                // allocation metadata, and every payload line reached the
-                // medium no later than the crash instant.
-                let durable = img.as_ref().is_some_and(|img| {
-                    if heap.device_of(new) != DeviceId::Nvm {
-                        return false;
-                    }
-                    let fenced = img.meta_at(meta_key).is_some_and(|m| m <= at)
-                        && img
-                            .meta_at(oracle::region_meta_key(dst))
-                            .is_some_and(|m| m <= at);
-                    if !fenced {
-                        return false;
-                    }
-                    let base = new.raw() & !63;
-                    let lines = img.durable_lines_in(base, u64::from(size) + (new.raw() - base));
-                    let mut line_ok = |line: u64| {
-                        lines
-                            .iter()
-                            .any(|&(l, rec)| l == line && rec.first_at <= at)
-                    };
-                    classify_lines(new.raw(), size, &mut line_ok) == LineCoverage::Full
-                });
-                decisions.push(Decision {
-                    meta_key,
-                    entry_addr,
-                    old,
-                    new,
-                    size,
-                    dst,
-                    durable,
-                });
-            }
-        }
-
-        // Charge the recovery pass: the classification read of each
-        // record, then the re-evacuation of every lost copy. The
-        // simulated bytes are already in place (from-space was never
-        // mutated and the crash abort materialized discarded cache
-        // regions), so recovery re-charges the traffic and re-establishes
-        // durability — copy, region metadata, then the forwarding record,
-        // the same install order the cycle itself uses.
-        let mut now = at;
-        let (mut replayed, mut resumed) = (0u64, 0u64);
-        for d in &decisions {
-            now = match d.entry_addr {
-                Some(ea) => mem.read_bulk(DeviceId::Nvm, ea, ENTRY_BYTES, now),
-                None => mem.read_word(0, DeviceId::Nvm, d.old.raw(), now),
-            };
-            if d.durable {
-                replayed += 1;
-                continue;
-            }
-            resumed += 1;
-            let size = u64::from(d.size);
-            now = mem.read_bulk(heap.device_of(d.old), d.old.raw(), size, now);
-            now = mem.write_bulk(DeviceId::Nvm, d.new.raw(), size, now);
-            mem.persist_write_back(DeviceId::Nvm, d.new.raw(), size, now);
-            if mem.persist_enabled(DeviceId::Nvm) {
-                now = mem.persist_meta(DeviceId::Nvm, oracle::region_meta_key(d.dst), now);
-                match d.entry_addr {
-                    Some(ea) => mem.persist_write_back(DeviceId::Nvm, ea, ENTRY_BYTES, now),
-                    None => mem.persist_write_back(DeviceId::Nvm, d.old.raw(), 8, now),
-                }
-                now = mem.persist_meta(DeviceId::Nvm, d.meta_key, now);
-            } else {
-                now = mem.fence(now);
-            }
-        }
-        // --- Allocator recovery scan (durable-allocator mode). The crash
-        // caught the lower-table journal partially durable: entries dirtied
-        // since the last safepoint drain never reached the ledger. Compute
-        // the durable view at the crash instant, reconcile every diverged
-        // region against the surviving volatile truth (re-journaling it as
-        // real charged traffic), rebuild the upper free-stack from the
-        // lower tables, and let the oracle assert the rebuild is exact —
-        // and that no rebuilt-free region doubles as the destination of a
-        // durable forwarding record the resumed cycle will replay.
-        let (mut alloc_reconciled, mut alloc_rebuilt, mut alloc_fences) = (0u64, 0u64, 0u64);
-        if self.cfg.durable_alloc_active() {
-            let view = heap.allocator().durable_view(at);
-            let diverged = heap.allocator().diverged(&view).map_err(accounting)?;
-            alloc_reconciled = diverged.len() as u64;
-            for r in diverged {
-                heap.allocator_mut().mark_dirty(r);
-            }
-            now = drain_allocator_journal(&self.cfg, heap, mem, &mut alloc_fences, now);
-            let (previous, rebuilt) = heap.allocator_mut().rebuild_free();
-            alloc_rebuilt = rebuilt.len() as u64;
-            let durable_dsts: Vec<RegionId> = decisions
-                .iter()
-                .filter(|d| d.durable)
-                .map(|d| d.dst)
-                .collect();
-            oracle::check_allocator_recovery(heap, &previous, &rebuilt, &durable_dsts)
-                .map_err(GcError::Oracle)?;
-        }
-        mem.trace_mut().span(
-            "recover",
-            TraceCat::Phase,
-            TRACK_CYCLE,
-            at,
-            now,
-            self.run_stats.cycles() as u64,
-        );
-
+        let cycle_idx = self.run_stats.cycles() as u64;
+        let (seed, now) =
+            recovery::recover(&self.cfg, self.hmap.as_ref(), heap, mem, &crash, cycle_idx)?;
         let extra_old = crash.extra_old.clone();
-        let rs = ResumeState {
-            crash,
-            replayed,
-            resumed,
-            discarded,
-            torn,
-            alloc_reconciled,
-            alloc_rebuilt,
-            alloc_fences,
-        };
-        self.collect_with_cset(heap, mem, roots, now, &extra_old, Some(rs))
+        self.collect_with_cset(heap, mem, roots, now, &extra_old, Some((crash, seed)))
     }
 
     /// Runs a *mixed* collection (paper §2.1): a stop-the-world marking
@@ -357,6 +166,56 @@ impl G1Collector {
             heap.card_table().is_none(),
             "mixed collections require precise remembered sets"
         );
+        // Garbage-first selection of old regions.
+        self.collect_marked(heap, mem, roots, start, |heap, state| {
+            let mut candidates: Vec<(RegionId, f64)> = heap
+                .old()
+                .iter()
+                .copied()
+                .map(|r| (r, state.liveness(heap, r)))
+                .filter(|&(_, live)| live < 0.85)
+                .collect();
+            candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN liveness"));
+            let budget = (heap.old().len() / 4).max(1);
+            candidates.iter().take(budget).map(|&(r, _)| r).collect()
+        })
+    }
+
+    /// Runs the bottom-line *full* collection (paper §2.1): a
+    /// stop-the-world mark over the whole heap followed by evacuation of
+    /// every young and old region, compacting all live data into fresh
+    /// regions and freeing everything else. Dead humongous regions are
+    /// reclaimed whole.
+    ///
+    /// Unlike [`G1Collector::collect_mixed`], the marking time *is* part
+    /// of the pause (full GC is fully stop-the-world); it is still
+    /// reported in `stats.mark_ns`, so `pause = mark_ns + phases.total()`.
+    ///
+    /// If the free space cannot hold all live data, the remainder is
+    /// self-forwarded in place and the affected regions are retained —
+    /// a degraded but safe partial compaction.
+    pub fn collect_full(
+        &mut self,
+        heap: &mut Heap,
+        mem: &mut MemorySystem,
+        roots: &mut [Addr],
+        start: Ns,
+    ) -> Result<GcCycleOutcome, GcError> {
+        self.collect_marked(heap, mem, roots, start, |heap, _| heap.old().to_vec())
+    }
+
+    /// The shared body of the marked collections: a stop-the-world mark,
+    /// eager reclaim of dead humongous regions, then a young collection
+    /// that also evacuates the old regions `select` picks from the
+    /// marking result.
+    fn collect_marked(
+        &mut self,
+        heap: &mut Heap,
+        mem: &mut MemorySystem,
+        roots: &mut [Addr],
+        start: Ns,
+        select: impl FnOnce(&Heap, &MarkState) -> Vec<RegionId>,
+    ) -> Result<GcCycleOutcome, GcError> {
         let threads = self.cfg.threads.max(1);
         let mark = marking::mark_heap(heap, mem, threads, roots, start)?;
         mem.trace_mut().span(
@@ -392,18 +251,7 @@ impl G1Collector {
         // one is taken on the first promotion of the evacuation phase).
         self.promo_region = None;
 
-        // Garbage-first selection of old regions.
-        let mut candidates: Vec<(RegionId, f64)> = heap
-            .old()
-            .iter()
-            .copied()
-            .map(|r| (r, mark.state.liveness(heap, r)))
-            .filter(|&(_, live)| live < 0.85)
-            .collect();
-        candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN liveness"));
-        let budget = (heap.old().len() / 4).max(1);
-        let old_cset: Vec<RegionId> = candidates.iter().take(budget).map(|&(r, _)| r).collect();
-
+        let old_cset = select(heap, &mark.state);
         let mut out = self.collect_with_cset(heap, mem, roots, mark.end_ns, &old_cset, None)?;
         out.stats.mark_ns = mark.end_ns - start;
         out.stats.engine_steps += mark.steps;
@@ -411,65 +259,8 @@ impl G1Collector {
         Ok(out)
     }
 
-    /// Runs the bottom-line *full* collection (paper §2.1): a
-    /// stop-the-world mark over the whole heap followed by evacuation of
-    /// every young and old region, compacting all live data into fresh
-    /// regions and freeing everything else. Dead humongous regions are
-    /// reclaimed whole.
-    ///
-    /// Unlike [`G1Collector::collect_mixed`], the marking time *is* part
-    /// of the pause (full GC is fully stop-the-world); it is still
-    /// reported in `stats.mark_ns`, so `pause = mark_ns + phases.total()`.
-    ///
-    /// If the free space cannot hold all live data, the remainder is
-    /// self-forwarded in place and the affected regions are retained —
-    /// a degraded but safe partial compaction.
-    pub fn collect_full(
-        &mut self,
-        heap: &mut Heap,
-        mem: &mut MemorySystem,
-        roots: &mut [Addr],
-        start: Ns,
-    ) -> Result<GcCycleOutcome, GcError> {
-        let threads = self.cfg.threads.max(1);
-        let mark = marking::mark_heap(heap, mem, threads, roots, start)?;
-        mem.trace_mut().span(
-            "mark",
-            TraceCat::Phase,
-            TRACK_CYCLE,
-            start,
-            mark.end_ns,
-            self.run_stats.cycles() as u64,
-        );
-
-        let mut humongous_freed = 0u64;
-        let dead_humongous: Vec<RegionId> = heap
-            .humongous()
-            .iter()
-            .copied()
-            .filter(|&r| mark.state.live_bytes(r) == 0)
-            .collect();
-        let region_size = heap.config().region_size as u64;
-        let mut freed: nvmgc_memsim::FxHashSet<RegionId> = nvmgc_memsim::FxHashSet::default();
-        for r in dead_humongous {
-            let base = heap.addr_of(r, 0).raw();
-            heap.release_region(r).map_err(accounting)?;
-            mem.invalidate_range(base, region_size);
-            mem.persist_forget_range(base, region_size);
-            humongous_freed += 1;
-            freed.insert(r);
-        }
-        heap.scrub_remset_sources(&freed);
-
-        self.promo_region = None;
-        let old_cset: Vec<RegionId> = heap.old().to_vec();
-        let mut out = self.collect_with_cset(heap, mem, roots, mark.end_ns, &old_cset, None)?;
-        out.stats.mark_ns = mark.end_ns - start;
-        out.stats.engine_steps += mark.steps;
-        out.stats.humongous_freed = humongous_freed;
-        Ok(out)
-    }
-
+    /// One evacuation cycle; a resumed one passes the crash it recovers
+    /// from and the statistics [`recovery::recover`] seeded.
     fn collect_with_cset(
         &mut self,
         heap: &mut Heap,
@@ -477,7 +268,7 @@ impl G1Collector {
         roots: &mut [Addr],
         start: Ns,
         extra_old: &[RegionId],
-        resume: Option<ResumeState>,
+        resume: Option<(CrashState, GcStats)>,
     ) -> Result<GcCycleOutcome, GcError> {
         let threads = self.cfg.threads.max(1);
         let cycle_idx = self.run_stats.cycles() as u64;
@@ -486,7 +277,7 @@ impl G1Collector {
         // on resume, the crashed cycle's saved set (the abort leaves the
         // eden/survivor lists and `in_cset` flags untouched). ------------
         let cset: Vec<RegionId> = match &resume {
-            Some(rs) => rs.crash.cset.clone(),
+            Some((crash, _)) => crash.cset.clone(),
             None => heap
                 .eden()
                 .iter()
@@ -502,32 +293,25 @@ impl G1Collector {
         // --- Gather initial work: roots + remembered sets / dirty cards. ---
         let mut tasks: Vec<Task> = (0..roots.len() as u32).map(Task::Root).collect();
         let mut remset_bytes = 0u64;
-        if let Some(rs) = &resume {
+        if let Some((crash, _)) = &resume {
             // The crashed cycle's initial work list (remsets were drained
             // destructively, so durable mode saves it up front), plus a
             // re-scan of every established copy and every self-forwarded
             // object — the interrupted transitive closure completes from
             // there. Already-processed slots point out of the collection
             // set and filter as no-ops, so the replay is idempotent.
-            tasks = rs.crash.initial_tasks.clone();
+            tasks = crash.initial_tasks.clone();
             let rescan = |tasks: &mut Vec<Task>, heap: &Heap, obj: Addr, n: u32| {
                 for i in 0..n {
                     tasks.push(Task::Slot(heap.ref_slot(obj, i)));
                 }
             };
-            if let Some(map) = self.hmap.as_ref() {
-                for (old, new) in map.snapshot() {
-                    if old != new {
-                        rescan(&mut tasks, heap, new, heap.num_refs(new));
-                    }
+            for rec in durable::forwarding_records(self.hmap.as_ref(), &crash.full_installs) {
+                if rec.old != rec.new {
+                    rescan(&mut tasks, heap, rec.new, heap.num_refs(rec.new));
                 }
             }
-            for &(old, new) in &rs.crash.full_installs {
-                if old != new {
-                    rescan(&mut tasks, heap, new, heap.num_refs(new));
-                }
-            }
-            for &(obj, hdr) in &rs.crash.self_forwarded {
+            for &(obj, hdr) in &crash.self_forwarded {
                 // The live header is a self-forward; the saved original
                 // header supplies the class.
                 rescan(
@@ -625,7 +409,9 @@ impl G1Collector {
             shared_survivor: None,
             shared_cache: None,
             writeback_queue: VecDeque::new(),
-            stats: GcStats::default(),
+            stats: resume
+                .as_ref()
+                .map_or_else(GcStats::default, |(_, seed)| seed.clone()),
             fault: FaultState::new(&self.cfg.fault.gc),
             error: None,
             self_forwarded: Vec::new(),
@@ -634,23 +420,14 @@ impl G1Collector {
             crashed_at: None,
         };
         sh.stats.alloc_fences += pre_fences;
-        if let Some(rs) = &resume {
-            // Re-seed the crashed cycle's carried state and counters. The
-            // power-failure observation marks the crash as *handled* — the
-            // fault matrix's silent-pass gate keys on it.
-            sh.stats.recovered_cycles = 1;
-            sh.stats.replayed_map_entries = rs.replayed;
-            sh.stats.resumed_evacuations = rs.resumed;
-            sh.stats.alloc_reconciled = rs.alloc_reconciled;
-            sh.stats.alloc_rebuilt_regions = rs.alloc_rebuilt;
-            sh.stats.alloc_fences += rs.alloc_fences;
-            sh.self_forwarded = rs.crash.self_forwarded.clone();
-            sh.retained = rs.crash.retained.clone();
-            sh.full_installs = rs.crash.full_installs.clone();
-            sh.fault.restore_fired(&rs.crash.fired);
-            sh.fault.observations.power_failure_checks += 1;
-            sh.fault.observations.discarded_lines = rs.discarded;
-            sh.fault.observations.torn_lines = rs.torn;
+        if let Some((crash, seed)) = &resume {
+            // Re-seed the crashed cycle's carried state (its counters seeded
+            // `sh.stats` above).
+            sh.self_forwarded = crash.self_forwarded.clone();
+            sh.retained = crash.retained.clone();
+            sh.full_installs = crash.full_installs.clone();
+            sh.fault.restore_fired(&crash.fired);
+            sh.fault.observations = seed.fault_events;
         }
 
         // --- Work packets (plan-declared, scheduler-executed). --------------
@@ -724,9 +501,10 @@ impl G1Collector {
                     // The recovery oracle needs the forwarding table before
                     // the cleanup packet zeroes it.
                     recovery_forwards = resume.as_ref().map(|_| {
-                        let mut f = self.hmap.as_ref().map_or_else(Vec::new, |m| m.snapshot());
-                        f.extend_from_slice(&sh.full_installs);
-                        f
+                        durable::forwarding_records(self.hmap.as_ref(), &sh.full_installs)
+                            .iter()
+                            .map(|rec| (rec.old, rec.new))
+                            .collect::<Vec<_>>()
                     });
                     wb_end = end;
                     end

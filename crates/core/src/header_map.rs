@@ -118,8 +118,8 @@ impl HeaderMap {
 
     /// A pseudo-address for entry `idx`, used to charge DRAM traffic for
     /// probes in the memory model. The map notionally lives in a reserved
-    /// high address range.
-    pub fn entry_addr(&self, idx: u64) -> u64 {
+    /// high address range, laid out identically for every map.
+    pub fn entry_addr(idx: u64) -> u64 {
         0x4000_0000_0000_0000 | (idx * ENTRY_BYTES)
     }
 
@@ -244,23 +244,15 @@ impl HeaderMap {
             .count()
     }
 
-    /// Snapshot of every installed `old → new` forwarding pair.
+    /// Snapshot of every installed `old → new` forwarding pair with its
+    /// entry index — durable-mode recovery matches entries against install
+    /// metadata keyed by index to decide which pairs are in the crash
+    /// image's durable prefix.
     ///
     /// Entries whose value has not yet been published (a claimed key
     /// mid-install) are skipped rather than spun on — the snapshot is a
-    /// diagnostic view for the crash-point oracle, not a synchronization
+    /// diagnostic view for the oracles and recovery, not a synchronization
     /// point. Linear scan; never used on hot paths.
-    pub fn snapshot(&self) -> Vec<(Addr, Addr)> {
-        self.snapshot_indexed()
-            .into_iter()
-            .map(|(_, k, v)| (k, v))
-            .collect()
-    }
-
-    /// Like [`snapshot`](Self::snapshot) but carrying each pair's entry
-    /// index — durable-mode recovery matches entries against install
-    /// metadata keyed by index to decide which pairs are in the crash
-    /// image's durable prefix.
     pub fn snapshot_indexed(&self) -> Vec<(u64, Addr, Addr)> {
         let mut pairs = Vec::new();
         for i in 0..self.keys.len() {
@@ -375,11 +367,10 @@ mod tests {
         let m = HeaderMap::new(1 << 12, 16);
         let r1 = m.put(addr(1), addr(101)).unwrap();
         let r2 = m.put(addr(2), addr(102)).unwrap();
-        let mut snap = m.snapshot();
+        let indexed = m.snapshot_indexed();
+        let mut snap: Vec<_> = indexed.iter().map(|&(_, k, v)| (k, v)).collect();
         snap.sort();
         assert_eq!(snap, vec![(addr(1), addr(101)), (addr(2), addr(102))]);
-        let indexed = m.snapshot_indexed();
-        assert_eq!(indexed.len(), 2);
         for &(idx, k, v) in &indexed {
             let want = if k == addr(1) { r1.idx } else { r2.idx };
             assert_eq!(idx, want, "index matches what put resolved");

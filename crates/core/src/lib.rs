@@ -94,6 +94,7 @@
 pub mod access;
 pub mod collector;
 pub mod config;
+pub mod durable;
 pub mod engine;
 pub mod error;
 pub mod fault;
@@ -104,7 +105,6 @@ pub mod marking;
 pub mod oracle;
 pub mod plan;
 pub mod policy;
-pub mod ps;
 pub mod recovery;
 pub mod scheduler;
 pub mod stack;
@@ -120,8 +120,7 @@ pub use fault::{FaultPlan, FaultState, GcFault, GcFaultObservations, GcFaultPlan
 pub use g1::{G1Collector, GcCycleOutcome};
 pub use header_map::{HeaderMap, InstallError, Put, PutOutcome};
 pub use oracle::{
-    alloc_meta_key, check_allocator_recovery, check_crash_point, check_power_failure,
-    check_recovery_completion, header_meta_key, map_entry_meta_key, region_meta_key,
+    check_allocator_recovery, check_crash_point, check_power_failure, check_recovery_completion,
     OracleViolation, PowerFailureReport,
 };
 pub use plan::{plan_of, CopyPolicyKind, PlanSpec, G1_PLAN, PS_PLAN, SEMISPACE_PLAN};

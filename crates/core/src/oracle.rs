@@ -27,11 +27,11 @@
 //!
 //! [`GcFault::CrashPoint`]: crate::fault::GcFault::CrashPoint
 
+use crate::durable::{self, Classifier, RecordKey};
 use crate::header_map::HeaderMap;
 use crate::write_cache::WriteCachePool;
-use nvmgc_heap::verify::LineCoverage;
 use nvmgc_heap::{Addr, Header, Heap, RegionId, RegionKind};
-use nvmgc_memsim::{DeviceId, FxHashSet, MemorySystem};
+use nvmgc_memsim::{DeviceId, FxHashSet, MemorySystem, Ns};
 use std::fmt;
 
 /// A recoverability invariant the oracle found violated.
@@ -187,56 +187,54 @@ pub fn check_crash_point(
     retained: &[RegionId],
 ) -> Result<(), OracleViolation> {
     // 1. Forwarding entries.
-    if let Some(map) = hmap {
-        for (old, new) in map.snapshot() {
-            let src = heap
-                .region_of(old)
-                .map_err(|_| OracleViolation::StaleForwarding {
-                    old,
-                    new,
-                    reason: "source address outside the heap",
-                })?;
-            if !heap.region(src).in_cset {
+    for durable::ForwardingRecord { old, new, .. } in durable::forwarding_records(hmap, &[]) {
+        let src = heap
+            .region_of(old)
+            .map_err(|_| OracleViolation::StaleForwarding {
+                old,
+                new,
+                reason: "source address outside the heap",
+            })?;
+        if !heap.region(src).in_cset {
+            return Err(OracleViolation::StaleForwarding {
+                old,
+                new,
+                reason: "source region not in the collection set",
+            });
+        }
+        if old == new {
+            // Self-forward (evacuation failure): the region must be
+            // retained so the cycle-end free pass keeps it alive.
+            if !retained.contains(&src) {
                 return Err(OracleViolation::StaleForwarding {
                     old,
                     new,
-                    reason: "source region not in the collection set",
+                    reason: "self-forward in an unretained region",
                 });
             }
-            if old == new {
-                // Self-forward (evacuation failure): the region must be
-                // retained so the cycle-end free pass keeps it alive.
-                if !retained.contains(&src) {
-                    return Err(OracleViolation::StaleForwarding {
-                        old,
-                        new,
-                        reason: "self-forward in an unretained region",
-                    });
-                }
-                continue;
-            }
-            let dst = heap
-                .region_of(new)
-                .map_err(|_| OracleViolation::StaleForwarding {
-                    old,
-                    new,
-                    reason: "destination address outside the heap",
-                })?;
-            let dr = heap.region(dst);
-            if dr.in_cset {
-                return Err(OracleViolation::StaleForwarding {
-                    old,
-                    new,
-                    reason: "destination region is itself being evacuated",
-                });
-            }
-            if !matches!(dr.kind(), RegionKind::Survivor | RegionKind::Old) {
-                return Err(OracleViolation::StaleForwarding {
-                    old,
-                    new,
-                    reason: "destination region is not a survivor/old region",
-                });
-            }
+            continue;
+        }
+        let dst = heap
+            .region_of(new)
+            .map_err(|_| OracleViolation::StaleForwarding {
+                old,
+                new,
+                reason: "destination address outside the heap",
+            })?;
+        let dr = heap.region(dst);
+        if dr.in_cset {
+            return Err(OracleViolation::StaleForwarding {
+                old,
+                new,
+                reason: "destination region is itself being evacuated",
+            });
+        }
+        if !matches!(dr.kind(), RegionKind::Survivor | RegionKind::Old) {
+            return Err(OracleViolation::StaleForwarding {
+                old,
+                new,
+                reason: "destination region is not a survivor/old region",
+            });
         }
     }
 
@@ -253,40 +251,6 @@ pub fn check_crash_point(
         }
     }
     Ok(())
-}
-
-/// The durability-ledger metadata key under which region `region`'s
-/// allocation metadata is persisted (see [`check_power_failure`], check
-/// 2). The keys live in a reserved address range far above any simulated
-/// heap address, one slot per region.
-pub fn region_meta_key(region: RegionId) -> u64 {
-    0x7000_0000_0000_0000 | (u64::from(region) << 6)
-}
-
-/// The durability-ledger metadata key under which a durable-mode
-/// header-map install at entry `idx` records its persistence fence (key
-/// CAS → value publish → fence). Disjoint from [`region_meta_key`]'s
-/// range; one slot per map entry.
-pub fn map_entry_meta_key(idx: u64) -> u64 {
-    0x7400_0000_0000_0000 | (idx << 6)
-}
-
-/// The durability-ledger metadata key for a durable-mode forwarding
-/// install that overflowed the map into the NVM header of `obj`
-/// ([`PutOutcome::Full`] fallback). Disjoint from the other metadata
-/// ranges; keyed by the from-space address.
-///
-/// [`PutOutcome::Full`]: crate::header_map::PutOutcome::Full
-pub fn header_meta_key(obj: Addr) -> u64 {
-    0x7800_0000_0000_0000 | obj.raw()
-}
-
-/// The durability-ledger metadata key — doubling as the synthetic NVM
-/// line address — under which the durable region allocator journals
-/// region `region`'s lower-table entry ([`nvmgc_heap::LowerEntry`]).
-/// Disjoint from the other metadata ranges; one 64-byte slot per region.
-pub fn alloc_meta_key(region: RegionId) -> u64 {
-    0x7C00_0000_0000_0000 | (u64::from(region) << 6)
 }
 
 /// Asserts the allocator recovery scan's rebuild is sound, after the
@@ -372,11 +336,13 @@ pub struct PowerFailureReport {
 /// 2. **No durable payload precedes its region's metadata.** Every
 ///    durable NT-written line inside an NVM region (NT stores are the
 ///    write-cache drain path) must have drained at or after the region's
-///    allocation metadata was persisted (key [`region_meta_key`]) — a
+///    allocation metadata was persisted (key [`RecordKey::Region`]) — a
 ///    recovery must never find payload for a region it has no record of.
 /// 3. **Write-cache drain ordering** holds (same as at crash points).
 ///
-/// Returns `Ok(None)` when the persistence model is inactive for NVM.
+/// Clauses 1–2 are the classification crash recovery runs at the crash
+/// instant ([`crate::durable`]), asked of the image as it stands. Returns
+/// `Ok(None)` when the persistence model is inactive for NVM.
 /// Non-destructive: the ledger is only snapshotted.
 pub fn check_power_failure(
     heap: &Heap,
@@ -384,9 +350,10 @@ pub fn check_power_failure(
     cache: &WriteCachePool,
     mem: &MemorySystem,
 ) -> Result<Option<PowerFailureReport>, OracleViolation> {
-    let Some(img) = mem.crash_image(DeviceId::Nvm) else {
+    let Some(judge) = Classifier::new(mem, DeviceId::Nvm, Ns::MAX) else {
         return Ok(None);
     };
+    let img = &judge.img;
     let mut report = PowerFailureReport {
         discarded_lines: img.discarded_lines,
         torn_lines: img.torn_lines,
@@ -399,78 +366,37 @@ pub fn check_power_failure(
     // destination is on NVM and its region's allocation metadata was
     // persisted (regular volatile stores promise nothing at a power
     // failure, so evacuations into unclaimed regions are out of scope).
-    if let Some(map) = hmap {
-        for (old, new) in map.snapshot() {
-            if old == new {
-                // Self-forward: the object never moved; retention is the
-                // crash-point oracle's concern, not durability's.
-                continue;
-            }
-            let (Ok(_), Ok(dst)) = (heap.region_of(old), heap.region_of(new)) else {
-                // Stale addresses are check_crash_point's domain.
-                continue;
-            };
-            if heap.device_of(new) != DeviceId::Nvm || img.meta_at(region_meta_key(dst)).is_none() {
-                continue;
-            }
-            // Object size from whichever copy still has a readable
-            // header (the from-space header may itself be forwarded).
-            let size = if !heap.header(old).is_forwarded() {
-                heap.object_size(old)
-            } else if !heap.header(new).is_forwarded() {
-                heap.object_size(new)
-            } else {
-                continue;
-            };
-            report.objects_checked += 1;
-            let mut durable = |line: u64| img.line_durable(line);
-            if nvmgc_heap::verify::classify_lines(new.raw(), size, &mut durable)
-                == LineCoverage::Full
-            {
-                continue;
-            }
-            let from_durable = heap.device_of(old) == DeviceId::Nvm
-                && nvmgc_heap::verify::classify_lines(old.raw(), size, &mut durable)
-                    == LineCoverage::Full;
-            if !from_durable {
-                return Err(OracleViolation::UnrecoverableEvacuation {
-                    old,
-                    new,
-                    reason: "neither the to-space nor the from-space copy is fully durable",
-                });
-            }
+    for rec in durable::forwarding_records(hmap, &[]) {
+        let Some((dst, size)) = rec.resolve(heap) else {
+            continue;
+        };
+        if heap.device_of(rec.new) != DeviceId::Nvm
+            || judge.fenced_at(RecordKey::Region(dst)).is_none()
+        {
+            continue;
+        }
+        report.objects_checked += 1;
+        if judge.payload_durable(rec.new, size) {
+            continue;
+        }
+        let from_durable =
+            heap.device_of(rec.old) == DeviceId::Nvm && judge.payload_durable(rec.old, size);
+        if !from_durable {
+            return Err(OracleViolation::UnrecoverableEvacuation {
+                old: rec.old,
+                new: rec.new,
+                reason: "neither the to-space nor the from-space copy is fully durable",
+            });
         }
     }
 
     // 2. Payload-before-metadata ordering for NT (write-cache drain)
     // traffic.
-    let rsize = u64::from(heap.config().region_size);
     for id in 0..heap.region_count() as RegionId {
-        let r = heap.region(id);
-        if r.device() != DeviceId::Nvm {
-            continue;
-        }
-        let base = heap.addr_of(id, 0).raw();
-        let meta_at = img.meta_at(region_meta_key(id));
-        for (_, rec) in img.durable_lines_in(base, rsize) {
-            if !rec.via_nt {
-                continue;
-            }
-            match meta_at {
-                None => {
-                    return Err(OracleViolation::MetaOrdering {
-                        region: id,
-                        reason: "durable NT payload but no persisted allocation metadata",
-                    })
-                }
-                Some(m) if rec.first_at < m => {
-                    return Err(OracleViolation::MetaOrdering {
-                        region: id,
-                        reason: "durable NT payload line drained before the allocation metadata",
-                    })
-                }
-                Some(_) => {}
-            }
+        if heap.region(id).device() == DeviceId::Nvm {
+            judge
+                .drain_order(heap, id)
+                .map_err(|reason| OracleViolation::MetaOrdering { region: id, reason })?;
         }
     }
 
@@ -725,15 +651,6 @@ mod tests {
         // Retaining the region legalizes both the self-forward and roots
         // that still point at it.
         assert!(check_recovery_completion(&h, &fwd, &[eden], &[eden], &[obj]).is_ok());
-    }
-
-    #[test]
-    fn meta_key_ranges_are_disjoint() {
-        let r = region_meta_key(u32::MAX);
-        let m = map_entry_meta_key(1 << 40);
-        let o = header_meta_key(Addr(0x7f_ffff_ffff));
-        let a = alloc_meta_key(0);
-        assert!(r < m && m < o && o < a, "{r:#x} {m:#x} {o:#x} {a:#x}");
     }
 
     #[test]

@@ -53,7 +53,23 @@ pub const G1_PLAN: PlanSpec = PlanSpec {
     packets: CYCLE_PACKETS,
 };
 
-/// The Parallel-Scavenge-like plan: shared-region LABs.
+/// The Parallel-Scavenge-like plan (paper §4.4): HotSpot's stop-the-world
+/// generational collector, the OpenJDK default before JDK 9. Its young GC
+/// runs G1's copy-and-traverse loop with three modelled differences:
+///
+/// - survivors are managed in small **LABs** carved out of shared
+///   regions rather than per-thread regions;
+/// - objects above a size threshold are copied **directly** into the
+///   shared target space without a LAB — address-discontiguous, so the
+///   write cache cannot absorb them (the paper only caches contiguous
+///   buffers, which is why PS benefits less);
+/// - the **vanilla PS collector issues no software prefetches** during
+///   young GC; the optimized configuration adds them.
+///
+/// PS uses a card table instead of per-region remembered sets; both
+/// record the same old-to-young slots and the cost model charges the
+/// same DRAM metadata traffic, so the remembered-set mechanism is reused.
+/// Select it with the `ps_*` presets of [`crate::GcConfig`].
 pub const PS_PLAN: PlanSpec = PlanSpec {
     name: "ps",
     copy: CopyPolicyKind::PsLab,

@@ -19,6 +19,7 @@
 
 use crate::access::Gx;
 use crate::collector::{race_sync, CycleShared, Worker, RACE_SITE_ALLOC_TAKE, REGION_SYNC_NS};
+use crate::durable::{self, RecordKey};
 use crate::error::GcError;
 use crate::oracle;
 use crate::plan::CopyPolicyKind;
@@ -39,10 +40,8 @@ pub(crate) struct Lab {
 /// classify payload for a region the persistence order has no record of.
 /// Free in volatile mode.
 pub(crate) fn note_fresh_gc_region(w: &mut Worker, sh: &mut CycleShared<'_>, region: RegionId) {
-    if sh.cfg.durable_map_active() && sh.mem.persist_enabled(DeviceId::Nvm) {
-        w.clock = sh
-            .mem
-            .persist_meta(DeviceId::Nvm, oracle::region_meta_key(region), w.clock);
+    if sh.cfg.durable_map_active() {
+        w.clock = durable::publish(sh.mem, DeviceId::Nvm, RecordKey::Region(region), w.clock);
     }
 }
 

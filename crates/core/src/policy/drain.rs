@@ -7,13 +7,13 @@
 //! configuration decides whether the drain charges durable traffic.
 
 use crate::config::GcConfig;
-use crate::oracle;
-use nvmgc_heap::{Heap, RegionId};
+use crate::durable::{self, RecordKey};
+use nvmgc_heap::Heap;
 use nvmgc_memsim::{DeviceId, MemorySystem, Ns};
 
 /// Journals the allocator's dirty lower-table entries to the NVM
 /// durability ledger (durable-allocator mode): one line write plus
-/// write-back per dirty region at its [`oracle::alloc_meta_key`] slot,
+/// write-back per dirty region at its [`RecordKey::AllocEntry`] slot,
 /// then one batched metadata fence covering every drained key. In
 /// volatile mode the journal is still drained — the heap-side
 /// bookkeeping stays bounded by the region count and warm snapshots stay
@@ -33,23 +33,10 @@ pub(crate) fn drain_allocator_journal(
         heap.allocator_mut().drain_dirty(now);
         return now;
     }
-    let dirty: Vec<RegionId> = heap.allocator().dirty_regions().to_vec();
-    let mut t = now;
-    for &r in &dirty {
-        let line = oracle::alloc_meta_key(r);
-        t = mem.write_word(0, DeviceId::Nvm, line, t);
-        mem.persist_write_back(DeviceId::Nvm, line, 8, t);
-    }
-    t = if mem.persist_enabled(DeviceId::Nvm) {
-        mem.persist_meta_many(
-            DeviceId::Nvm,
-            dirty.iter().map(|&r| oracle::alloc_meta_key(r)),
-            t,
-        )
-    } else {
-        mem.fence(t)
-    };
-    *fences += dirty.len() as u64;
+    let dirty = heap.allocator().dirty_regions();
+    let keys: Vec<RecordKey> = dirty.iter().map(|&r| RecordKey::AllocEntry(r)).collect();
+    let t = durable::publish_batch(mem, DeviceId::Nvm, &keys, now);
+    *fences += keys.len() as u64;
     heap.allocator_mut().drain_dirty(t);
     t
 }

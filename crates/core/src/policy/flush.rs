@@ -8,11 +8,12 @@
 //! policy code — every plan runs the same flush discipline.
 
 use crate::collector::{race_sync, CycleShared, Worker, RACE_SITE_ALLOC_RELEASE};
-use crate::header_map::ENTRY_BYTES;
+use crate::durable::{self, RecordKey};
+use crate::header_map::{HeaderMap, ENTRY_BYTES};
 use crate::oracle;
 use crate::policy::install::map_device;
 use crate::policy::trace::apply_worker_faults;
-use nvmgc_heap::{Heap, RegionId};
+use nvmgc_heap::RegionId;
 use nvmgc_memsim::{DeviceId, TraceCat};
 
 /// An in-progress region flush (chunked so other work interleaves).
@@ -58,24 +59,22 @@ pub(crate) fn flush_chunk(w: &mut Worker, sh: &mut CycleShared<'_>, during_scan:
     let task = w.flush.expect("flush task present");
     let region = task.region;
     let used = sh.heap.region(region).used();
+    let nvm_region = sh
+        .heap
+        .region(region)
+        .mapped_to
+        .expect("cache region is mapped");
     let chunk = sh.cfg.flush_chunk_bytes.min(used - task.cursor);
     if chunk > 0 {
         let src = sh.heap.addr_of(region, task.cursor).raw();
         let tr = sh.mem.read_bulk(DeviceId::Dram, src, chunk as u64, w.clock);
-        let nvm_region = sh
-            .heap
-            .region(region)
-            .mapped_to
-            .expect("cache region is mapped");
-        let nvm = sh.heap.region(region).device_of_mapped(sh.heap);
+        let nvm = sh.heap.region(nvm_region).device();
         let dst = sh.heap.addr_of(nvm_region, task.cursor).raw();
         // Drain-path persistence ordering: the target region's allocation
         // metadata reaches the medium before any of its payload (one
         // synchronous fence at the start of the region's flush).
-        if task.cursor == 0 && sh.mem.persist_enabled(nvm) {
-            w.clock = sh
-                .mem
-                .persist_meta(nvm, oracle::region_meta_key(nvm_region), w.clock);
+        if task.cursor == 0 {
+            w.clock = durable::publish(sh.mem, nvm, RecordKey::Region(nvm_region), w.clock);
         }
         let tw = if sh.cache.config().nt_store {
             sh.mem.nt_write_bulk(nvm, dst, chunk as u64, w.clock)
@@ -83,7 +82,7 @@ pub(crate) fn flush_chunk(w: &mut Worker, sh: &mut CycleShared<'_>, during_scan:
             let t = sh.mem.write_bulk(nvm, dst, chunk as u64, w.clock);
             // Regular-store drains are explicitly written back (CLWB
             // over the chunk) so the flush still advances durability.
-            sh.mem.persist_write_back(nvm, dst, chunk as u64, t);
+            durable::write_back(sh.mem, nvm, dst, chunk as u64, t);
             t
         };
         w.clock = tr.max(tw);
@@ -95,11 +94,6 @@ pub(crate) fn flush_chunk(w: &mut Worker, sh: &mut CycleShared<'_>, during_scan:
     }
     // Chunk done: materialize the bytes in the NVM region and release the
     // DRAM cache region.
-    let nvm_region = sh
-        .heap
-        .region(region)
-        .mapped_to
-        .expect("cache region is mapped");
     sh.heap.blit_region(region, nvm_region);
     if let Err((r, reason)) = sh.cache.note_flushed(sh.heap, region, during_scan) {
         sh.error = Some(crate::error::GcError::Oracle(
@@ -150,7 +144,7 @@ pub fn step_clear(w: &mut Worker, sh: &mut CycleShared<'_>) {
     let dev = map_device(sh);
     w.clock = sh
         .mem
-        .write_bulk(dev, map.entry_addr(start as u64), bytes, w.clock);
+        .write_bulk(dev, HeaderMap::entry_addr(start as u64), bytes, w.clock);
     let next = start + step_entries;
     w.clear_range = if next < end { Some((next, end)) } else { None };
     if w.clear_range.is_none() {
@@ -170,19 +164,5 @@ pub fn assign_clear_ranges(workers: &mut [Worker], capacity: usize) {
         } else {
             None
         };
-    }
-}
-
-/// Helper trait to find the device of a cache region's mapped NVM region.
-trait MappedDevice {
-    fn device_of_mapped(&self, heap: &Heap) -> DeviceId;
-}
-
-impl MappedDevice for nvmgc_heap::Region {
-    fn device_of_mapped(&self, heap: &Heap) -> DeviceId {
-        match self.mapped_to {
-            Some(nvm) => heap.region(nvm).device(),
-            None => self.device(),
-        }
     }
 }

@@ -7,10 +7,10 @@
 //!   to the NVM header;
 //! - **volatile header install** — a checked single-word header write
 //!   through [`crate::access::Gx::install_forward`] plus CAS overhead;
-//! - **durable-fenced install** — either variant followed by the
-//!   durable-linearizable persistence order (key CAS → value publish →
-//!   fence, Sela & Petrank), stamped into the durability ledger so crash
-//!   recovery can classify the record against the durable prefix.
+//! - **durable-fenced install** — either variant followed by
+//!   [`durable::publish`] of its forwarding record (key CAS → value
+//!   publish → fence, Sela & Petrank), so crash recovery can classify the
+//!   record against the durable prefix.
 //!
 //! Every plan runs the same install policy; which variant executes is
 //! decided by the configuration (header map active? durable?), not by
@@ -19,8 +19,9 @@
 use crate::collector::{
     race_sync, CycleShared, Worker, CAS_EXTRA_NS, RACE_SITE_DURABLE_FENCE, RACE_SITE_MAP_INSTALL,
 };
+use crate::durable::{self, RecordKey};
 use crate::error::GcError;
-use crate::header_map::{HeaderMap, Put, PutOutcome, ENTRY_BYTES};
+use crate::header_map::{HeaderMap, Put, PutOutcome};
 use crate::oracle;
 use nvmgc_heap::Addr;
 use nvmgc_memsim::DeviceId;
@@ -79,12 +80,7 @@ pub(crate) fn install_forwarding(
                     // Durable-linearizable install (Sela & Petrank): key
                     // CAS → value publish → fence, all on NVM, stamped
                     // into the durability ledger by entry index.
-                    durable_install_fence(
-                        w,
-                        sh,
-                        map.entry_addr(put.idx),
-                        oracle::map_entry_meta_key(put.idx),
-                    );
+                    durable_install_fence(w, sh, put.idx);
                 }
             }
             PutOutcome::Existing(other) => {
@@ -96,49 +92,37 @@ pub(crate) fn install_forwarding(
             PutOutcome::Full => {
                 // Bounded probing failed: install into the NVM header.
                 w.stats.hm_full += 1;
-                let id = w.id;
-                let clock = w.clock;
-                let t = match sh.gx().install_forward(id, obj, public, clock) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        // Double-forwarding would silently lose the first
-                        // forwardee (release-silent before this change).
-                        sh.error = Some(crate::error::accounting(e));
-                        w.done = true;
-                        return None;
-                    }
-                };
-                w.clock = t + CAS_EXTRA_NS;
+                header_install(w, sh, obj, public)?;
                 if sh.cfg.durable_map_active() {
                     // The fallback install is fenced too, keyed by the
                     // from-space address, and remembered so recovery can
                     // classify it against the durable prefix.
                     sh.full_installs.push((obj, public));
-                    sh.mem
-                        .persist_write_back(DeviceId::Nvm, obj.raw(), 8, w.clock);
-                    w.clock = if sh.mem.persist_enabled(DeviceId::Nvm) {
-                        sh.mem
-                            .persist_meta(DeviceId::Nvm, oracle::header_meta_key(obj), w.clock)
-                    } else {
-                        sh.mem.fence(w.clock)
-                    };
+                    w.clock =
+                        durable::publish(sh.mem, DeviceId::Nvm, RecordKey::Header(obj), w.clock);
                 }
             }
         }
     } else {
-        let id = w.id;
-        let clock = w.clock;
-        let t = match sh.gx().install_forward(id, obj, public, clock) {
-            Ok(t) => t,
-            Err(e) => {
-                sh.error = Some(crate::error::accounting(e));
-                w.done = true;
-                return None;
-            }
-        };
-        w.clock = t + CAS_EXTRA_NS;
+        header_install(w, sh, obj, public)?;
     }
     Some(InstallOutcome::Installed)
+}
+
+/// The volatile header install: a checked single-word write of the
+/// forwarding pointer into `obj`'s header plus CAS overhead. `None` when
+/// the header was already forwarded — double-forwarding would silently
+/// lose the first forwardee, so it is recorded as a typed error.
+fn header_install(w: &mut Worker, sh: &mut CycleShared<'_>, obj: Addr, public: Addr) -> Option<()> {
+    match sh.gx().install_forward(w.id, obj, public, w.clock) {
+        Ok(t) => w.clock = t + CAS_EXTRA_NS,
+        Err(e) => {
+            sh.error = Some(crate::error::accounting(e));
+            w.done = true;
+            return None;
+        }
+    }
+    Some(())
 }
 
 /// The device the header map's probe/install/clear traffic is charged
@@ -162,26 +146,19 @@ pub(crate) fn charge_map_probes(
     let dev = map_device(sh);
     let base = map.probe_base(obj);
     for k in 0..probes as u64 {
-        let addr = map.entry_addr(base.wrapping_add(k));
+        let addr = HeaderMap::entry_addr(base.wrapping_add(k));
         w.clock = sh.mem.read_word(w.id, dev, addr, w.clock);
     }
 }
 
 /// Persistence-fences one durable-mode map install: charges the key CAS
-/// and value publish as NVM stores at the entry's address, writes the
-/// entry line back toward the medium, and stamps the install into the
-/// durability ledger under `meta_key` with one synchronous fence — the
-/// durable-linearizable order whose prefix crash recovery replays.
-fn durable_install_fence(w: &mut Worker, sh: &mut CycleShared<'_>, entry_addr: u64, meta_key: u64) {
+/// and value publish as NVM stores at the entry's address, then publishes
+/// the entry's record — the durable-linearizable order whose prefix crash
+/// recovery replays.
+fn durable_install_fence(w: &mut Worker, sh: &mut CycleShared<'_>, idx: u64) {
     race_sync(w, sh, RACE_SITE_DURABLE_FENCE);
-    let dev = DeviceId::Nvm;
-    w.clock = sh.mem.write_word(w.id, dev, entry_addr, w.clock) + CAS_EXTRA_NS;
-    w.clock = sh.mem.write_word(w.id, dev, entry_addr + 8, w.clock);
-    sh.mem
-        .persist_write_back(dev, entry_addr, ENTRY_BYTES, w.clock);
-    w.clock = if sh.mem.persist_enabled(dev) {
-        sh.mem.persist_meta(dev, meta_key, w.clock)
-    } else {
-        sh.mem.fence(w.clock)
-    };
+    let (dev, entry) = (DeviceId::Nvm, HeaderMap::entry_addr(idx));
+    w.clock = sh.mem.write_word(w.id, dev, entry, w.clock) + CAS_EXTRA_NS;
+    w.clock = sh.mem.write_word(w.id, dev, entry + 8, w.clock);
+    w.clock = durable::publish(sh.mem, dev, RecordKey::MapEntry(idx), w.clock);
 }

@@ -11,6 +11,7 @@
 use crate::collector::{CycleShared, Worker, STEAL_NS};
 use crate::config::Traversal;
 use crate::error::GcError;
+use crate::header_map::HeaderMap;
 use crate::oracle;
 use crate::policy::copy::copy_into_dest;
 use crate::policy::flush::{flush_chunk, FlushTask};
@@ -354,7 +355,7 @@ fn copy_and_forward(
             // Extended prefetching: warm the header-map probe line for
             // the child (paper §4.3).
             if let Some(map) = sh.hmap {
-                let entry = map.entry_addr(map.probe_base(child));
+                let entry = HeaderMap::entry_addr(map.probe_base(child));
                 let dev = map_device(sh);
                 w.clock = sh.mem.prefetch(w.id, dev, entry, w.clock);
             }

@@ -10,14 +10,21 @@
 //! resumed cycle needs into a [`CrashState`], and returns it inside
 //! [`GcError::PowerCrash`](crate::error::GcError). The runner hands the
 //! state to [`recover_from_crash`], which replays the durable prefix,
-//! re-evacuates the torn/undurable objects from intact from-space, and
-//! re-runs the interrupted cycle to completion.
+//! re-evacuates the torn/undurable objects from intact from-space
+//! ([`recover`], below), and re-runs the interrupted cycle to completion.
 //!
 //! [`recover_from_crash`]: crate::g1::G1Collector::recover_from_crash
 
+use crate::config::GcConfig;
+use crate::durable::{self, Classifier, RecordKey};
+use crate::error::{accounting, GcError};
+use crate::header_map::HeaderMap;
+use crate::oracle;
+use crate::policy::drain::drain_allocator_journal;
 use crate::stack::Task;
-use nvmgc_heap::{Addr, Header, RegionId};
-use nvmgc_memsim::Ns;
+use crate::stats::GcStats;
+use nvmgc_heap::{Addr, Header, Heap, RegionId};
+use nvmgc_memsim::{DeviceId, MemorySystem, Ns, TraceCat, TRACK_CYCLE};
 
 /// Everything a crashed evacuation cycle leaves behind for recovery.
 ///
@@ -56,6 +63,113 @@ pub struct CrashState {
     /// Which one-shot fault events had fired, so the resumed cycle does
     /// not re-fire the same power failure.
     pub fired: Vec<bool>,
+}
+
+/// The recovery pass that precedes the resumed cycle: walks the durable
+/// prefix of the crashed cycle's forwarding records, re-evacuates every
+/// lost copy, then runs the allocator recovery scan. Returns the instant
+/// the resumed cycle starts and what its statistics start from: the
+/// pass's own counters and, in `fault_events`, the handled power failure
+/// with the lines its crash image reports discarded and torn.
+pub(crate) fn recover(
+    cfg: &GcConfig,
+    hmap: Option<&HeaderMap>,
+    heap: &mut Heap,
+    mem: &mut MemorySystem,
+    crash: &CrashState,
+    cycle_idx: u64,
+) -> Result<(GcStats, Ns), GcError> {
+    let at = crash.at_ns;
+    let nvm = DeviceId::Nvm;
+    let mut stats = GcStats {
+        recovered_cycles: 1,
+        ..GcStats::default()
+    };
+    // The power-failure observation marks the crash as *handled* — the
+    // fault matrix's silent-pass gate keys on it.
+    stats.fault_events.power_failure_checks = 1;
+    // Every forwarding record the crashed cycle established that names a
+    // real move, and whether it lies inside the durable prefix.
+    let decisions: Vec<_> = {
+        let judge = Classifier::new(mem, nvm, at);
+        if let Some(j) = &judge {
+            stats.fault_events.discarded_lines = j.img.discarded_lines;
+            stats.fault_events.torn_lines = j.img.torn_lines;
+        }
+        durable::forwarding_records(hmap, &crash.full_installs)
+            .into_iter()
+            .filter_map(|rec| {
+                let (dst, size) = rec.resolve(heap)?;
+                // Durable iff the install fence, the destination region's
+                // allocation metadata, and every payload line reached the
+                // medium no later than the crash instant.
+                let durable = judge.as_ref().is_some_and(|j| {
+                    heap.device_of(rec.new) == nvm
+                        && j.fenced_at(rec.key).is_some()
+                        && j.fenced_at(RecordKey::Region(dst)).is_some()
+                        && j.payload_durable(rec.new, size)
+                });
+                Some((rec, dst, size, durable))
+            })
+            .collect()
+    };
+
+    // Charge the recovery pass: the classification read of each
+    // record, then the re-evacuation of every lost copy. The
+    // simulated bytes are already in place (from-space was never
+    // mutated and the crash abort materialized discarded cache
+    // regions), so recovery re-charges the traffic and re-establishes
+    // durability — copy, region metadata, then the forwarding record,
+    // the same install order the cycle itself uses.
+    let mut now = at;
+    for &(rec, dst, size, durable) in &decisions {
+        let (entry, len) = rec.key.entry().expect("forwarding records have entries");
+        now = match rec.key {
+            RecordKey::Header(_) => mem.read_word(0, nvm, entry, now),
+            _ => mem.read_bulk(nvm, entry, len, now),
+        };
+        if durable {
+            stats.replayed_map_entries += 1;
+            continue;
+        }
+        stats.resumed_evacuations += 1;
+        let size = u64::from(size);
+        now = mem.read_bulk(heap.device_of(rec.old), rec.old.raw(), size, now);
+        now = mem.write_bulk(nvm, rec.new.raw(), size, now);
+        durable::write_back(mem, nvm, rec.new.raw(), size, now);
+        now = durable::publish(mem, nvm, RecordKey::Region(dst), now);
+        now = durable::publish(mem, nvm, rec.key, now);
+    }
+    // --- Allocator recovery scan (durable-allocator mode). The crash
+    // caught the lower-table journal partially durable: entries dirtied
+    // since the last safepoint drain never reached the ledger. Compute
+    // the durable view at the crash instant, reconcile every diverged
+    // region against the surviving volatile truth (re-journaling it as
+    // real charged traffic), rebuild the upper free-stack from the
+    // lower tables, and let the oracle assert the rebuild is exact —
+    // and that no rebuilt-free region doubles as the destination of a
+    // durable forwarding record the resumed cycle will replay.
+    if cfg.durable_alloc_active() {
+        let view = heap.allocator().durable_view(at);
+        let diverged = heap.allocator().diverged(&view).map_err(accounting)?;
+        stats.alloc_reconciled = diverged.len() as u64;
+        for r in diverged {
+            heap.allocator_mut().mark_dirty(r);
+        }
+        now = drain_allocator_journal(cfg, heap, mem, &mut stats.alloc_fences, now);
+        let (previous, rebuilt) = heap.allocator_mut().rebuild_free();
+        stats.alloc_rebuilt_regions = rebuilt.len() as u64;
+        let durable_dsts: Vec<RegionId> = decisions
+            .iter()
+            .filter_map(|&(_, dst, _, durable)| durable.then_some(dst))
+            .collect();
+        oracle::check_allocator_recovery(heap, &previous, &rebuilt, &durable_dsts)
+            .map_err(GcError::Oracle)?;
+    }
+    mem.trace_mut()
+        .span("recover", TraceCat::Phase, TRACK_CYCLE, at, now, cycle_idx);
+
+    Ok((stats, now))
 }
 
 #[cfg(test)]

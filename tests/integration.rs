@@ -1,10 +1,11 @@
 //! Cross-crate integration tests: full application runs through the
 //! workload engine, the collectors and the memory model together.
 
-use nvmgc_core::GcConfig;
+use nvmgc_core::{FaultPlan, GcConfig, GcStats, Severity};
 use nvmgc_heap::DevicePlacement;
 use nvmgc_memsim::DeviceId;
-use nvmgc_workloads::{app, run_app, AppRunConfig};
+use nvmgc_workloads::spec::ClassMix;
+use nvmgc_workloads::{app, run_app, AppRunConfig, WorkloadSpec};
 
 /// A downsized config so integration tests stay fast. Debug builds run
 /// ~10x slower than release, so they get a further-reduced scale — the
@@ -188,4 +189,53 @@ fn unlimited_cache_never_overflows() {
     let r = run_app(&cfg).unwrap();
     let overflow: u64 = r.cycles.iter().map(|c| c.cache_overflow_copies).sum();
     assert_eq!(overflow, 0);
+}
+
+/// Tier-1's one end-to-end crash recovery: a fixed Severe fault plan
+/// power-fails a durable-map, durable-allocator run mid-evacuation; the
+/// run must recover from the crash image, resume, and finish in exactly
+/// the state the same configuration reaches without the fault plan.
+#[test]
+fn durable_run_recovers_from_a_power_failure_to_the_uncrashed_state() {
+    let spec = WorkloadSpec {
+        name: "tier1-recovery",
+        alloc_young_multiple: 3.0,
+        mix: vec![ClassMix {
+            num_refs: 2,
+            data_bytes: 24,
+            weight: 1,
+        }],
+        survival: 0.4,
+        keep_gcs: 1,
+        old_link_fraction: 0.1,
+        chain_fraction: 0.0,
+        cpu_per_alloc_ns: 20.0,
+        touches_per_alloc: 1,
+        app_threads: 4,
+        share_fraction: 0.15,
+        old_anchor_bytes: 8 << 10,
+    };
+    // 12 workers: above the header-map activation threshold.
+    let mut clean = AppRunConfig::standard(spec, GcConfig::plus_all(12, 1 << 20));
+    clean.heap.region_size = 16 << 10;
+    clean.heap.heap_regions = 96;
+    clean.heap.young_regions = 32;
+    clean.gc.header_map.durable = true;
+    clean.gc.allocator.durable = true;
+    let mut crashed = clean.clone();
+    // Seed 38 crashes two cycles, leaving both records to replay and
+    // copies to re-evacuate. (Plans also perturb timing, and with it when
+    // collections trigger; this seed leaves the mutator's schedule alone.)
+    crashed.gc.fault = FaultPlan::generate(38, Severity::Severe, 40_000_000);
+
+    let r = run_app(&crashed).expect("the crashed run recovers and completes");
+    let sum = |f: fn(&GcStats) -> u64| r.cycles.iter().map(f).sum::<u64>();
+    assert!(sum(|c| c.recovered_cycles) >= 1, "the plan must fire");
+    assert!(sum(|c| c.replayed_map_entries) >= 1);
+    assert!(sum(|c| c.resumed_evacuations) >= 1);
+    assert!(sum(|c| c.alloc_fences) > 0);
+    let base = run_app(&clean).expect("the fault-free run completes");
+    assert_eq!(r.final_digest, base.final_digest);
+    assert_eq!(r.final_free_regions, base.final_free_regions);
+    assert_eq!(r.final_region_kinds, base.final_region_kinds);
 }
