@@ -5,7 +5,7 @@ use crate::driver::{Driver, Gate};
 use crate::{
     fast_mode, fig01_report, maybe_trim, run_fig01_grid, sized_config, PAPER_THREADS, THREAD_SWEEP,
 };
-use nvmgc_core::GcConfig;
+use nvmgc_core::{GcConfig, PauseSpan};
 use nvmgc_heap::DevicePlacement;
 use nvmgc_memsim::Ns;
 use nvmgc_metrics::cost::{dram_cost, nvm_cost};
@@ -128,9 +128,9 @@ pub(super) fn fig02_bandwidth_timeline(d: &mut Driver) -> Gate {
         let series = [&r.dram_series, &r.nvm_series][i];
         let bw = BandwidthSeries::from_bins(series, r.bin_ns);
         let mut gc_bins = vec![false; bw.len()];
-        for &(s, e) in &r.pause_intervals {
-            let first = (s / r.bin_ns) as usize;
-            let last = ((e.saturating_sub(1)) / r.bin_ns) as usize;
+        for p in &r.pause_spans {
+            let first = (p.start_ns / r.bin_ns) as usize;
+            let last = ((p.end_ns.saturating_sub(1)) / r.bin_ns) as usize;
             for b in gc_bins.iter_mut().take(last + 1).skip(first) {
                 *b = true;
             }
@@ -144,9 +144,9 @@ pub(super) fn fig02_bandwidth_timeline(d: &mut Driver) -> Gate {
             device: DEVICES[i].to_owned(),
             bin_ms: bw.bin_ms,
             gc_intervals_ms: r
-                .pause_intervals
+                .pause_spans
                 .iter()
-                .map(|&(s, e)| (s as f64 / 1e6, e as f64 / 1e6))
+                .map(|p| (p.start_ns as f64 / 1e6, p.end_ns as f64 / 1e6))
                 .collect(),
             mean_gc_total_mbps: mean(&in_phase(true)),
             mean_mutator_total_mbps: mean(&in_phase(false)),
@@ -236,7 +236,7 @@ pub(super) fn fig02_scalability(d: &mut Driver) -> Gate {
         let dev_bw = if label == "dram" {
             // The DRAM run's traffic all lands on DRAM; compute its
             // in-GC bandwidth from the DRAM series + pause marks.
-            let pauses = r.pause_intervals.iter().copied();
+            let pauses = r.pause_spans.iter().map(|p| (p.start_ns, p.end_ns));
             let (rd, wr, dur) = traffic_in(&r.dram_series, r.bin_ns, pauses);
             mbps(rd + wr, dur)
         } else {
@@ -301,7 +301,7 @@ pub(super) fn fig03_als_bandwidth(d: &mut Driver) -> Gate {
         let label = DEVICES[i];
         let series = [&r.dram_series, &r.nvm_series][i];
         let phase_bw = || {
-            let pauses = r.pause_intervals.iter().copied();
+            let pauses = r.pause_spans.iter().map(|p| (p.start_ns, p.end_ns));
             let (rd, wr, dur) = traffic_in(series, r.bin_ns, pauses);
             (mbps(rd, dur), mbps(wr, dur))
         };
@@ -719,16 +719,16 @@ pub(super) fn fig07_split_bandwidth(d: &mut Driver) -> Gate {
     let out = d.run(cells, |i, r| {
         // Partition each pause into scan and write-back using per-cycle
         // phase times, then accumulate bin traffic per part.
-        let pauses = || r.pause_intervals.iter().zip(&r.cycles);
-        let scan_end = |start: Ns, end: Ns, scan_ns: Ns| (start + scan_ns).min(end);
-        let scan = pauses().map(|(&(s, e), c)| (s, scan_end(s, e, c.phases.scan_ns)));
-        let writeback = pauses().map(|(&(s, e), c)| (scan_end(s, e, c.phases.scan_ns), e));
+        let pauses = || r.pause_spans.iter().zip(&r.cycles);
+        let scan_end = |p: &PauseSpan, scan_ns: Ns| (p.start_ns + scan_ns).min(p.end_ns);
+        let scan = pauses().map(|(p, c)| (p.start_ns, scan_end(p, c.phases.scan_ns)));
+        let writeback = pauses().map(|(p, c)| (scan_end(p, c.phases.scan_ns), p.end_ns));
         let scan = traffic_in(&r.nvm_series, r.bin_ns, scan);
         let wb = traffic_in(&r.nvm_series, r.bin_ns, writeback);
         let mut peak_write = 0.0f64;
-        for &(start, end) in &r.pause_intervals {
-            let first = (start / r.bin_ns) as usize;
-            let last = ((end - 1) / r.bin_ns) as usize;
+        for p in &r.pause_spans {
+            let first = (p.start_ns / r.bin_ns) as usize;
+            let last = ((p.end_ns - 1) / r.bin_ns) as usize;
             for b in r.nvm_series.iter().take(last + 1).skip(first) {
                 peak_write = peak_write.max(b.1 as f64 / r.bin_ns as f64 * 1000.0);
             }
@@ -832,7 +832,7 @@ pub(super) fn fig08_tail_latency(d: &mut Driver) -> Gate {
             }
         }
         let servers = d.run(cells, |i, server| {
-            let (pauses, horizon) = (&server.pause_intervals, server.total_ns);
+            let (pauses, horizon) = (&server.pause_spans, server.total_ns);
             let client = |&tput| simulate_client(pauses, horizon, points[i].2, tput, 42);
             let latencies: Vec<_> = throughputs.iter().map(client).collect();
             let max_pause_ms = server.gc.max_pause_ns() as f64 / 1e6;

@@ -15,22 +15,17 @@
 //! harness output — including the JSON written under `results/` — is
 //! byte-identical for any job count.
 //!
-//! The pool also times itself; the driver prints every grid's simulated
-//! ns per wall second, and the `sim_throughput` harness alone publishes
-//! the runner self-benchmark to `results/sim_throughput.json`
-//! ([`throughput_report`]). The record has two parts with different
-//! trust levels:
-//!
-//! - [`WorkCounters`] — deterministic work performed by the grid
-//!   (simulated ns, engine steps, bus grants, LLC installs, bulk grant
-//!   splits, oracle checks). Byte-identical for a given grid on any
-//!   host and any `NVMGC_JOBS`; CI gates on these.
-//! - a `wall_clock` sidecar — jobs, elapsed seconds, and simulated ns
-//!   per wall second. Informational only: wall-clock varies run to run.
-//!
-//! The self-benchmark deliberately lives in its own file: folding
-//! wall-clock into an experiment's JSON would break the
-//! bit-identical-results property the runner exists to preserve.
+//! The pool also times itself, and the driver prints every grid's
+//! simulated ns per wall second — printed only: wall-clock varies run to
+//! run, and folding it into a results file would break the
+//! bit-identical-results property the runner exists to preserve (host
+//! time is `BENCHMARK.json`'s to measure). What the `sim_throughput`
+//! harness publishes to `results/sim_throughput.json`
+//! ([`throughput_report`]) is the grid's [`WorkCounters`] — the
+//! deterministic work it performed (simulated ns, engine steps, bus
+//! grants, LLC installs, bulk grant splits, oracle checks),
+//! byte-identical for a given grid on any host and any `NVMGC_JOBS`; CI
+//! gates on these.
 
 use nvmgc_metrics::ExperimentReport;
 use nvmgc_workloads::AppRunResult;
@@ -277,30 +272,20 @@ pub fn within_budget(baseline: u64, now: u64) -> bool {
     now.abs_diff(baseline) * 10 <= baseline
 }
 
-/// The informational (non-gated) half of `results/sim_throughput.json`.
-#[derive(Serialize)]
-struct WallClock {
-    jobs: usize,
-    wall_seconds: f64,
-    sim_ns_per_wall_second: f64,
-}
-
 /// Payload of `results/sim_throughput.json`: the deterministic counter
-/// block CI budgets against, plus the wall-clock sidecar.
+/// block CI budgets against.
 #[derive(Serialize)]
 struct ThroughputRecord {
     harness: String,
     cells: usize,
     counters: WorkCounters,
-    wall_clock: WallClock,
 }
 
 /// Assembles `results/sim_throughput.json`: the runner self-benchmark
 /// over `harness`'s grid. Only the `sim_throughput` harness writes it,
 /// so the committed perf-gate baseline is always that harness's grid.
 /// `counters` is the summed deterministic work of the grid's cells — the
-/// gated payload; the pool's wall-clock timing is recorded as an
-/// informational sidecar.
+/// gated payload.
 pub fn throughput_report(
     harness: &str,
     stats: &PoolStats,
@@ -309,19 +294,13 @@ pub fn throughput_report(
     ExperimentReport {
         id: "sim_throughput".to_owned(),
         paper_ref: "simulator self-benchmark".to_owned(),
-        notes: "counters are deterministic and budget-gated in CI; wall_clock varies \
-                run to run and is informational only — kept out of experiment JSON \
-                on purpose"
+        notes: "counters are deterministic and budget-gated in CI; wall-clock is printed \
+                by the harness and measured by BENCHMARK.json, never written here"
             .to_owned(),
         data: ThroughputRecord {
             harness: harness.to_owned(),
             cells: stats.cells,
             counters: *counters,
-            wall_clock: WallClock {
-                jobs: stats.jobs,
-                wall_seconds: stats.wall_seconds,
-                sim_ns_per_wall_second: stats.sim_ns_per_wall_second(counters.simulated_ns),
-            },
         },
     }
 }

@@ -65,22 +65,6 @@ impl<'a> Gx<'a> {
         self.mem.write_word(tid, dev, obj.raw(), now)
     }
 
-    /// Installs a forwarding pointer with an atomic compare-and-swap on
-    /// the header, charging the word write plus CAS overhead. Returns the
-    /// winning forwarding target (ours, or a racer's).
-    ///
-    /// Under the deterministic engine the CAS never loses; the cost model
-    /// still reflects the atomic's extra latency.
-    pub fn cas_forward(&mut self, tid: usize, obj: Addr, new: Addr, now: Ns) -> (Addr, Ns) {
-        let (h, t) = self.read_header(tid, obj, now);
-        if let Some(existing) = h.forwardee() {
-            return (existing, t);
-        }
-        let t = self.write_header(tid, obj, Header::forwarding(new), t);
-        // Atomic RMW overhead beyond the plain store.
-        (new, t + 15)
-    }
-
     /// Installs a forwarding pointer over a header the caller believes is
     /// not yet forwarded, charging a word write. Unlike
     /// [`Gx::write_header`], which overwrites unconditionally, this
@@ -237,21 +221,6 @@ mod tests {
         let after = mem.stats();
         assert!(after.read_bytes[nvm] > before.read_bytes[nvm]);
         assert!(after.write_bytes[nvm] > before.write_bytes[nvm]);
-    }
-
-    #[test]
-    fn cas_forward_returns_existing_winner() {
-        let (mut heap, mut mem) = setup();
-        let e = heap.take_region(RegionKind::Eden).unwrap();
-        let s = heap.take_region(RegionKind::Survivor).unwrap();
-        let a = heap.alloc_object(e, 0).unwrap();
-        let c1 = heap.alloc_object(s, 0).unwrap();
-        let c2 = heap.alloc_object(s, 0).unwrap();
-        let mut gx = Gx::new(&mut heap, &mut mem);
-        let (w1, t) = gx.cas_forward(0, a, c1, 0);
-        assert_eq!(w1, c1);
-        let (w2, _) = gx.cas_forward(1, a, c2, t);
-        assert_eq!(w2, c1, "second CAS observes the first forwarding");
     }
 
     #[test]

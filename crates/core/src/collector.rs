@@ -15,8 +15,8 @@
 //! The *mechanisms* of those steps — tracing, copying, forwarding
 //! installs, write-back flushing, allocator drains — live in the
 //! [`crate::policy`] modules; which survivor policy a cycle runs is
-//! declared by its plan ([`crate::plan`]) and sequenced by the
-//! work-packet scheduler ([`crate::scheduler`]). This module keeps what
+//! declared by its plan ([`crate::plan`]) and the one cycle every plan
+//! runs is [`crate::cycle`]. This module keeps what
 //! every policy shares: the [`Worker`] (a simulated thread and its
 //! clock), the [`CycleShared`] cycle state, the timing constants, and
 //! the race-exploration synchronization points. Workers never touch
@@ -37,11 +37,8 @@ use nvmgc_heap::{Addr, Header, Heap, RegionId};
 use nvmgc_memsim::{MemorySystem, Ns};
 use std::collections::VecDeque;
 
-// The phase step functions moved into the policy modules with the
-// plan/policy split; they are re-exported here so existing callers (and
-// the paper-era module layout) keep working.
-pub use crate::policy::flush::{assign_clear_ranges, step_clear, step_writeback};
-pub use crate::policy::trace::{step_scan, ROOT_ARRAY_BASE};
+/// Synthetic DRAM address base for the mutator root array.
+pub const ROOT_ARRAY_BASE: u64 = 0x5000_0000_0000_0000;
 
 /// Extra latency of an atomic RMW beyond a plain store, ns.
 pub(crate) const CAS_EXTRA_NS: u64 = 15;

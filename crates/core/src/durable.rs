@@ -26,6 +26,7 @@
 //! `t`. Recovery's prefix walk asks at the crash instant; the
 //! power-failure oracle asks the same questions at `t = ∞`.
 
+use crate::error::{accounting, GcError};
 use crate::header_map::{HeaderMap, ENTRY_BYTES};
 use nvmgc_heap::verify::{classify_lines, LineCoverage};
 use nvmgc_heap::{Addr, Heap, RegionId};
@@ -111,6 +112,23 @@ pub(crate) fn publish_batch(
         return mem.fence(t);
     }
     mem.persist_meta_many(dev, keys.iter().map(|k| k.raw()), t)
+}
+
+/// Returns `region` to the allocator and ends this life of its address
+/// range: the LLC drops its lines and the ledger forgets its durability
+/// state, so the range's next incarnation inherits neither. (A DRAM cache
+/// region has nothing in the ledger; forgetting it is free.)
+pub(crate) fn release_region(
+    heap: &mut Heap,
+    mem: &mut MemorySystem,
+    region: RegionId,
+) -> Result<(), GcError> {
+    let base = heap.addr_of(region, 0).raw();
+    let len = heap.config().region_size as u64;
+    heap.release_region(region).map_err(accounting)?;
+    mem.invalidate_range(base, len);
+    mem.persist_forget_range(base, len);
+    Ok(())
 }
 
 /// One forwarding record an evacuation established: `old → new`,

@@ -4,8 +4,8 @@
 //! of two HotSpot-style collectors — a regional, G1-like collector and a
 //! LAB-based, Parallel-Scavenge-like collector — plus a semispace
 //! baseline, decomposed MMTk-style into [`plan`]s (pure declarations),
-//! [`policy`] modules (the shared mechanisms) and a work-packet
-//! [`scheduler`], together with the NVM-aware optimizations proposed by
+//! [`policy`] modules (the shared mechanisms) and the one [`cycle`]
+//! every plan runs, together with the NVM-aware optimizations proposed by
 //! *"Bridging the Performance Gap for Copy-based Garbage Collectors atop
 //! Non-Volatile Memory"* (EuroSys '21):
 //!
@@ -94,6 +94,7 @@
 pub mod access;
 pub mod collector;
 pub mod config;
+pub(crate) mod cycle;
 pub mod durable;
 pub mod engine;
 pub mod error;
@@ -106,7 +107,6 @@ pub mod oracle;
 pub mod plan;
 pub mod policy;
 pub mod recovery;
-pub mod scheduler;
 pub mod stack;
 pub mod stats;
 pub mod write_cache;
@@ -125,6 +125,5 @@ pub use oracle::{
 };
 pub use plan::{plan_of, CopyPolicyKind, PlanSpec, G1_PLAN, PS_PLAN, SEMISPACE_PLAN};
 pub use recovery::CrashState;
-pub use scheduler::{run_packet, PacketKind, PacketRun};
 pub use stats::{GcPhaseTimes, GcStats, PauseSpan};
 pub use write_cache::WriteCachePool;

@@ -71,7 +71,8 @@ impl MarkState {
     }
 
     /// Whether `obj` is marked.
-    pub fn is_marked(&self, obj: Addr) -> bool {
+    #[cfg(test)]
+    fn is_marked(&self, obj: Addr) -> bool {
         let (r, w, bit) = self.index(obj);
         self.bitmaps[r][w] & bit != 0
     }

@@ -1,15 +1,14 @@
 //! Plan declarations: named selections of policies (MMTk-style).
 //!
 //! A plan is *data*, not code: it names the copy policy its survivor
-//! space uses and the work packets one collection cycle schedules. All
-//! mechanism lives in [`crate::policy`] and the packet sequencing in
-//! [`crate::scheduler`], so a plan declaration is a handful of lines —
-//! the semispace baseline below is the proof: it reuses the fault plane,
-//! the durable header map, the durable allocator and the crash oracles
-//! with zero persistence code of its own.
+//! space uses, and nothing else — every plan runs the same cycle
+//! ([`crate::cycle`]: scan, write-back, map-clear, in that order). All
+//! mechanism lives in [`crate::policy`], so a plan declaration is a
+//! handful of lines — the semispace baseline below is the proof: it
+//! reuses the fault plane, the durable header map, the durable allocator
+//! and the crash oracles with zero persistence code of its own.
 
 use crate::config::CollectorKind;
-use crate::scheduler::PacketKind;
 
 /// Which survivor-space copy policy a plan evacuates with (the promotion
 /// path is shared by every plan).
@@ -25,32 +24,20 @@ pub enum CopyPolicyKind {
     SharedBump,
 }
 
-/// The packets of one collection cycle, shared by every plan. Packets
-/// whose prerequisite feature is disabled (no write cache, no header
-/// map) self-skip at zero simulated cost.
-const CYCLE_PACKETS: &[PacketKind] = &[
-    PacketKind::Scan,
-    PacketKind::WriteBack,
-    PacketKind::MapClear,
-];
-
 /// A plan: a named, static selection of policies executed by the shared
-/// work-packet scheduler.
+/// cycle.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanSpec {
     /// Short name used in reports, labels and plan-axis grids.
     pub name: &'static str,
     /// The survivor-space copy policy.
     pub copy: CopyPolicyKind,
-    /// The work packets of one cycle, in schedule order.
-    pub packets: &'static [PacketKind],
 }
 
 /// The regional, G1-like plan: per-worker survivor regions.
 pub const G1_PLAN: PlanSpec = PlanSpec {
     name: "g1",
     copy: CopyPolicyKind::G1Survivor,
-    packets: CYCLE_PACKETS,
 };
 
 /// The Parallel-Scavenge-like plan (paper §4.4): HotSpot's stop-the-world
@@ -73,7 +60,6 @@ pub const G1_PLAN: PlanSpec = PlanSpec {
 pub const PS_PLAN: PlanSpec = PlanSpec {
     name: "ps",
     copy: CopyPolicyKind::PsLab,
-    packets: CYCLE_PACKETS,
 };
 
 /// The semispace baseline plan: one shared bump region, no regional
@@ -82,7 +68,6 @@ pub const PS_PLAN: PlanSpec = PlanSpec {
 pub const SEMISPACE_PLAN: PlanSpec = PlanSpec {
     name: "semispace",
     copy: CopyPolicyKind::SharedBump,
-    packets: CYCLE_PACKETS,
 };
 
 /// The plan a collector kind runs.
@@ -99,21 +84,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn plans_are_thin_declarations_over_shared_packets() {
-        // All plans schedule the same packet sequence; they differ only
-        // in the copy policy they declare.
-        for plan in [&G1_PLAN, &PS_PLAN, &SEMISPACE_PLAN] {
-            assert_eq!(plan.packets, CYCLE_PACKETS);
-        }
-        assert_eq!(G1_PLAN.copy, CopyPolicyKind::G1Survivor);
-        assert_eq!(PS_PLAN.copy, CopyPolicyKind::PsLab);
-        assert_eq!(SEMISPACE_PLAN.copy, CopyPolicyKind::SharedBump);
-    }
-
-    #[test]
     fn plan_of_maps_every_collector_kind() {
-        assert_eq!(plan_of(CollectorKind::G1).name, "g1");
-        assert_eq!(plan_of(CollectorKind::Ps).name, "ps");
-        assert_eq!(plan_of(CollectorKind::Semispace).name, "semispace");
+        for (kind, name, copy) in [
+            (CollectorKind::G1, "g1", CopyPolicyKind::G1Survivor),
+            (CollectorKind::Ps, "ps", CopyPolicyKind::PsLab),
+            (
+                CollectorKind::Semispace,
+                "semispace",
+                CopyPolicyKind::SharedBump,
+            ),
+        ] {
+            let plan = plan_of(kind);
+            assert_eq!((plan.name, plan.copy), (name, copy));
+        }
     }
 }

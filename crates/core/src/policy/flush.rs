@@ -12,7 +12,6 @@ use crate::durable::{self, RecordKey};
 use crate::header_map::{HeaderMap, ENTRY_BYTES};
 use crate::oracle;
 use crate::policy::install::map_device;
-use crate::policy::trace::apply_worker_faults;
 use nvmgc_heap::RegionId;
 use nvmgc_memsim::{DeviceId, TraceCat};
 
@@ -25,15 +24,7 @@ pub(crate) struct FlushTask {
 
 /// Executes one write-back-phase step: flush a chunk of a cache region or
 /// pick up the next one; fence and finish when the queue drains.
-pub fn step_writeback(w: &mut Worker, sh: &mut CycleShared<'_>) {
-    debug_assert!(!w.done);
-    if sh.error.is_some() || sh.crashed_at.is_some() {
-        w.done = true;
-        return;
-    }
-    if apply_worker_faults(w, sh) {
-        return;
-    }
+pub(crate) fn step_writeback(w: &mut Worker, sh: &mut CycleShared<'_>) {
     if w.flush.is_some() {
         flush_chunk(w, sh, false);
         return;
@@ -103,32 +94,19 @@ pub(crate) fn flush_chunk(w: &mut Worker, sh: &mut CycleShared<'_>, during_scan:
         w.done = true;
         return;
     }
-    let base = sh.heap.addr_of(region, 0).raw();
-    let len = sh.heap.config().region_size as u64;
     race_sync(w, sh, RACE_SITE_ALLOC_RELEASE);
-    if let Err(e) = sh.heap.release_region(region) {
+    if let Err(e) = durable::release_region(sh.heap, sh.mem, region) {
         // A cache region vanishing from under its own flush means the
         // free-count bookkeeping is already corrupt; surface it instead
         // of silently double-freeing (pre-PR-8 behavior).
-        sh.error = Some(crate::error::accounting(e));
-        w.flush = None;
+        sh.error = Some(e);
         w.done = true;
-        return;
     }
-    sh.mem.invalidate_range(base, len);
     w.flush = None;
 }
 
 /// Executes one header-map-cleanup step (parallel zeroing, paper §3.3).
-pub fn step_clear(w: &mut Worker, sh: &mut CycleShared<'_>) {
-    debug_assert!(!w.done);
-    if sh.error.is_some() || sh.crashed_at.is_some() {
-        w.done = true;
-        return;
-    }
-    if apply_worker_faults(w, sh) {
-        return;
-    }
+pub(crate) fn step_clear(w: &mut Worker, sh: &mut CycleShared<'_>) {
     let Some(map) = sh.hmap else {
         w.done = true;
         return;
@@ -153,7 +131,7 @@ pub fn step_clear(w: &mut Worker, sh: &mut CycleShared<'_>) {
 }
 
 /// Assigns header-map clear ranges to workers.
-pub fn assign_clear_ranges(workers: &mut [Worker], capacity: usize) {
+pub(crate) fn assign_clear_ranges(workers: &mut [Worker], capacity: usize) {
     let n = workers.len().max(1);
     let per = capacity.div_ceil(n);
     for (i, w) in workers.iter_mut().enumerate() {

@@ -2,7 +2,7 @@
 //!
 //! A *policy* is one reusable mechanism of a copying collection; a *plan*
 //! ([`crate::plan`]) is a named selection of policies that the shared
-//! work-packet scheduler ([`crate::scheduler`]) executes. The split keeps
+//! cycle ([`crate::cycle`]) executes. The split keeps
 //! every timing-sensitive operation in exactly one place, so the G1, PS
 //! and semispace plans differ only in their declarations — and every
 //! plan inherits the fault plane, the durable header map, the durable

@@ -8,7 +8,7 @@
 //! faults and the async-flush interleave all live here and are shared by
 //! every plan.
 
-use crate::collector::{CycleShared, Worker, STEAL_NS};
+use crate::collector::{CycleShared, Worker, ROOT_ARRAY_BASE, STEAL_NS};
 use crate::config::Traversal;
 use crate::error::GcError;
 use crate::header_map::HeaderMap;
@@ -21,20 +21,9 @@ use crate::write_cache::WriteCachePool;
 use nvmgc_heap::{Addr, Header, Heap, HeapError, RegionKind};
 use nvmgc_memsim::{DeviceId, Pattern, TraceCat};
 
-/// Synthetic DRAM address base for the mutator root array.
-pub const ROOT_ARRAY_BASE: u64 = 0x5000_0000_0000_0000;
-
 /// Executes one scan-phase step for `w`: an async-flush chunk, one task,
 /// one steal attempt, or an idle wait.
-pub fn step_scan(w: &mut Worker, sh: &mut CycleShared<'_>) {
-    debug_assert!(!w.done);
-    if sh.error.is_some() || sh.crashed_at.is_some() {
-        w.done = true;
-        return;
-    }
-    if apply_worker_faults(w, sh) {
-        return;
-    }
+pub(crate) fn step_scan(w: &mut Worker, sh: &mut CycleShared<'_>) {
     // Continue or pick up an asynchronous flush.
     if w.flush.is_some() {
         flush_chunk(w, sh, true);

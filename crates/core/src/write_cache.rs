@@ -214,11 +214,6 @@ impl WriteCachePool {
         }
     }
 
-    /// Whether a region has been retired from allocation.
-    pub fn is_retired(&self, region: RegionId) -> bool {
-        self.retired.contains(&region)
-    }
-
     /// Takes the next region ready for asynchronous flushing.
     pub fn take_ready(&mut self) -> Option<RegionId> {
         self.ready.pop_front()

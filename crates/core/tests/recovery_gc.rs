@@ -112,10 +112,16 @@ fn durable_cfg() -> GcConfig {
     cfg
 }
 
-/// The scan-phase midpoint of a clean collection over the same graph —
-/// a crash instant guaranteed to land mid-evacuation, after some
-/// forwarding installs but before the cycle completes.
-fn mid_scan_instant(durable: bool) -> u64 {
+/// The packets of a collection, in order; `mid_packet_instant` and the
+/// crash test index them.
+const PACKETS: [&str; 3] = ["scan", "write-back", "map-clear"];
+
+/// The midpoint and the end of packet `packet` of a clean collection over
+/// the same graph. The midpoint is a crash instant guaranteed to land
+/// inside that packet: after some forwarding installs (scan), between two
+/// flush chunks (write-back), or with the header map partly zeroed
+/// (map-clear), but before the cycle completes.
+fn mid_packet_instant(durable: bool, packet: usize) -> (u64, u64) {
     let mut cfg = durable_cfg();
     cfg.header_map.durable = durable;
     let mut h = heap();
@@ -126,63 +132,78 @@ fn mid_scan_instant(durable: bool) -> u64 {
     let outcome = gc
         .collect(&mut h, &mut m, &mut roots, 0)
         .expect("clean collection succeeds");
-    assert!(outcome.stats.phases.scan_ns > 0);
-    safepoint + outcome.stats.phases.scan_ns / 2
+    let phases = outcome.stats.phases.named();
+    assert_eq!(phases.map(|(name, _)| name), PACKETS);
+    assert!(phases[packet].1 > 0, "{} did no work", PACKETS[packet]);
+    let before: u64 = phases[..packet].iter().map(|&(_, ns)| ns).sum();
+    // The scan phase opens with the safepoint entry, before any worker
+    // steps.
+    let entry = if packet == 0 { safepoint } else { 0 };
+    let end = before + phases[packet].1;
+    ((before + entry + end) / 2, end)
 }
 
-/// End-to-end: crash mid-evacuation, recover, resume, graph preserved.
+/// End-to-end, once per packet: crash inside it, recover, resume, graph
+/// preserved. The write-back and map-clear packets leave the cycle by a
+/// different exit than the scan packet the other tests crash in.
 #[test]
 fn power_crash_mid_evacuation_recovers_and_resumes() {
-    let crash_at = mid_scan_instant(true);
+    for (packet, name) in PACKETS.into_iter().enumerate() {
+        let (crash_at, packet_end) = mid_packet_instant(true, packet);
 
-    let mut cfg = durable_cfg();
-    cfg.fault
-        .gc
-        .events
-        .push(GcFault::PowerFailure { at_ns: crash_at });
-    let mut h = heap();
-    let mut m = mem(cfg.threads);
-    let mut roots = build_graph(&mut h, GRAPH_SEED, OBJECTS);
-    let before = verify_heap(&h, &roots).expect("pre-GC heap is well-formed");
+        let mut cfg = durable_cfg();
+        cfg.fault
+            .gc
+            .events
+            .push(GcFault::PowerFailure { at_ns: crash_at });
+        let mut h = heap();
+        let mut m = mem(cfg.threads);
+        let mut roots = build_graph(&mut h, GRAPH_SEED, OBJECTS);
+        let before = verify_heap(&h, &roots).expect("pre-GC heap is well-formed");
 
-    let mut gc = G1Collector::new(cfg);
-    let crash = match gc.collect(&mut h, &mut m, &mut roots, 0) {
-        Err(GcError::PowerCrash(crash)) => crash,
-        other => panic!("expected a power crash mid-evacuation, got {other:?}"),
-    };
-    assert!(
-        crash.at_ns >= crash_at,
-        "crash fires at its scheduled instant"
-    );
-    assert!(
-        !crash.cset.is_empty(),
-        "the interrupted cycle had a collection set in flight"
-    );
+        let mut gc = G1Collector::new(cfg);
+        let crash = match gc.collect(&mut h, &mut m, &mut roots, 0) {
+            Err(GcError::PowerCrash(crash)) => crash,
+            other => panic!("expected a power crash mid-{name}, got {other:?}"),
+        };
+        assert!(
+            (crash_at..packet_end).contains(&crash.at_ns),
+            "{name}: crash at {} must fire inside the packet, in [{crash_at}, {packet_end})",
+            crash.at_ns
+        );
+        assert!(
+            !crash.cset.is_empty(),
+            "{name}: the interrupted cycle had a collection set in flight"
+        );
 
-    let outcome = gc
-        .recover_from_crash(&mut h, &mut m, &mut roots, *crash)
-        .expect("recovery completes the interrupted cycle");
+        let outcome = gc
+            .recover_from_crash(&mut h, &mut m, &mut roots, *crash)
+            .unwrap_or_else(|e| panic!("{name}: recovery must complete the cycle: {e}"));
 
-    let after = verify_heap(&h, &roots).expect("post-recovery heap is well-formed");
-    assert_eq!(
-        before, after,
-        "recovered graph must match the pre-crash graph exactly"
-    );
-    verify_remsets(&h, &roots).expect("post-recovery remset invariant");
-    assert!(
-        h.eden().is_empty(),
-        "eden reclaimed after the resumed cycle"
-    );
+        let after = verify_heap(&h, &roots).expect("post-recovery heap is well-formed");
+        assert_eq!(
+            before, after,
+            "{name}: recovered graph must match the pre-crash graph exactly"
+        );
+        verify_remsets(&h, &roots).expect("post-recovery remset invariant");
+        assert!(
+            h.eden().is_empty(),
+            "{name}: eden reclaimed after the resumed cycle"
+        );
 
-    assert_eq!(outcome.stats.recovered_cycles, 1, "one cycle was recovered");
-    assert!(
-        outcome.stats.resumed_evacuations + outcome.stats.replayed_map_entries > 0,
-        "recovery either replayed durable installs or re-evacuated lost copies"
-    );
-    assert!(
-        outcome.stats.fault_events.power_failure_checks >= 1,
-        "the crash-image oracle ran for the recorded power failure"
-    );
+        assert_eq!(
+            outcome.stats.recovered_cycles, 1,
+            "{name}: one cycle was recovered"
+        );
+        assert!(
+            outcome.stats.resumed_evacuations + outcome.stats.replayed_map_entries > 0,
+            "{name}: recovery either replayed durable installs or re-evacuated lost copies"
+        );
+        assert!(
+            outcome.stats.fault_events.power_failure_checks >= 1,
+            "{name}: the crash-image oracle ran for the recorded power failure"
+        );
+    }
 }
 
 /// A power failure under the *volatile* header map stays on the legacy
@@ -218,7 +239,7 @@ fn volatile_map_power_failure_keeps_oracle_path() {
 /// recovery counters and the resumed cycle's timing exactly.
 #[test]
 fn crash_recovery_is_deterministic() {
-    let crash_at = mid_scan_instant(true);
+    let (crash_at, _) = mid_packet_instant(true, 0);
     let run = || {
         let mut cfg = durable_cfg();
         cfg.fault

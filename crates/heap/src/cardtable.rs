@@ -16,9 +16,7 @@
 use crate::addr::Addr;
 use crate::region::RegionId;
 
-/// Bytes covered by one card.
-pub const CARD_BYTES: u64 = 512;
-
+/// log2 of the bytes one card covers (512).
 const CARD_SHIFT: u32 = 9;
 
 /// A card table covering the whole heap address range.

@@ -381,24 +381,6 @@ impl Heap {
         Ok(())
     }
 
-    /// Reclassifies a survivor region as old (used when the collector
-    /// decides a whole region's population is tenured).
-    pub fn survivor_to_old(&mut self, id: RegionId) -> Result<(), HeapError> {
-        let found = self.regions[id as usize].kind();
-        if found != RegionKind::Survivor {
-            return Err(HeapError::KindMismatch {
-                region: id,
-                expected: RegionKind::Survivor,
-                found,
-            });
-        }
-        self.survivor.retain(|&r| r != id);
-        self.regions[id as usize].set_kind(RegionKind::Old);
-        self.alloc.reclassify(id, RegionKind::Old);
-        self.old.push(id);
-        Ok(())
-    }
-
     // ----- addressing ---------------------------------------------------
 
     /// Builds an address from a region and offset.
@@ -475,24 +457,10 @@ impl Heap {
         self.header(obj).class_id()
     }
 
-    /// Checked variant of [`Heap::class_of`]: a forwarded header is a
-    /// typed error instead of garbage class bits.
-    #[inline]
-    pub fn try_class_of(&self, obj: Addr) -> Result<ClassId, HeapError> {
-        self.header(obj).try_class_id()
-    }
-
     /// Total size in bytes of the object at `obj`.
     #[inline]
     pub fn object_size(&self, obj: Addr) -> u32 {
         self.classes.get(self.class_of(obj)).size()
-    }
-
-    /// Checked variant of [`Heap::object_size`] for headers that may be
-    /// forwarded (e.g. crash-recovery scans over suspect records).
-    #[inline]
-    pub fn try_object_size(&self, obj: Addr) -> Result<u32, HeapError> {
-        Ok(self.classes.get(self.try_class_of(obj)?).size())
     }
 
     /// The address of reference slot `i` of `obj`.
@@ -760,14 +728,6 @@ mod tests {
                 found: RegionKind::Eden,
             })
         );
-        assert_eq!(
-            h.survivor_to_old(e),
-            Err(HeapError::KindMismatch {
-                region: e,
-                expected: RegionKind::Survivor,
-                found: RegionKind::Eden,
-            })
-        );
     }
 
     #[test]
@@ -780,9 +740,6 @@ mod tests {
         let entry = h.allocator().lower(e);
         assert_eq!(entry.kind, RegionKind::Free);
         assert_eq!(entry.watermark, 16, "release records the final used bytes");
-        let s = h.take_region(RegionKind::Survivor).unwrap();
-        h.survivor_to_old(s).unwrap();
-        assert_eq!(h.allocator().lower(s).kind, RegionKind::Old);
     }
 
     #[test]
@@ -908,15 +865,5 @@ mod tests {
         h.release_region(c1).unwrap();
         let c2 = h.alloc_aux_region(DeviceId::Dram);
         assert_eq!(c1, c2, "aux region is reused");
-    }
-
-    #[test]
-    fn survivor_to_old_reclassifies() {
-        let mut h = test_heap();
-        let s = h.take_region(RegionKind::Survivor).unwrap();
-        h.survivor_to_old(s).unwrap();
-        assert!(h.survivor().is_empty());
-        assert_eq!(h.old(), &[s]);
-        assert_eq!(h.region(s).kind(), RegionKind::Old);
     }
 }

@@ -93,19 +93,6 @@ impl Header {
         Ok((self.0 >> 8) as u8)
     }
 
-    /// A copy of this header with the age incremented (saturating at 255).
-    pub fn aged(self) -> Header {
-        debug_assert!(!self.is_forwarded());
-        Header::new(self.class_id(), self.age().saturating_add(1))
-    }
-
-    /// Checked variant of [`Header::aged`]: aging a forwarding header
-    /// would manufacture a bogus class id, so it is a typed error.
-    pub fn try_aged(self) -> Result<Header, HeapError> {
-        let class = self.try_class_id()?;
-        Ok(Header::new(class, self.try_age()?.saturating_add(1)))
-    }
-
     /// Checked forwarding install: the forwarding header replacing this
     /// one. Forwarding an already-forwarded header would silently drop
     /// the original forwardee (the install paths used to guard this with
@@ -147,15 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn aged_increments_and_saturates() {
-        let h = Header::new(3, 0).aged();
-        assert_eq!(h.age(), 1);
-        assert_eq!(h.class_id(), 3);
-        let old = Header::new(3, 255).aged();
-        assert_eq!(old.age(), 255);
-    }
-
-    #[test]
     fn checked_accessors_reject_forwarded_headers() {
         // Pinned regression: the unchecked accessors only debug_assert,
         // so in release builds a forwarded header silently decoded to
@@ -163,12 +141,10 @@ mod tests {
         let fwd = Header::forwarding(Addr(0x10_0040));
         let err = HeapError::ForwardedHeader { raw: fwd.raw() };
         assert_eq!(fwd.try_class_id(), Err(err.clone()));
-        assert_eq!(fwd.try_age(), Err(err.clone()));
-        assert_eq!(fwd.try_aged(), Err(err));
+        assert_eq!(fwd.try_age(), Err(err));
         let normal = Header::new(7, 3);
         assert_eq!(normal.try_class_id(), Ok(7));
         assert_eq!(normal.try_age(), Ok(3));
-        assert_eq!(normal.try_aged(), Ok(Header::new(7, 4)));
     }
 
     #[test]

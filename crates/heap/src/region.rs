@@ -130,11 +130,6 @@ impl Region {
         self.capacity() - self.top
     }
 
-    /// Whether no further objects fit (less than `min` bytes free).
-    pub fn is_full_for(&self, min: u32) -> bool {
-        self.free_bytes() < min
-    }
-
     /// Bump-allocates `size` bytes, returning the offset, or `None` if the
     /// region is too full.
     pub fn bump(&mut self, size: u32) -> Option<u32> {

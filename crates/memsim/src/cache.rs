@@ -207,7 +207,8 @@ impl LlcModel {
     }
 
     /// Demand hit rate in `[0, 1]`; zero when no accesses were recorded.
-    pub fn hit_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0

@@ -928,7 +928,8 @@ impl DurabilityLedger {
     }
 
     /// Whether the line containing `addr` has ever drained to media.
-    pub fn durable_contains(&self, addr: u64) -> bool {
+    #[cfg(test)]
+    fn durable_contains(&self, addr: u64) -> bool {
         self.durable.contains(Self::line_of(addr))
     }
 
@@ -957,7 +958,8 @@ impl DurabilityLedger {
 
     /// Lines currently buffered (volatile or accepted), i.e. written
     /// but not yet durable.
-    pub fn pending_lines(&self) -> u64 {
+    #[cfg(test)]
+    fn pending_lines(&self) -> u64 {
         self.volatile.len() + self.accepted.lines
     }
 

@@ -90,11 +90,6 @@ impl TraceLog {
         self.enabled = enabled;
     }
 
-    /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a span `[start, end)` on `track`.
     pub fn span(
         &mut self,
@@ -190,11 +185,6 @@ impl TrafficSample {
     /// Write bandwidth over a bin of `bin_ns`, in MB/s.
     pub fn write_mbps(&self, bin_ns: Ns) -> f64 {
         bytes_to_mbps(self.write_bytes, bin_ns)
-    }
-
-    /// Total bandwidth over a bin of `bin_ns`, in MB/s.
-    pub fn total_mbps(&self, bin_ns: Ns) -> f64 {
-        bytes_to_mbps(self.read_bytes + self.write_bytes, bin_ns)
     }
 }
 
@@ -356,7 +346,6 @@ mod tests {
             write_bytes: 0,
         };
         assert!((s.read_mbps(1000) - 1000.0).abs() < 1e-9);
-        assert!((s.total_mbps(1000) - 1000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -413,7 +402,6 @@ mod tests {
         t.set_enabled(true);
         t.span("scan", TraceCat::Phase, 0, 0, 10, 0);
         assert_eq!(t.events().len(), 1);
-        assert!(t.is_enabled());
     }
 
     #[test]
@@ -439,7 +427,8 @@ mod tests {
         t.instant("x", TraceCat::Fault, 0, 1, 0);
         assert_eq!(t.take_sorted().len(), 1);
         assert!(t.events().is_empty());
-        assert!(t.is_enabled(), "take keeps the enabled flag");
+        t.instant("y", TraceCat::Fault, 0, 2, 0);
+        assert_eq!(t.events().len(), 1, "take keeps the enabled flag");
     }
 
     #[test]

@@ -657,13 +657,6 @@ impl MemorySystem {
         now + self.cfg.fence_ns as Ns
     }
 
-    /// Clears per-thread prefetch state (e.g. at a GC phase boundary).
-    pub fn clear_prefetch(&mut self, tid: usize) {
-        if let Some(t) = self.tables.get_mut(tid) {
-            t.clear();
-        }
-    }
-
     /// Invalidates cached lines for a recycled address range.
     pub fn invalidate_range(&mut self, start: u64, len: u64) {
         self.llc.invalidate_range(start, len);
@@ -766,11 +759,6 @@ impl MemorySystem {
     /// `None` when the persistence model is inactive for the device.
     pub fn crash_image(&self, dev: DeviceId) -> Option<CrashImage<'_>> {
         self.persist[dev.index()].as_ref().map(|p| p.crash_image())
-    }
-
-    /// The durability ledger for `dev`, if active (test/inspection hook).
-    pub fn persist_ledger(&self, dev: DeviceId) -> Option<&DurabilityLedger> {
-        self.persist[dev.index()].as_ref()
     }
 }
 

@@ -43,27 +43,6 @@ impl BandwidthSeries {
     pub fn is_empty(&self) -> bool {
         self.read.is_empty()
     }
-
-    /// Mean total bandwidth over bins with any traffic, MB/s.
-    pub fn mean_active_total(&self) -> f64 {
-        let totals: Vec<f64> = self.total().into_iter().filter(|&t| t > 0.0).collect();
-        crate::stats::mean(&totals)
-    }
-
-    /// Downsamples by an integer factor (averaging), for compact printouts.
-    pub fn downsample(&self, factor: usize) -> BandwidthSeries {
-        let factor = factor.max(1);
-        let avg = |v: &[f64]| -> Vec<f64> {
-            v.chunks(factor)
-                .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-                .collect()
-        };
-        BandwidthSeries {
-            bin_ms: self.bin_ms * factor as f64,
-            read: avg(&self.read),
-            write: avg(&self.write),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -79,25 +58,5 @@ mod tests {
         assert!((s.total()[0] - 1500.0).abs() < 1e-9);
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn mean_active_ignores_idle_bins() {
-        let s = BandwidthSeries::from_bins(&[(0, 0), (1_000_000, 0), (0, 0)], 1_000_000);
-        assert!((s.mean_active_total() - 1000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn downsample_averages() {
-        let s = BandwidthSeries {
-            bin_ms: 1.0,
-            read: vec![1.0, 3.0, 5.0, 7.0],
-            write: vec![0.0; 4],
-        };
-        let d = s.downsample(2);
-        assert_eq!(d.read, vec![2.0, 6.0]);
-        assert_eq!(d.bin_ms, 2.0);
-        // Factor 0 behaves as 1.
-        assert_eq!(s.downsample(0).read.len(), 4);
     }
 }

@@ -64,37 +64,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &String| -> String {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        let mut out = self.header.iter().map(esc).collect::<Vec<_>>().join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Formats a nanosecond duration with an adaptive unit.
-pub fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.3}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
 }
 
 #[cfg(test)]
@@ -123,27 +92,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = TextTable::new(vec!["x"]);
-        t.row(vec!["a,b"]);
-        t.row(vec!["q\"q"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"q\"\"q\""));
-    }
-
-    #[test]
     fn empty_header_does_not_panic() {
         let t = TextTable::new(Vec::<String>::new());
         assert!(t.render().contains('\n'));
-        assert_eq!(t.to_csv(), "\n");
-    }
-
-    #[test]
-    fn fmt_ns_units() {
-        assert_eq!(fmt_ns(500), "500ns");
-        assert_eq!(fmt_ns(1500), "1.5us");
-        assert_eq!(fmt_ns(2_500_000), "2.50ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.000s");
     }
 }

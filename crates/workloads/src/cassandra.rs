@@ -16,6 +16,7 @@
 //! 3. p95/p99 latencies come from the simulated request completions.
 
 use crate::spec::{ClassMix, WorkloadSpec};
+use nvmgc_core::stats::PauseSpan;
 use nvmgc_memsim::Ns;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -112,11 +113,11 @@ pub struct LatencyResult {
 
 /// Simulates an open-loop client against a pause schedule.
 ///
-/// `pauses` are half-open `(start, end)` STW intervals in simulated time;
+/// `pauses` are the half-open STW intervals of the run, in simulated time;
 /// `horizon_ns` is the span to generate arrivals over; `service_ns` is the
 /// per-request service time; `throughput_rps` the Poisson arrival rate.
 pub fn simulate_client(
-    pauses: &[(Ns, Ns)],
+    pauses: &[PauseSpan],
     horizon_ns: Ns,
     service_ns: f64,
     throughput_rps: f64,
@@ -144,13 +145,13 @@ pub fn simulate_client(
         let mut start = server_free.max(arr);
         // Service cannot start (or make progress) inside a pause; model a
         // request overlapping a pause as delayed to the pause end.
-        while pause_idx < pauses.len() && pauses[pause_idx].1 <= start {
+        while pause_idx < pauses.len() && pauses[pause_idx].end_ns <= start {
             pause_idx += 1;
         }
         let mut k = pause_idx;
-        while k < pauses.len() && pauses[k].0 < start + service_ns as Ns {
-            if start < pauses[k].1 {
-                start = pauses[k].1;
+        while k < pauses.len() && pauses[k].start_ns < start + service_ns as Ns {
+            if start < pauses[k].end_ns {
+                start = pauses[k].end_ns;
             }
             k += 1;
         }
@@ -180,6 +181,15 @@ fn percentile(xs: &mut [f64], p: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn span(start_ns: Ns, end_ns: Ns) -> PauseSpan {
+        PauseSpan {
+            start_ns,
+            end_ns,
+            mixed: false,
+            recovered: false,
+        }
+    }
+
     #[test]
     fn specs_differ_by_phase() {
         let w = server_spec(CassandraPhase::Write);
@@ -198,7 +208,7 @@ mod tests {
     #[test]
     fn pauses_inflate_tail_latency() {
         // One 50 ms pause in a 1 s horizon.
-        let pauses = [(400_000_000u64, 450_000_000u64)];
+        let pauses = [span(400_000_000, 450_000_000)];
         let with = simulate_client(&pauses, 1_000_000_000, 20_000.0, 5_000.0, 1);
         let without = simulate_client(&[], 1_000_000_000, 20_000.0, 5_000.0, 1);
         assert!(
@@ -211,8 +221,8 @@ mod tests {
 
     #[test]
     fn longer_pauses_hurt_more() {
-        let short = [(100_000_000u64, 110_000_000u64)];
-        let long = [(100_000_000u64, 180_000_000u64)];
+        let short = [span(100_000_000, 110_000_000)];
+        let long = [span(100_000_000, 180_000_000)];
         let a = simulate_client(&short, 1_000_000_000, 20_000.0, 8_000.0, 2);
         let b = simulate_client(&long, 1_000_000_000, 20_000.0, 8_000.0, 2);
         assert!(b.p99_ms > a.p99_ms);
@@ -228,7 +238,7 @@ mod tests {
 
     #[test]
     fn pauses_after_the_horizon_are_ignored() {
-        let pauses = [(2_000_000_000u64, 2_100_000_000u64)];
+        let pauses = [span(2_000_000_000, 2_100_000_000)];
         let with = simulate_client(&pauses, 1_000_000_000, 20_000.0, 5_000.0, 4);
         let without = simulate_client(&[], 1_000_000_000, 20_000.0, 5_000.0, 4);
         assert_eq!(with.p99_ms, without.p99_ms);
@@ -236,10 +246,10 @@ mod tests {
 
     #[test]
     fn back_to_back_pauses_compound() {
-        let one = [(100_000_000u64, 150_000_000u64)];
+        let one = [span(100_000_000, 150_000_000)];
         let two = [
-            (100_000_000u64, 150_000_000u64),
-            (150_000_000u64, 200_000_000u64),
+            span(100_000_000, 150_000_000),
+            span(150_000_000, 200_000_000),
         ];
         let a = simulate_client(&one, 1_000_000_000, 20_000.0, 8_000.0, 5);
         let b = simulate_client(&two, 1_000_000_000, 20_000.0, 8_000.0, 5);
@@ -249,7 +259,7 @@ mod tests {
 
     #[test]
     fn deterministic_for_seed() {
-        let pauses = [(1_000_000u64, 2_000_000u64)];
+        let pauses = [span(1_000_000, 2_000_000)];
         let a = simulate_client(&pauses, 100_000_000, 10_000.0, 5_000.0, 9);
         let b = simulate_client(&pauses, 100_000_000, 10_000.0, 5_000.0, 9);
         assert_eq!(a.p99_ms, b.p99_ms);

@@ -268,11 +268,9 @@ pub struct AppRunResult {
     pub dram_series: Vec<(u64, u64)>,
     /// Sampler bin width, ns.
     pub bin_ns: Ns,
-    /// GC pause intervals `(start, end)` in simulated time.
-    pub pause_intervals: Vec<(Ns, Ns)>,
-    /// The same pauses as typed spans carrying cycle kind (young, mixed,
-    /// crash-recovery) — what the latency scenario suite attributes
-    /// SLO-violation windows to.
+    /// The GC pauses in simulated time, as typed spans carrying cycle
+    /// kind (young, mixed, crash-recovery) — what the latency scenario
+    /// suite attributes SLO-violation windows to.
     pub pause_spans: Vec<PauseSpan>,
     /// How many of the cycles were mixed collections.
     pub mixed_cycles: usize,
@@ -536,7 +534,6 @@ fn finish_run(
 
     let mut gc = G1Collector::new(cfg.gc.clone());
     let mut cycles: Vec<GcStats> = Vec::new();
-    let mut pause_intervals = Vec::new();
     let mut pause_spans: Vec<PauseSpan> = Vec::new();
     let mut mixed_cycles = 0usize;
     let mut peak_old_regions = 0usize;
@@ -660,7 +657,6 @@ fn finish_run(
                     );
                 }
                 peak_old_regions = peak_old_regions.max(heap.old().len());
-                pause_intervals.push((gc_start, outcome.end_ns));
                 pause_spans.push(PauseSpan {
                     start_ns: gc_start,
                     end_ns: outcome.end_ns,
@@ -712,7 +708,6 @@ fn finish_run(
         nvm_series,
         dram_series,
         bin_ns,
-        pause_intervals,
         pause_spans,
         mixed_cycles,
         gc_log,
@@ -815,13 +810,11 @@ mod tests {
         assert!(r.total_ns > 0);
         assert!(r.mutator_ns > 0);
         assert!(r.mutator_ns < r.total_ns);
-        assert_eq!(r.pause_intervals.len(), r.gc.cycles());
+        assert_eq!(r.pause_spans.len(), r.gc.cycles());
         assert!(r.allocated_objects > 1000);
-        // The typed spans mirror the raw intervals exactly; a young-only
-        // trigger with no fault plan produces only young pauses.
-        assert_eq!(r.pause_spans.len(), r.pause_intervals.len());
-        for (span, &(start, end)) in r.pause_spans.iter().zip(&r.pause_intervals) {
-            assert_eq!((span.start_ns, span.end_ns), (start, end));
+        // A young-only trigger with no fault plan produces only young
+        // pauses.
+        for span in &r.pause_spans {
             assert_eq!(span.kind(), "gc-young");
             assert!(span.duration_ns() > 0);
         }

@@ -81,36 +81,84 @@ fn canonical_order_is_time_then_track() {
     assert_eq!(keys, sorted);
 }
 
+/// The packets of one cycle, in schedule order.
+const PACKETS: [&str; 3] = ["scan", "write-back", "map-clear"];
+
 #[test]
 fn every_logged_cycle_has_a_matching_trace_span() {
     // A Moderate plan includes a WcDrainStall and a PowerFailure probe,
-    // the latter auto-enabling the persistence model — so this one run
-    // exercises fault-window annotation and fence emission too.
-    let mut cfg = traced_cfg();
-    cfg.gc.fault = FaultPlan::generate(0x7ACE, Severity::Moderate, HORIZON_NS);
-    let r = run_app(&cfg).unwrap();
+    // the latter auto-enabling the persistence model — so every run
+    // exercises fault-window annotation and fence emission too. Every
+    // plan schedules the same packets; a vanilla configuration runs only
+    // the scan packet.
+    let inputs = [
+        ("g1", GcConfig::plus_all(12, 1 << 20), &PACKETS[..]),
+        ("ps", GcConfig::ps_plus_all(12, 1 << 20), &PACKETS[..]),
+        (
+            "semispace",
+            GcConfig::semispace_plus_all(12, 1 << 20),
+            &PACKETS[..],
+        ),
+        ("vanilla", GcConfig::vanilla(12), &PACKETS[..1]),
+    ];
+    for (label, gc, packets) in inputs {
+        let mut cfg = traced_cfg();
+        cfg.gc = gc;
+        cfg.gc.fault = FaultPlan::generate(0x7ACE, Severity::Moderate, HORIZON_NS);
+        let r = run_app(&cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
 
-    let cycles: Vec<_> = r
-        .trace
-        .iter()
-        .filter(|e| e.cat == TraceCat::Cycle && e.name == "cycle")
-        .collect();
-    let entries = r.gc_log.entries();
-    assert!(!entries.is_empty());
-    assert_eq!(cycles.len(), entries.len());
-    for (span, entry) in cycles.iter().zip(entries) {
-        assert_eq!(span.track, TRACK_CYCLE);
-        assert_eq!(span.ts, entry.start, "evacuation start must agree");
-        assert_eq!(span.ts + span.dur, entry.end, "pause end must agree");
+        let cycles: Vec<_> = r
+            .trace
+            .iter()
+            .filter(|e| e.cat == TraceCat::Cycle && e.name == "cycle")
+            .collect();
+        let entries = r.gc_log.entries();
+        assert!(!entries.is_empty(), "{label}");
+        assert_eq!(cycles.len(), entries.len(), "{label}");
+        for (span, entry) in cycles.iter().zip(entries) {
+            assert_eq!(span.track, TRACK_CYCLE, "{label}");
+            assert_eq!(span.ts, entry.start, "{label}: evacuation start must agree");
+            assert_eq!(
+                span.ts + span.dur,
+                entry.end,
+                "{label}: pause end must agree"
+            );
+
+            // Each cycle span is accompanied by per-worker sub-phase spans
+            // that lie inside the collection interval: on every worker
+            // lane the plan's packets, in schedule order. A cycle that
+            // crashed and resumed holds one more attempt per recovery
+            // pass, each a prefix of the schedule, the last one complete.
+            let inside = |e: &&nvmgc_memsim::TraceEvent| {
+                span.ts <= e.ts && e.ts + e.dur <= span.ts + span.dur
+            };
+            let recoveries = r
+                .trace
+                .iter()
+                .filter(inside)
+                .filter(|e| e.name == "recover")
+                .count();
+            for worker in 0..cfg.gc.threads as u32 {
+                let lane: Vec<&str> = r
+                    .trace
+                    .iter()
+                    .filter(inside)
+                    .filter(|e| e.cat == TraceCat::Phase && e.track == worker)
+                    .map(|e| e.name)
+                    .collect();
+                let attempts: Vec<&[&str]> = lane.chunk_by(|_, next| *next != PACKETS[0]).collect();
+                assert_eq!(attempts.len(), 1 + recoveries, "{label}: {lane:?}");
+                for attempt in &attempts {
+                    assert!(packets.starts_with(attempt), "{label}: {lane:?}");
+                }
+                assert_eq!(attempts[recoveries], packets, "{label}: {lane:?}");
+            }
+        }
+
+        // The injected plan annotates device lanes, and the write-back
+        // packet and the persistence model under it stamp fences.
+        assert!(r.trace.iter().any(|e| e.cat == TraceCat::Fault), "{label}");
+        let fenced = r.trace.iter().any(|e| e.cat == TraceCat::Fence);
+        assert_eq!(fenced, packets.contains(&"write-back"), "{label}");
     }
-
-    // Each cycle span is accompanied by per-worker sub-phase spans that
-    // lie inside the collection interval.
-    let scans = r.trace.iter().filter(|e| e.name == "scan").count();
-    assert!(scans >= entries.len() * cfg.gc.threads);
-
-    // The injected plan annotates device lanes and the persistence model
-    // stamps fences.
-    assert!(r.trace.iter().any(|e| e.cat == TraceCat::Fault));
-    assert!(r.trace.iter().any(|e| e.cat == TraceCat::Fence));
 }

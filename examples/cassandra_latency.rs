@@ -37,13 +37,8 @@ fn main() {
                     cfg.gc.header_map.max_bytes = hb / 32;
                 }
                 let server = run_app(&cfg).expect("server run succeeds");
-                let lat = simulate_client(
-                    &server.pause_intervals,
-                    server.total_ns,
-                    service_ns,
-                    tput,
-                    42,
-                );
+                let lat =
+                    simulate_client(&server.pause_spans, server.total_ns, service_ns, tput, 42);
                 row.push((lat.p95_ms, lat.p99_ms));
             }
             let (opt, van) = (row[0], row[1]);

@@ -139,10 +139,10 @@ fn gc_writes_move_to_dram_with_write_cache() {
 fn pause_intervals_are_ordered_and_disjoint() {
     let r = run_app(&small("dotty", GcConfig::plus_all(12, 0))).unwrap();
     let mut prev_end = 0;
-    for &(s, e) in &r.pause_intervals {
-        assert!(s >= prev_end, "pauses must not overlap");
-        assert!(e > s, "pauses have positive length");
-        prev_end = e;
+    for p in &r.pause_spans {
+        assert!(p.start_ns >= prev_end, "pauses must not overlap");
+        assert!(p.end_ns > p.start_ns, "pauses have positive length");
+        prev_end = p.end_ns;
     }
     assert!(prev_end <= r.total_ns);
 }
