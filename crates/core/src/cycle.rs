@@ -39,7 +39,7 @@ use crate::oracle;
 use crate::policy::drain::drain_allocator_journal;
 use crate::policy::trace::apply_worker_faults;
 use crate::policy::{flush, trace};
-use crate::recovery::CrashState;
+use crate::recovery::{CrashState, MarkPrelude};
 use crate::stack::{Task, WorkPool};
 use crate::stats::GcStats;
 use crate::write_cache::WriteCachePool;
@@ -51,6 +51,9 @@ use std::collections::VecDeque;
 /// the state it carries in. Built by exactly one of [`Seed::fresh`] and
 /// [`Seed::resumed`]; [`run`] never asks which.
 pub(crate) struct Seed {
+    /// When the cycle stopped the mutators: `start` for a fresh cycle,
+    /// the first crashed attempt's start for a resumed one.
+    origin: Ns,
     /// When this pass over the cycle begins.
     start: Ns,
     /// The collection set; every member has its `in_cset` flag set.
@@ -147,6 +150,7 @@ impl Seed {
         }
 
         Seed {
+            origin: start,
             start,
             cset,
             extra_old: extra_old.to_vec(),
@@ -205,6 +209,7 @@ impl Seed {
         fault.observations = stats.fault_events;
 
         Seed {
+            origin: crash.start_ns,
             start,
             cset: crash.cset,
             extra_old: crash.extra_old,
@@ -263,6 +268,10 @@ pub(crate) fn run(
         crashed_at: None,
     };
 
+    // What a resumed cycle's statistics would otherwise lose: the
+    // crashed attempts and recovery passes that came before this pass.
+    sh.stats.recovery_ns = seed.start - seed.origin;
+
     // Safepoint journal drain: allocator mutations accumulated since
     // the last safepoint (mutator-phase eden takes, humongous frees)
     // are journaled in one batch before workers start — fences stay
@@ -281,7 +290,7 @@ pub(crate) fn run(
         w.clock = sh.mem.read_bulk(DeviceId::Dram, base, share, w.clock);
     }
     let abort = |sh: CycleShared<'_>, workers: &mut [Worker]| {
-        crash_abort(sh, workers, &cset, &extra_old, start, saved_tasks)
+        crash_abort(sh, workers, &cset, &extra_old, seed.origin, saved_tasks)
     };
 
     // --- Copy-and-traverse (the only packet every configuration runs). --
@@ -365,9 +374,8 @@ pub(crate) fn run(
     sh.stats.cache_regions = sh.cache.regions_allocated();
     sh.stats.cache_peak_bytes = sh.cache.peak_bytes();
     sh.stats.async_flushed = sh.cache.async_flushed();
-    sh.stats.phases.scan_ns = scan_end - start;
+    sh.stats.phases.scan_ns = scan_end - seed.start;
     sh.stats.phases.writeback_ns = wb_end - scan_end;
-    sh.stats.phases.clear_ns = clear_end - wb_end;
     sh.stats.old_regions_collected = extra_old
         .iter()
         .filter(|r| !sh.retained.contains(r))
@@ -392,8 +400,11 @@ pub(crate) fn run(
     free_cset(&mut sh, &cset)?;
 
     // Journal the cycle-end frees and retention reclassifications so
-    // the next mutator phase starts from a drained journal.
+    // the next mutator phase starts from a drained journal. The phases
+    // tile the pause: each drain sits inside the phase it precedes or
+    // follows, so `origin + pause_ns() == end` in every mode.
     let end = drain_journal(&mut sh, clear_end);
+    sh.stats.phases.clear_ns = end - wb_end;
 
     // Phase marks for the bandwidth figures.
     let sampler = sh.mem.sampler_mut();
@@ -402,11 +413,17 @@ pub(crate) fn run(
         sampler.mark_phase(scan_end, wb_end, PhaseKind::GcWriteBack);
     }
     sampler.mark_phase(start, end, PhaseKind::Gc);
-    // The whole-cycle trace span: start/end are the exact interval the
-    // GC log records, which the trace determinism tests cross-check.
-    sh.mem
-        .trace_mut()
-        .span("cycle", TraceCat::Cycle, TRACK_CYCLE, start, end, cycle_idx);
+    // The whole-cycle trace span, from the instant the cycle stopped the
+    // mutators: start/end are the exact interval the GC log records,
+    // which the trace determinism tests cross-check.
+    sh.mem.trace_mut().span(
+        "cycle",
+        TraceCat::Cycle,
+        TRACK_CYCLE,
+        seed.origin,
+        end,
+        cycle_idx,
+    );
 
     // Allow the bandwidth ledgers to forget the distant past.
     sh.mem.retire_before(start.saturating_sub(1_000_000));
@@ -541,7 +558,7 @@ fn crash_abort(
     workers: &mut [Worker],
     cset: &[RegionId],
     extra_old: &[RegionId],
-    start: Ns,
+    origin: Ns,
     saved_tasks: Option<Vec<Task>>,
 ) -> GcError {
     let at_ns = sh.crashed_at.expect("crash abort without a crash");
@@ -555,7 +572,7 @@ fn crash_abort(
     }
     GcError::PowerCrash(Box::new(CrashState {
         at_ns,
-        start_ns: start,
+        start_ns: origin,
         cset: cset.to_vec(),
         extra_old: extra_old.to_vec(),
         initial_tasks: saved_tasks.unwrap_or_default(),
@@ -563,5 +580,6 @@ fn crash_abort(
         self_forwarded: sh.self_forwarded,
         retained: sh.retained,
         fired: sh.fault.fired_flags(),
+        mark: MarkPrelude::default(),
     }))
 }

@@ -13,7 +13,7 @@ use crate::durable;
 use crate::error::GcError;
 use crate::header_map::HeaderMap;
 use crate::marking::{self, MarkState};
-use crate::recovery::{self, CrashState};
+use crate::recovery::{self, CrashState, MarkPrelude};
 use crate::stats::{GcStats, RunGcStats};
 use nvmgc_heap::{Addr, Heap, RegionId};
 use nvmgc_memsim::{MemorySystem, Ns, TraceCat, TRACK_CYCLE};
@@ -128,8 +128,9 @@ impl G1Collector {
         let cycle_idx = self.run_stats.cycles() as u64;
         let hmap = self.hmap.as_ref();
         let (stats, now) = recovery::recover(&self.cfg, hmap, heap, mem, &crash, cycle_idx)?;
+        let mark = crash.mark;
         let seed = Seed::resumed(&self.cfg, hmap, heap, crash, stats, now);
-        cycle::run(self, heap, mem, roots, seed)
+        stamp_mark(cycle::run(self, heap, mem, roots, seed), mark)
     }
 
     /// Runs a *mixed* collection (paper §2.1): a stop-the-world marking
@@ -175,7 +176,7 @@ impl G1Collector {
     ///
     /// Unlike [`G1Collector::collect_mixed`], the marking time *is* part
     /// of the pause (full GC is fully stop-the-world); it is still
-    /// reported in `stats.mark_ns`, so `pause = mark_ns + phases.total()`.
+    /// reported in `stats.mark_ns`, so `pause = mark_ns + stats.pause_ns()`.
     ///
     /// If the free space cannot hold all live data, the remainder is
     /// self-forwarded in place and the affected regions are retained —
@@ -235,10 +236,35 @@ impl G1Collector {
 
         let old_cset = select(heap, &mark.state);
         let seed = Seed::fresh(&self.cfg, heap, roots.len(), mark.end_ns, &old_cset);
-        let mut out = cycle::run(self, heap, mem, roots, seed)?;
-        out.stats.mark_ns = mark.end_ns - start;
-        out.stats.engine_steps += mark.steps;
-        out.stats.humongous_freed = humongous_freed;
-        Ok(out)
+        let prelude = MarkPrelude {
+            mark_ns: mark.end_ns - start,
+            steps: mark.steps,
+            humongous_freed,
+        };
+        stamp_mark(cycle::run(self, heap, mem, roots, seed), prelude)
+    }
+}
+
+/// Stamps what the mark before a mixed or full cycle contributes onto the
+/// cycle's outcome — or, when the cycle crashed, onto its crash state, so
+/// that the resumed cycle stamps it instead of losing it. All zero for a
+/// young cycle. (The run totals absorbed the cycle before this: they
+/// count evacuation steps only.)
+fn stamp_mark(
+    cycle: Result<GcCycleOutcome, GcError>,
+    mark: MarkPrelude,
+) -> Result<GcCycleOutcome, GcError> {
+    match cycle {
+        Ok(mut out) => {
+            out.stats.mark_ns = mark.mark_ns;
+            out.stats.engine_steps += mark.steps;
+            out.stats.humongous_freed = mark.humongous_freed;
+            Ok(out)
+        }
+        Err(GcError::PowerCrash(mut crash)) => {
+            crash.mark = mark;
+            Err(GcError::PowerCrash(crash))
+        }
+        Err(e) => Err(e),
     }
 }

@@ -105,6 +105,12 @@ impl GcLog {
                 stats.mark_ns as f64 / 1e6
             ));
         }
+        if stats.recovery_ns > 0 {
+            self.lines.push(format!(
+                "[{at:.3}s] GC({id})   crashed attempts + recovery {:.2}ms",
+                stats.recovery_ns as f64 / 1e6
+            ));
+        }
         let named = stats.phases.named();
         self.lines.push(format!(
             "[{at:.3}s] GC({id})   {}",

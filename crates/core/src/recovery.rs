@@ -39,7 +39,11 @@ pub struct CrashState {
     /// judged against this clock: ledger entries whose watermark is later
     /// are phantoms of workers that had not yet observed the crash.
     pub at_ns: Ns,
-    /// When the interrupted cycle started, ns.
+    /// When the interrupted cycle started, ns: the `start` its first
+    /// attempt was handed (after the mark of a mixed or full cycle). A
+    /// second crash inside the resumed cycle keeps the first one's, so
+    /// the completing cycle can report every crashed attempt and recovery
+    /// pass as [`GcStats::recovery_ns`].
     pub start_ns: Ns,
     /// The interrupted cycle's collection set (its regions still carry
     /// their in-cset flags; from-space is intact).
@@ -63,6 +67,22 @@ pub struct CrashState {
     /// Which one-shot fault events had fired, so the resumed cycle does
     /// not re-fire the same power failure.
     pub fired: Vec<bool>,
+    /// What the mark before a mixed or full cycle contributes to the
+    /// cycle's statistics (all zero for a young cycle), carried so the
+    /// resumed cycle still reports it.
+    pub mark: MarkPrelude,
+}
+
+/// What the stop-the-world mark that precedes a mixed or full cycle adds
+/// to that cycle's statistics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MarkPrelude {
+    /// Marking time, ns ([`GcStats::mark_ns`]).
+    pub mark_ns: Ns,
+    /// Engine scheduler steps of the marking pass.
+    pub steps: u64,
+    /// Dead humongous regions reclaimed after the mark.
+    pub humongous_freed: u64,
 }
 
 /// The recovery pass that precedes the resumed cycle: walks the durable
@@ -188,6 +208,7 @@ mod tests {
             self_forwarded: vec![(Addr(24), Header(7))],
             retained: vec![1],
             fired: vec![true, false],
+            mark: MarkPrelude::default(),
         };
         let b = a.clone();
         assert_eq!(a, b);

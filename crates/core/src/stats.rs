@@ -3,21 +3,28 @@
 use crate::fault::GcFaultObservations;
 use nvmgc_memsim::Ns;
 
-/// Simulated durations of the pause's sub-phases.
+/// Simulated durations of the pause's sub-phases. They tile the cycle:
+/// each safepoint allocator-journal drain belongs to the phase it
+/// precedes or follows, so nothing between the cycle's start and the
+/// mutators' resumption falls outside them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GcPhaseTimes {
     /// Copy-and-traverse (the read-mostly sub-phase when the write cache
-    /// is enabled).
+    /// is enabled), from the cycle's start: the cycle-start journal
+    /// drain, the safepoint entry, the scan packet and the drain after
+    /// it.
     pub scan_ns: Ns,
-    /// Write-back of cache regions (the write-only sub-phase); zero for
-    /// vanilla collectors.
+    /// Write-back of cache regions (the write-only sub-phase) and the
+    /// drain after it; zero for vanilla collectors.
     pub writeback_ns: Ns,
-    /// Parallel header-map cleanup; zero when the map is inactive.
+    /// Parallel header-map cleanup, then the cycle-end journal drain;
+    /// zero when the map is inactive and the journal volatile.
     pub clear_ns: Ns,
 }
 
 impl GcPhaseTimes {
-    /// Total pause length.
+    /// Total length of the sub-phases: the pause of a cycle that never
+    /// crashed.
     pub fn total(&self) -> Ns {
         self.scan_ns + self.writeback_ns + self.clear_ns
     }
@@ -46,7 +53,8 @@ impl GcPhaseTimes {
 pub struct PauseSpan {
     /// Simulated time the mutators stopped.
     pub start_ns: Ns,
-    /// Simulated time the mutators resumed (`start_ns` + pause).
+    /// Simulated time the mutators resumed: `start_ns` plus the cycle's
+    /// `mark_ns` plus its [`GcStats::pause_ns`].
     pub end_ns: Ns,
     /// `true` for a mixed (young + old) collection, `false` for young.
     pub mixed: bool,
@@ -78,7 +86,8 @@ impl PauseSpan {
 /// Statistics for one young-GC cycle.
 #[derive(Debug, Clone, Default)]
 pub struct GcStats {
-    /// Sub-phase durations; `phases.total()` is the pause.
+    /// Sub-phase durations; `phases.total()` is the pause of a cycle that
+    /// never crashed (see [`GcStats::pause_ns`]).
     pub phases: GcPhaseTimes,
     /// Live objects copied (survivor + promoted).
     pub copied_objects: u64,
@@ -129,6 +138,11 @@ pub struct GcStats {
     /// 1 if this cycle is the resumed completion of a crashed durable-mode
     /// evacuation (0 otherwise; summed across a run).
     pub recovered_cycles: u64,
+    /// Stop-the-world time a resumed cycle spent before its own phases
+    /// began: every crashed attempt plus every recovery pass, from the
+    /// instant the first attempt started to the instant the completing
+    /// one did. Zero for a cycle that never crashed.
+    pub recovery_ns: Ns,
     /// Forwarded objects whose copy or install missed the crash image's
     /// durable prefix and were re-evacuated from intact from-space during
     /// recovery.
@@ -158,9 +172,12 @@ pub struct GcStats {
 }
 
 impl GcStats {
-    /// The pause duration.
+    /// The pause duration: everything between the start of the cycle's
+    /// evacuation and the mutators' resumption — the sub-phases, preceded
+    /// in a resumed cycle by the crashed attempts and recovery passes.
+    /// The mark before a mixed or full cycle is `mark_ns`, beside it.
     pub fn pause_ns(&self) -> Ns {
-        self.phases.total()
+        self.recovery_ns + self.phases.total()
     }
 }
 

@@ -268,3 +268,46 @@ fn crash_recovery_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// A crashed *mixed* cycle keeps what its stop-the-world mark
+/// contributed — the crash state carries it to the resumed cycle — and
+/// the resumed cycle reports the whole stop: from the instant
+/// `collect_mixed` was called to the instant mutators resume, every ns is
+/// the mark or the pause.
+#[test]
+fn crashed_mixed_cycle_reports_its_mark_and_its_whole_pause() {
+    let run = |crash_at: Option<u64>| {
+        let mut cfg = durable_cfg();
+        if let Some(at_ns) = crash_at {
+            cfg.fault.gc.events.push(GcFault::PowerFailure { at_ns });
+        }
+        let mut h = heap();
+        let mut m = mem(cfg.threads);
+        let mut roots = build_graph(&mut h, GRAPH_SEED, OBJECTS);
+        let mut gc = G1Collector::new(cfg);
+        let mut crashes = 0;
+        let mut attempt = gc.collect_mixed(&mut h, &mut m, &mut roots, 0);
+        let outcome = loop {
+            match attempt {
+                Err(GcError::PowerCrash(crash)) => {
+                    crashes += 1;
+                    assert!(crash.mark.mark_ns > 0, "the crash state carries the mark");
+                    attempt = gc.recover_from_crash(&mut h, &mut m, &mut roots, *crash);
+                }
+                other => break other.expect("the mixed cycle completes"),
+            }
+        };
+        (outcome, crashes)
+    };
+    let (clean, _) = run(None);
+    let safepoint = durable_cfg().safepoint_ns;
+    let mid_scan = clean.stats.mark_ns + (safepoint + clean.stats.phases.scan_ns) / 2;
+    let (resumed, crashes) = run(Some(mid_scan));
+    assert_eq!(crashes, 1);
+    assert_eq!(resumed.stats.recovered_cycles, 1);
+    assert_eq!(resumed.stats.mark_ns, clean.stats.mark_ns);
+    assert!(resumed.stats.recovery_ns > 0);
+    for out in [&clean, &resumed] {
+        assert_eq!(out.end_ns, out.stats.mark_ns + out.stats.pause_ns());
+    }
+}

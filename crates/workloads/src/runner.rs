@@ -821,6 +821,49 @@ mod tests {
     }
 
     #[test]
+    fn every_pause_span_is_the_pause_its_cycle_reports() {
+        // From the instant the mutators stop to the instant they resume,
+        // every simulated ns is in exactly one statistic of the cycle:
+        // the mark (outside `pause_ns`, as `GcStats::mark_ns` documents)
+        // or the pause — allocator journal drains, crashed attempts and
+        // recovery passes included.
+        let durable = |allocator: bool, fault: FaultPlan| {
+            let mut cfg = small_cfg(GcConfig::plus_all(12, 1 << 20));
+            cfg.gc.header_map.durable = true;
+            cfg.gc.allocator.durable = allocator;
+            cfg.gc.fault = fault;
+            cfg
+        };
+        let mut mixed = small_cfg(GcConfig::vanilla(4));
+        mixed.trigger = GcTrigger::Adaptive { ihop: 0.0 };
+        let crash_plan = FaultPlan::generate(38, nvmgc_core::Severity::Severe, 40_000_000);
+        let inputs = [
+            ("young", small_cfg(GcConfig::vanilla(4))),
+            ("mixed", mixed),
+            ("durable map", durable(false, FaultPlan::none())),
+            ("durable map + allocator", durable(true, FaultPlan::none())),
+            ("durable + crash", durable(true, crash_plan)),
+        ];
+        for (label, cfg) in inputs {
+            let r = run_app(&cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(r.gc.cycles() >= 2, "{label}");
+            assert_eq!(r.mixed_cycles > 0, label == "mixed", "{label}");
+            let recovered: u64 = r.cycles.iter().map(|c| c.recovered_cycles).sum();
+            assert_eq!(recovered > 0, label == "durable + crash", "{label}");
+            for (i, (span, c)) in r.pause_spans.iter().zip(&r.cycles).enumerate() {
+                assert_eq!(
+                    span.duration_ns(),
+                    c.mark_ns + c.pause_ns(),
+                    "{label}: cycle {i} stopped the mutators for a time it does not report"
+                );
+            }
+            let stopped: Ns = r.pause_spans.iter().map(|p| p.duration_ns()).sum();
+            let marked: Ns = r.cycles.iter().map(|c| c.mark_ns).sum();
+            assert_eq!(r.mutator_ns, r.total_ns - stopped + marked, "{label}");
+        }
+    }
+
+    #[test]
     fn optimized_config_also_completes() {
         let mut cfg = small_cfg(GcConfig::plus_all(8, 1 << 20));
         cfg.sample_series = true;

@@ -89,22 +89,35 @@ fn every_logged_cycle_has_a_matching_trace_span() {
     // A Moderate plan includes a WcDrainStall and a PowerFailure probe,
     // the latter auto-enabling the persistence model — so every run
     // exercises fault-window annotation and fence emission too. Every
-    // plan schedules the same packets; a vanilla configuration runs only
-    // the scan packet.
-    let inputs = [
-        ("g1", GcConfig::plus_all(12, 1 << 20), &PACKETS[..]),
-        ("ps", GcConfig::ps_plus_all(12, 1 << 20), &PACKETS[..]),
-        (
-            "semispace",
-            GcConfig::semispace_plus_all(12, 1 << 20),
-            &PACKETS[..],
-        ),
-        ("vanilla", GcConfig::vanilla(12), &PACKETS[..1]),
+    // plan schedules the same packets, with or without the durable map
+    // and allocator; a vanilla configuration runs only the scan packet.
+    let durable = |mut gc: GcConfig| {
+        // The durable map turns the plan's power failure into a crash the
+        // run recovers from; the durable allocator makes every journal
+        // drain take simulated time.
+        gc.header_map.durable = true;
+        gc.allocator.durable = true;
+        gc
+    };
+    let plans = [
+        ("g1", GcConfig::plus_all(12, 1 << 20)),
+        ("ps", GcConfig::ps_plus_all(12, 1 << 20)),
+        ("semispace", GcConfig::semispace_plus_all(12, 1 << 20)),
     ];
+    let mut inputs = vec![("vanilla".to_owned(), GcConfig::vanilla(12), &PACKETS[..1])];
+    for (plan, gc) in plans {
+        inputs.push((format!("{plan} durable"), durable(gc.clone()), &PACKETS[..]));
+        inputs.push((plan.to_owned(), gc, &PACKETS[..]));
+    }
     for (label, gc, packets) in inputs {
         let mut cfg = traced_cfg();
         cfg.gc = gc;
-        cfg.gc.fault = FaultPlan::generate(0x7ACE, Severity::Moderate, HORIZON_NS);
+        cfg.gc.fault = if label.ends_with("durable") {
+            // A plan whose power failures land inside collections.
+            FaultPlan::generate(38, Severity::Severe, HORIZON_NS)
+        } else {
+            FaultPlan::generate(0x7ACE, Severity::Moderate, HORIZON_NS)
+        };
         let r = run_app(&cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
 
         let cycles: Vec<_> = r
@@ -114,6 +127,8 @@ fn every_logged_cycle_has_a_matching_trace_span() {
             .collect();
         let entries = r.gc_log.entries();
         assert!(!entries.is_empty(), "{label}");
+        let recovered: u64 = r.cycles.iter().map(|c| c.recovered_cycles).sum();
+        assert_eq!(recovered > 0, label.ends_with("durable"), "{label}");
         assert_eq!(cycles.len(), entries.len(), "{label}");
         for (span, entry) in cycles.iter().zip(entries) {
             assert_eq!(span.track, TRACK_CYCLE, "{label}");
