@@ -315,8 +315,7 @@ pub(crate) fn run(
 
     // --- Write-back: skipped entirely for vanilla collectors (no cache
     // regions, no NT stores to fence). ------------------------------------
-    let mut wb_end = scan_end;
-    if cfg.write_cache.enabled {
+    let wb_end = if cfg.write_cache.enabled {
         let wb = run_packet(
             "write-back",
             &mut workers,
@@ -333,8 +332,10 @@ pub(crate) fn run(
         // before mutators resume. Volatile cache lines are *not*
         // flushed here.
         sh.mem.persist_drain_all(DeviceId::Nvm, end);
-        wb_end = end;
-    }
+        end
+    } else {
+        scan_end
+    };
     // Journal the write-back packet's cache-region releases.
     let wb_end = drain_journal(&mut sh, wb_end);
     // Header-map occupancy is measured before cleanup.
@@ -349,8 +350,7 @@ pub(crate) fn run(
     });
 
     // --- Header-map cleanup: skipped when no map is armed. ---------------
-    let mut clear_end = wb_end;
-    if let Some(map) = sh.hmap {
+    let clear_end = if let Some(map) = sh.hmap {
         flush::assign_clear_ranges(&mut workers, map.capacity());
         let clear = run_packet(
             "map-clear",
@@ -363,8 +363,10 @@ pub(crate) fn run(
         let Some(end) = clear else {
             return Err(abort(sh, &mut workers));
         };
-        clear_end = end;
-    }
+        end
+    } else {
+        wb_end
+    };
 
     // --- Post-processing. ------------------------------------------------
     for w in &workers {
@@ -450,9 +452,10 @@ pub(crate) fn run(
 ///   faults, then runs the packet's own `step`;
 /// - the per-worker spans are emitted before the error and crash checks,
 ///   so a crashed packet still records how far each worker got. A span
-///   ends at its worker's final clock under the engine's (clock, worker
-///   id) step order, so the emitted trace is identical at any host
-///   parallelism;
+///   ends at its worker's final clock, which under the engine's (clock,
+///   worker id) step order is a deterministic function of configuration
+///   and workload — why trace output is byte-identical regardless of
+///   host parallelism;
 /// - a typed error a policy surfaced into [`CycleShared::error`]
 ///   outranks a crash.
 ///
@@ -476,10 +479,12 @@ fn run_packet(
             step(w, sh);
         }
     })?;
-    for (id, s, e) in engine::phase_spans(workers, from) {
+    for w in workers.iter() {
+        // Re-barriered, so no clock precedes `from`: a worker that never
+        // stepped yields an empty span, never a negative one.
         sh.mem
             .trace_mut()
-            .span(name, TraceCat::Phase, id as u32, s, e, cycle_idx);
+            .span(name, TraceCat::Phase, w.id as u32, from, w.clock, cycle_idx);
     }
     if let Some(e) = sh.error.take() {
         return Err(e);

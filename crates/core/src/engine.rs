@@ -231,21 +231,6 @@ fn stuck_worker(workers: &[Worker], stuck: usize) -> EngineError {
     }
 }
 
-/// Per-worker `(id, start, end)` spans of the phase that just ran.
-///
-/// Because the engine steps workers in `(clock, worker id)` order, each
-/// worker's final clock is a deterministic function of the configuration
-/// and workload — these spans are what the trace layer records, and why
-/// trace output is byte-identical regardless of host parallelism.
-/// `end` is clamped to at least `start` so a worker that never stepped
-/// (e.g. an empty phase) yields an empty span rather than a negative one.
-pub fn phase_spans(workers: &[Worker], start: Ns) -> Vec<(usize, Ns, Ns)> {
-    workers
-        .iter()
-        .map(|w| (w.id, start, w.clock.max(start)))
-        .collect()
-}
-
 /// Resets workers for a follow-on phase: clears `done`, aligns every clock
 /// to the given start time (a phase begins only after all workers reached
 /// its barrier).

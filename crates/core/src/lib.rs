@@ -94,7 +94,7 @@
 pub mod access;
 pub mod collector;
 pub mod config;
-pub(crate) mod cycle;
+pub mod cycle;
 pub mod durable;
 pub mod engine;
 pub mod error;

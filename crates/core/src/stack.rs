@@ -76,11 +76,6 @@ impl WorkPool {
         }
     }
 
-    /// Number of worker stacks.
-    pub fn workers(&self) -> usize {
-        self.stacks.len()
-    }
-
     /// Total entries across all stacks.
     pub fn outstanding(&self) -> usize {
         self.outstanding
@@ -130,14 +125,6 @@ impl WorkPool {
             }
         }
         None
-    }
-
-    /// Drops all tasks (end of a phase).
-    pub fn clear(&mut self) {
-        for s in &mut self.stacks {
-            s.clear();
-        }
-        self.outstanding = 0;
     }
 }
 
@@ -207,14 +194,5 @@ mod tests {
         assert_eq!(p.outstanding(), 1);
         p.steal(0);
         assert_eq!(p.outstanding(), 0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut p = WorkPool::new(2);
-        p.push(0, Task::Root(1));
-        p.clear();
-        assert_eq!(p.outstanding(), 0);
-        assert_eq!(p.pop(0), None);
     }
 }
