@@ -44,12 +44,13 @@ use std::collections::BinaryHeap;
 pub const STEP_LIMIT: u64 = 2_000_000_000;
 
 /// Worker counts below this use the linear scan; at or above it, the
-/// event queue. Crossover measured by the `engine_scheduler` group in
-/// `micro_structures` under the thin-LTO / codegen-units=1 profile: the
-/// scan's per-step cost grows linearly but has no queue maintenance and
-/// stays ahead through 8 workers (tied at 8, ~10% behind at 10, ~20% at
-/// 12 — the pre-LTO crossover); LTO inlines the heap scheduler's
-/// comparator, moving the break-even down from 12.
+/// event queue. Crossover measured under the thin-LTO / codegen-units=1
+/// profile (the rows `micro.core.engine.{scan,heap}_ns_per_step.*` of a
+/// traced `benchmark/` run time both paths): the scan's per-step cost
+/// grows linearly but has no queue maintenance and stays ahead through 8
+/// workers (tied at 8, ~10% behind at 10, ~20% at 12 — the pre-LTO
+/// crossover); LTO inlines the heap scheduler's comparator, moving the
+/// break-even down from 12.
 pub const HEAP_THRESHOLD: usize = 9;
 
 /// Runs one phase to completion and returns the phase end time (the

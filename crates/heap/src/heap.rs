@@ -548,7 +548,14 @@ impl Heap {
     /// Writes the data word `w` of `obj`.
     #[inline]
     pub fn write_data(&mut self, obj: Addr, w: u32, value: u64) {
-        let nrefs = self.num_refs(obj);
+        self.write_data_at(obj, self.num_refs(obj), w, value);
+    }
+
+    /// Writes the data word `w` of `obj` for a caller that already knows
+    /// the object has `nrefs` reference slots, without loading its header.
+    #[inline]
+    pub fn write_data_at(&mut self, obj: Addr, nrefs: u32, w: u32, value: u64) {
+        debug_assert_eq!(nrefs, self.num_refs(obj));
         let off = obj.offset(self.shift) + HEADER_BYTES + nrefs * 8 + w * 8;
         self.regions[obj.region(self.shift) as usize].write_u64(off, value);
     }

@@ -15,14 +15,17 @@ use crate::CACHE_LINE;
 /// Associativity of the modeled cache.
 pub const WAYS: usize = 8;
 
+/// One cache set: the tags of its resident lines, most recently used
+/// first. A host cache line of its own, so a probe touches one.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Set([u64; WAYS]);
+
 /// A set-associative LLC model with true LRU replacement.
 #[derive(Debug, Clone)]
 pub struct LlcModel {
-    /// `sets[s][w]` holds the line address tag or `EMPTY`.
-    sets: Vec<[u64; WAYS]>,
-    /// LRU stamps parallel to `sets`; larger = more recently used.
-    stamps: Vec<[u32; WAYS]>,
-    tick: u32,
+    /// Recency-ordered tags; a slot holds a line address or `EMPTY`.
+    sets: Vec<Set>,
     set_mask: u64,
     hits: u64,
     misses: u64,
@@ -46,9 +49,7 @@ impl LlcModel {
             1 << (usize::BITS - 1 - raw_sets.leading_zeros())
         };
         LlcModel {
-            sets: vec![[EMPTY; WAYS]; num_sets],
-            stamps: vec![[0; WAYS]; num_sets],
-            tick: 0,
+            sets: vec![Set([EMPTY; WAYS]); num_sets],
             set_mask: num_sets.saturating_sub(1) as u64,
             hits: 0,
             misses: 0,
@@ -72,65 +73,40 @@ impl LlcModel {
         (x & mask) as usize
     }
 
+    /// Makes `line` the most recently used line of its set and reports
+    /// whether it was resident. On a miss the least recently used slot —
+    /// the last one, whether it holds a line or an invalidated `EMPTY` —
+    /// is dropped.
+    #[inline]
+    fn touch(&mut self, line: u64) -> bool {
+        let set = &mut self.sets[Self::set_index(line, self.set_mask)].0;
+        let found = set.iter().position(|&tag| tag == line);
+        let p = found.unwrap_or(WAYS - 1);
+        set.copy_within(0..p, 1);
+        set[0] = line;
+        found.is_some()
+    }
+
     /// Records an access to `addr` and reports whether it hit.
     ///
     /// On a miss the line is installed, evicting the LRU way.
     pub fn access(&mut self, addr: u64) -> bool {
-        if self.sets.is_empty() {
+        let hit = !self.sets.is_empty() && self.touch(addr / CACHE_LINE);
+        if hit {
+            self.hits += 1;
+        } else {
             self.misses += 1;
-            return false;
         }
-        let line = addr / CACHE_LINE;
-        let s = Self::set_index(line, self.set_mask);
-        self.tick = self.tick.wrapping_add(1);
-        let set = &mut self.sets[s];
-        let stamps = &mut self.stamps[s];
-        for w in 0..WAYS {
-            if set[w] == line {
-                stamps[w] = self.tick;
-                self.hits += 1;
-                return true;
-            }
-        }
-        // Miss: fill the LRU way.
-        let mut victim = 0;
-        for w in 1..WAYS {
-            if self.tick.wrapping_sub(stamps[w]) > self.tick.wrapping_sub(stamps[victim]) {
-                victim = w;
-            }
-        }
-        set[victim] = line;
-        stamps[victim] = self.tick;
-        self.misses += 1;
-        false
+        hit
     }
 
     /// Installs a line without counting a demand access (used by the
     /// prefetch engine when a fill completes).
     pub fn install(&mut self, addr: u64) {
         self.installs += 1;
-        if self.sets.is_empty() {
-            return;
+        if !self.sets.is_empty() {
+            self.touch(addr / CACHE_LINE);
         }
-        let line = addr / CACHE_LINE;
-        let s = Self::set_index(line, self.set_mask);
-        self.tick = self.tick.wrapping_add(1);
-        let set = &mut self.sets[s];
-        let stamps = &mut self.stamps[s];
-        for w in 0..WAYS {
-            if set[w] == line {
-                stamps[w] = self.tick;
-                return;
-            }
-        }
-        let mut victim = 0;
-        for w in 1..WAYS {
-            if self.tick.wrapping_sub(stamps[w]) > self.tick.wrapping_sub(stamps[victim]) {
-                victim = w;
-            }
-        }
-        set[victim] = line;
-        stamps[victim] = self.tick;
     }
 
     /// Installs every line of `[start, start + len)` in one call, as a
@@ -161,7 +137,9 @@ impl LlcModel {
     }
 
     /// Invalidates every line in a byte range (used when regions are
-    /// recycled so stale tags cannot produce false hits).
+    /// recycled so stale tags cannot produce false hits). An invalidated
+    /// slot becomes `EMPTY` where it stands: it keeps its age, and is
+    /// evicted when it has become the oldest.
     pub fn invalidate_range(&mut self, start: u64, len: u64) {
         if self.sets.is_empty() || len == 0 {
             return;
@@ -171,19 +149,19 @@ impl LlcModel {
         // For large ranges a full scan is cheaper than per-line probing.
         if last - first + 1 > (self.capacity_lines() as u64) {
             for set in &mut self.sets {
-                for way in set.iter_mut() {
-                    if *way >= first && *way <= last {
-                        *way = EMPTY;
+                for tag in set.0.iter_mut() {
+                    if *tag >= first && *tag <= last {
+                        *tag = EMPTY;
                     }
                 }
             }
             return;
         }
         for line in first..=last {
-            let s = Self::set_index(line, self.set_mask);
-            for w in 0..WAYS {
-                if self.sets[s][w] == line {
-                    self.sets[s][w] = EMPTY;
+            let set = &mut self.sets[Self::set_index(line, self.set_mask)].0;
+            for tag in set.iter_mut() {
+                if *tag == line {
+                    *tag = EMPTY;
                 }
             }
         }
@@ -221,6 +199,161 @@ impl LlcModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The implementation this model replaced, kept as the reference the
+    /// recency-ordered sets are checked against: tags and LRU stamps in
+    /// parallel arrays, one global tick, the victim found by scanning for
+    /// the oldest stamp.
+    mod reference {
+        use super::super::{LlcModel, CACHE_LINE, EMPTY, WAYS};
+
+        pub struct StampLru {
+            sets: Vec<[u64; WAYS]>,
+            stamps: Vec<[u32; WAYS]>,
+            tick: u32,
+            set_mask: u64,
+            hits: u64,
+            misses: u64,
+            installs: u64,
+        }
+
+        impl StampLru {
+            /// Sizing and set hashing are `LlcModel`'s, unchanged by the
+            /// replacement; everything below is the old model verbatim.
+            pub fn new(num_sets: usize) -> Self {
+                StampLru {
+                    sets: vec![[EMPTY; WAYS]; num_sets],
+                    stamps: vec![[0; WAYS]; num_sets],
+                    tick: 0,
+                    set_mask: num_sets.saturating_sub(1) as u64,
+                    hits: 0,
+                    misses: 0,
+                    installs: 0,
+                }
+            }
+
+            pub fn capacity_lines(&self) -> usize {
+                self.sets.len() * WAYS
+            }
+
+            fn set_index(line: u64, mask: u64) -> usize {
+                LlcModel::set_index(line, mask)
+            }
+
+            pub fn access(&mut self, addr: u64) -> bool {
+                if self.sets.is_empty() {
+                    self.misses += 1;
+                    return false;
+                }
+                let line = addr / CACHE_LINE;
+                let s = Self::set_index(line, self.set_mask);
+                self.tick = self.tick.wrapping_add(1);
+                let set = &mut self.sets[s];
+                let stamps = &mut self.stamps[s];
+                for w in 0..WAYS {
+                    if set[w] == line {
+                        stamps[w] = self.tick;
+                        self.hits += 1;
+                        return true;
+                    }
+                }
+                // Miss: fill the LRU way.
+                let mut victim = 0;
+                for w in 1..WAYS {
+                    if self.tick.wrapping_sub(stamps[w]) > self.tick.wrapping_sub(stamps[victim]) {
+                        victim = w;
+                    }
+                }
+                set[victim] = line;
+                stamps[victim] = self.tick;
+                self.misses += 1;
+                false
+            }
+
+            pub fn install(&mut self, addr: u64) {
+                self.installs += 1;
+                if self.sets.is_empty() {
+                    return;
+                }
+                let line = addr / CACHE_LINE;
+                let s = Self::set_index(line, self.set_mask);
+                self.tick = self.tick.wrapping_add(1);
+                let set = &mut self.sets[s];
+                let stamps = &mut self.stamps[s];
+                for w in 0..WAYS {
+                    if set[w] == line {
+                        stamps[w] = self.tick;
+                        return;
+                    }
+                }
+                let mut victim = 0;
+                for w in 1..WAYS {
+                    if self.tick.wrapping_sub(stamps[w]) > self.tick.wrapping_sub(stamps[victim]) {
+                        victim = w;
+                    }
+                }
+                set[victim] = line;
+                stamps[victim] = self.tick;
+            }
+
+            pub fn install_range(&mut self, start: u64, len: u64) {
+                if self.sets.is_empty() || len == 0 {
+                    return;
+                }
+                let first = start / CACHE_LINE;
+                let last = (start + len - 1) / CACHE_LINE;
+                let lines = last - first + 1;
+                let begin = if lines > self.capacity_lines() as u64 {
+                    last + 1 - self.capacity_lines() as u64
+                } else {
+                    first
+                };
+                for line in begin..=last {
+                    self.install(line * CACHE_LINE);
+                }
+            }
+
+            pub fn invalidate_range(&mut self, start: u64, len: u64) {
+                if self.sets.is_empty() || len == 0 {
+                    return;
+                }
+                let first = start / CACHE_LINE;
+                let last = (start + len - 1) / CACHE_LINE;
+                // For large ranges a full scan is cheaper than per-line probing.
+                if last - first + 1 > (self.capacity_lines() as u64) {
+                    for set in &mut self.sets {
+                        for way in set.iter_mut() {
+                            if *way >= first && *way <= last {
+                                *way = EMPTY;
+                            }
+                        }
+                    }
+                    return;
+                }
+                for line in first..=last {
+                    let s = Self::set_index(line, self.set_mask);
+                    for w in 0..WAYS {
+                        if self.sets[s][w] == line {
+                            self.sets[s][w] = EMPTY;
+                        }
+                    }
+                }
+            }
+
+            pub fn hits(&self) -> u64 {
+                self.hits
+            }
+
+            pub fn misses(&self) -> u64 {
+                self.misses
+            }
+
+            pub fn installs(&self) -> u64 {
+                self.installs
+            }
+        }
+    }
 
     #[test]
     fn repeated_access_hits() {
@@ -338,5 +471,82 @@ mod tests {
         c.access(100 * CACHE_LINE);
         assert!(c.access(0), "line 0 must survive");
         assert!(!c.access(CACHE_LINE), "line 1 must be evicted");
+    }
+
+    /// One step of a random interleaving, in line units.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Access(u64),
+        Install(u64),
+        InstallRange(u64, u64),
+        InvalidateRange(u64, u64),
+    }
+
+    /// Lines `0..LINES` conflict heavily in one set and still overflow
+    /// eight; range lengths reach past the largest capacity (64 lines), so
+    /// `install_range` meets its cap and `invalidate_range` takes both the
+    /// probe and the scan path at every size.
+    const LINES: u64 = 96;
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            // Twice: demand accesses are the common op.
+            (0..LINES).prop_map(Op::Access),
+            (0..LINES).prop_map(Op::Access),
+            (0..LINES).prop_map(Op::Install),
+            (0..LINES, 1u64..100).prop_map(|(l, n)| Op::InstallRange(l, n)),
+            (0..LINES, 1u64..100).prop_map(|(l, n)| Op::InvalidateRange(l, n)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn recency_order_equals_stamp_lru(
+            ops in prop::collection::vec(arb_op(), 1..400),
+            skew in 0u64..CACHE_LINE,
+        ) {
+            let at = |line: u64| line * CACHE_LINE + skew;
+            for sets in [1usize, 2, 8] {
+                let mut new = LlcModel::new((sets * WAYS) as u64 * CACHE_LINE);
+                prop_assert_eq!(new.sets.len(), sets);
+                let mut old = reference::StampLru::new(sets);
+                for (i, &op) in ops.iter().enumerate() {
+                    match op {
+                        Op::Access(l) => prop_assert_eq!(
+                            new.access(at(l)),
+                            old.access(at(l)),
+                            "{} sets, op {}: {:?}", sets, i, op
+                        ),
+                        Op::Install(l) => {
+                            new.install(at(l));
+                            old.install(at(l));
+                        }
+                        Op::InstallRange(l, n) => {
+                            new.install_range(at(l), n * CACHE_LINE);
+                            old.install_range(at(l), n * CACHE_LINE);
+                        }
+                        Op::InvalidateRange(l, n) => {
+                            new.invalidate_range(at(l), n * CACHE_LINE);
+                            old.invalidate_range(at(l), n * CACHE_LINE);
+                        }
+                    }
+                    prop_assert_eq!(
+                        (new.hits(), new.misses(), new.installs()),
+                        (old.hits(), old.misses(), old.installs()),
+                        "{} sets, op {}: {:?}", sets, i, op
+                    );
+                }
+                // Every line an op can have reached: the final contents agree.
+                for l in 0..LINES + 101 {
+                    prop_assert_eq!(
+                        new.access(l * CACHE_LINE),
+                        old.access(l * CACHE_LINE),
+                        "{} sets, final probe of line {}", sets, l
+                    );
+                }
+            }
+        }
     }
 }

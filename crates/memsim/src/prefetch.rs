@@ -92,11 +92,21 @@ impl PrefetchTable {
     /// treats the access as a cache hit if `ready_at <= now`, or waits for
     /// `ready_at` otherwise. Returns `None` when no prefetch covers the
     /// line.
+    ///
+    /// Every demand read asks, and a thread that issued nothing (the
+    /// mutator never does) holds an empty table: the filter test is
+    /// inlined into the caller, the table scan stays out of line.
+    #[inline]
     pub fn consume(&mut self, addr: u64) -> Option<Ns> {
         let line = addr / CACHE_LINE;
         if self.filter & Self::filter_bit(line) == 0 {
             return None;
         }
+        self.consume_line(line)
+    }
+
+    #[inline(never)]
+    fn consume_line(&mut self, line: u64) -> Option<Ns> {
         let pos = self.entries.iter().position(|e| e.line == line)?;
         let entry = self.entries.remove(pos).expect("position was valid");
         self.useful += 1;

@@ -11,7 +11,7 @@
 use crate::spec::WorkloadSpec;
 use nvmgc_core::access::Gx;
 use nvmgc_core::collector::ROOT_ARRAY_BASE;
-use nvmgc_heap::{Addr, Heap, HeapError, RegionId, RegionKind};
+use nvmgc_heap::{Addr, ClassId, Heap, HeapError, RegionId, RegionKind};
 use nvmgc_memsim::{DeviceId, MemorySystem, Ns};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -41,6 +41,12 @@ pub struct Mutator {
     lanes: Vec<Ns>,
     /// Root array (the GC updates it in place).
     pub roots: Vec<Addr>,
+    /// The class of each non-null root's referent, parallel to `roots`,
+    /// so a touch need not load the header of a random (host-cache-cold)
+    /// object to learn its layout. Invariant: a non-null `roots[i]` is
+    /// written only by `root_write` or by a collector moving the same
+    /// object, and moving an object never changes its class.
+    shapes: Vec<ClassId>,
     eden: Option<RegionId>,
     free_root_slots: Vec<u32>,
     /// `(expire_at_gc, root_index)` pairs, unsorted.
@@ -81,6 +87,7 @@ impl Mutator {
             clock: 0,
             lanes,
             roots: Vec::new(),
+            shapes: Vec::new(),
             eden: None,
             free_root_slots: Vec::new(),
             expiries: Vec::new(),
@@ -124,18 +131,17 @@ impl Mutator {
         let count = self.spec.old_anchor_bytes / anchor_size.max(1);
         let mut region = None;
         let mut anchors: Vec<Addr> = Vec::new();
-        let mut gx = Gx::new(heap, mem);
         for _ in 0..count {
             loop {
                 let r = match region {
                     Some(r) => r,
                     None => {
-                        let r = gx.heap.take_region(RegionKind::Old)?;
+                        let r = heap.take_region(RegionKind::Old)?;
                         region = Some(r);
                         r
                     }
                 };
-                let (obj, t) = gx.alloc_object(r, 0, self.clock);
+                let (obj, t) = Gx::new(heap, mem).alloc_object(r, 0, self.clock);
                 match obj {
                     Some(obj) => {
                         self.clock = t;
@@ -147,7 +153,7 @@ impl Mutator {
             }
         }
         for obj in anchors {
-            let idx = self.take_root_slot(mem, obj);
+            let idx = self.take_root_slot(heap, mem, obj);
             self.old_anchor_roots.push(idx);
         }
         for lane in &mut self.lanes {
@@ -178,8 +184,10 @@ impl Mutator {
         self.roots[idx as usize]
     }
 
-    fn root_write(&mut self, mem: &mut MemorySystem, idx: u32, value: Addr) {
+    /// Stores the (just allocated, never null) object `value` in a root.
+    fn root_write(&mut self, heap: &Heap, mem: &mut MemorySystem, idx: u32, value: Addr) {
         self.roots[idx as usize] = value;
+        self.shapes[idx as usize] = heap.class_of(value);
         self.clock = mem.write_word(
             self.tid,
             DeviceId::Dram,
@@ -188,16 +196,29 @@ impl Mutator {
         );
     }
 
-    fn take_root_slot(&mut self, mem: &mut MemorySystem, value: Addr) -> u32 {
+    fn take_root_slot(&mut self, heap: &Heap, mem: &mut MemorySystem, value: Addr) -> u32 {
         let idx = match self.free_root_slots.pop() {
             Some(i) => i,
             None => {
                 self.roots.push(Addr::NULL);
+                self.shapes.push(0);
                 (self.roots.len() - 1) as u32
             }
         };
-        self.root_write(mem, idx, value);
+        self.root_write(heap, mem, idx, value);
         idx
+    }
+
+    /// Panics unless every non-null root's cached shape is its referent's
+    /// class (the `shapes` invariant, checked over the whole array).
+    #[cfg(test)]
+    pub(crate) fn assert_shapes_match(&self, heap: &Heap) {
+        assert_eq!(self.shapes.len(), self.roots.len());
+        for (i, (&root, &shape)) in self.roots.iter().zip(&self.shapes).enumerate() {
+            if !root.is_null() {
+                assert_eq!(shape, heap.class_of(root), "root {i} at {root:?}");
+            }
+        }
     }
 
     /// Picks the least-advanced mutator lane and makes it current.
@@ -296,20 +317,22 @@ impl Mutator {
             if target.is_null() {
                 continue;
             }
-            let info = heap.classes().get(heap.class_of(target));
+            let class = self.shapes[idx as usize];
+            debug_assert_eq!(class, heap.class_of(target), "root {idx}");
+            let info = heap.classes().get(class);
             if info.data_bytes < 8 {
                 continue;
             }
+            let nrefs = info.num_refs;
             let w = self.rng.random_range(0..info.data_bytes / 8);
             let mut gx = Gx::new(heap, mem);
             // Application phases are read-dominated (scanning cached
             // datasets); roughly one store per five loads.
-            if k % 5 == 4 {
-                self.clock = gx.write_data(self.tid, target, w, 1, self.clock);
+            self.clock = if k % 5 == 4 {
+                gx.write_data(self.tid, target, nrefs, w, 1, self.clock)
             } else {
-                let (_, t) = gx.read_data(self.tid, target, w, self.clock);
-                self.clock = t;
-            }
+                gx.touch_data(self.tid, target, w, self.clock)
+            };
         }
     }
 
@@ -341,7 +364,7 @@ impl Mutator {
             return;
         }
         // Plain medium-lived root.
-        let idx = self.take_root_slot(mem, obj);
+        let idx = self.take_root_slot(heap, mem, obj);
         self.expiries
             .push((self.gc_count + self.spec.keep_gcs, idx));
     }
@@ -379,15 +402,15 @@ impl Mutator {
                     let slot = heap.ref_slot(tail, 0);
                     let mut gx = Gx::new(heap, mem);
                     self.clock = gx.write_ref(self.tid, slot, obj, self.clock);
-                    self.root_write(mem, tail_idx, obj);
+                    self.root_write(heap, mem, tail_idx, obj);
                 } else {
                     // A ref-less tail cannot be extended; restart the chain.
-                    self.root_write(mem, tail_idx, obj);
+                    self.root_write(heap, mem, tail_idx, obj);
                 }
             }
             None => {
-                let head = self.take_root_slot(mem, obj);
-                let tail = self.take_root_slot(mem, obj);
+                let head = self.take_root_slot(heap, mem, obj);
+                let tail = self.take_root_slot(heap, mem, obj);
                 self.chain_head = Some(head);
                 self.chain_tail = Some(tail);
                 self.chain_started_gc = self.gc_count;
@@ -528,6 +551,27 @@ mod tests {
         let live_after = m.roots.iter().filter(|r| !r.is_null()).count();
         assert!(live_after < live_before, "{live_after} < {live_before}");
         assert!(m.gc_count() == 2);
+    }
+
+    #[test]
+    fn shapes_follow_every_root_write() {
+        let (mut h, mut mem, mut m) = setup();
+        m.setup(&mut h, &mut mem).unwrap();
+        m.run(&mut h, &mut mem).unwrap();
+        let rooted = |class| (m.roots.iter()).any(|&r| !r.is_null() && h.class_of(r) == class);
+        assert!(rooted(0) && rooted(1), "both classes rooted");
+        m.assert_shapes_match(&h);
+    }
+
+    #[test]
+    #[should_panic(expected = "root ")]
+    fn a_stale_shape_is_caught() {
+        let (mut h, mut mem, mut m) = setup();
+        m.setup(&mut h, &mut mem).unwrap();
+        m.run(&mut h, &mut mem).unwrap();
+        let i = m.roots.iter().position(|r| !r.is_null()).unwrap();
+        m.shapes[i] ^= 1;
+        m.assert_shapes_match(&h);
     }
 
     #[test]

@@ -665,11 +665,16 @@ fn finish_run(
                 });
                 cycles.push(outcome.stats);
                 mutator.on_gc_complete(outcome.end_ns);
+                // Collectors move rooted objects; none may change a class.
+                #[cfg(test)]
+                mutator.assert_shapes_match(&heap);
                 phase_start = outcome.end_ns;
             }
         }
     }
 
+    #[cfg(test)]
+    mutator.assert_shapes_match(&heap);
     let total_ns = mutator.clock;
     let gc_ns = gc.run_stats.total_pause_ns();
     let mutator_ns = mutator_time(total_ns, gc_ns)
@@ -822,6 +827,10 @@ mod tests {
 
     #[test]
     fn every_pause_span_is_the_pause_its_cycle_reports() {
+        // (Each of these runs also checks, in `finish_run` under
+        // `cfg(test)`, the mutator's shape cache against the heap after
+        // every collection — young, mixed, crashed and recovered — and at
+        // the end of the run.)
         // From the instant the mutators stop to the instant they resume,
         // every simulated ns is in exactly one statistic of the cycle:
         // the mark (outside `pause_ns`, as `GcStats::mark_ns` documents)

@@ -239,3 +239,44 @@ fn durable_run_recovers_from_a_power_failure_to_the_uncrashed_state() {
     assert_eq!(r.final_free_regions, base.final_free_regions);
     assert_eq!(r.final_region_kinds, base.final_region_kinds);
 }
+
+/// One run's simulated quantities, pinned to the values the commit before
+/// the first host-time optimisation (PR 16) produced: a change that only
+/// speeds up the simulator must leave every one of them where it is.
+/// (`small` sizes a debug run differently, hence two rows.)
+#[test]
+fn simulated_quantities_of_one_run_are_pinned() {
+    use nvmgc_heap::verify::GraphDigest;
+    let r = run_app(&small("kmeans", GcConfig::plus_all(28, 0))).unwrap();
+    let got = (
+        r.total_ns,
+        r.gc.total_pause_ns(),
+        r.final_digest,
+        [
+            r.mem_stats.llc_hits,
+            r.mem_stats.llc_misses,
+            r.mem_stats.bus_grants,
+        ],
+    );
+    let digest = |objects, bytes, checksum| GraphDigest {
+        objects,
+        bytes,
+        checksum,
+    };
+    let pinned = if cfg!(debug_assertions) {
+        (
+            5_075_859,
+            2_545_879,
+            digest(12_843, 1_059_400, 9_352_538_071_766_531_809),
+            [489_067, 183_396, 408_875],
+        )
+    } else {
+        (
+            35_070_633,
+            7_828_795,
+            digest(24_669, 1_950_968, 316_962_076_717_294_904),
+            [5_085_508, 1_810_623, 2_733_322],
+        )
+    };
+    assert_eq!(got, pinned);
+}
