@@ -327,11 +327,7 @@ pub(crate) fn run(
         let Some(end) = wb else {
             return Err(abort(sh, &mut workers));
         };
-        // The cycle-end fence lands in the ADR domain: everything the
-        // write-combining buffer has accepted drains to the medium
-        // before mutators resume. Volatile cache lines are *not*
-        // flushed here.
-        sh.mem.persist_drain_all(DeviceId::Nvm, end);
+        durable::cycle_end_drain(sh.mem, DeviceId::Nvm, end);
         end
     } else {
         scan_end

@@ -1,7 +1,7 @@
 //! The durable-record primitive: how a GC record becomes durable and how
 //! recovery judges it. Every client of the durability ledger goes through
-//! this module; nothing else in the crate touches the ledger's persist or
-//! crash-image calls (CI greps for it).
+//! this module; nothing else in the crate touches the ledger's persist,
+//! drain or crash-image calls (CI greps for it).
 //!
 //! **Keys.** A record is named by a typed [`RecordKey`]; its `u64`
 //! encoding is the ledger key *and* the `arg` of the `"persist-fence"`
@@ -112,6 +112,15 @@ pub(crate) fn publish_batch(
         return mem.fence(t);
     }
     mem.persist_meta_many(dev, keys.iter().map(|k| k.raw()), t)
+}
+
+/// The cycle-end fence lands in the ADR domain: everything the device's
+/// write-combining buffer has accepted by `now` drains to the medium
+/// before mutators resume. Volatile cache lines are *not* flushed. Free —
+/// it moves durability state, not time — and a no-op when the ledger is
+/// off.
+pub(crate) fn cycle_end_drain(mem: &mut MemorySystem, dev: DeviceId, now: Ns) {
+    mem.persist_drain_all(dev, now);
 }
 
 /// Returns `region` to the allocator and ends this life of its address

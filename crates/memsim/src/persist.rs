@@ -35,19 +35,43 @@
 //!
 //! # Data layout
 //!
-//! Line addresses are dense 64 B-aligned keys (the heap packs regions
-//! from the bottom of the address space), so per-line `BTreeMap`/
-//! `BTreeSet` tracking pays a tree walk and a node allocation for every
-//! store the simulator charges. The ledger instead keys everything by
-//! *page* — a 32 KiB span of address space — and keeps flat per-page
-//! bitmaps: one presence bit per line ([`LineSet`]), per-line first-drain
-//! records under a presence bitmap ([`DurableMap`]), and per-XPLine
-//! dirty/NT masks ([`XpBuf`]). Pages live in a dense `Vec` indexed by
-//! page number (with a `BTreeMap` spill for pathological far addresses),
-//! so the store fast path is two array indexings and a bit op. Crash
-//! images borrow the ledger instead of cloning the durable map, which
-//! makes an oracle check O(buffered lines), not O(all lines ever
-//! drained).
+//! "Which state is this line in" is one fact, kept in one place: a
+//! `Page` per 32 KiB of address space holds six bit planes of one shape
+//! — one bit per 64 B line, 512 bits a plane — and the per-line
+//! first-drain time.
+//!
+//! | plane | the line… |
+//! |---|---|
+//! | `volatile` | is dirty in the cache hierarchy |
+//! | `buffered` | sits in the device's write-combining buffer |
+//! | `buffered_nt` | …and an NT store put it there (sticky until its XPLine drains or is forgotten) |
+//! | `durable` | has drained to media at least once |
+//! | `durable_nt` | …and that first drain came from an NT store |
+//! | `ever` | was ever accepted by the buffer |
+//!
+//! An XPLine is four consecutive lines at a 256 B boundary, so in every
+//! plane it is one *aligned nibble* of a word and never straddles a word
+//! or a page: "is this XPLine buffered" is one mask test, and draining it
+//! is `fresh = buffered & !durable` on that nibble, `durable |= fresh`,
+//! and a `first_at` stamp for the `fresh` bits only. Store, evict, accept
+//! and drain of a line all touch the one page that owns it;
+//! `forget_range` is one walk that clears every plane; a crash image
+//! counts its losses as `popcount(volatile & !durable) +
+//! popcount(buffered & !durable)` over the plane words.
+//!
+//! The `ever` plane feeds no model decision. It exists for the provenance
+//! property of `tests/prop_persist.rs` (durable ⊆ ever accepted ⊆
+//! written) and costs one bit a line.
+//!
+//! Pages live in a dense `Vec` indexed by page number, with a `BTreeMap`
+//! spill for far addresses — the durable header map's entries at
+//! `0x4000…` and the allocator journal's words at `0x7C00…` are real NVM
+//! stores — so the store fast path is one array indexing and a bit
+//! operation. Pages sit behind `Arc`: cloning a ledger (the fork of a
+//! warm simulation image) shares every page and copies one only when it
+//! is first written. Crash images borrow the ledger instead of cloning
+//! anything, so an oracle check costs a walk of the plane words, not of
+//! every line that ever drained.
 
 use crate::fault::{splitmix64, FaultWindow};
 use crate::{Ns, CACHE_LINE};
@@ -60,16 +84,18 @@ pub const XPLINE_BYTES: u64 = 256;
 
 /// Address-space bytes covered by one ledger page (32 KiB).
 const PAGE_SHIFT: u32 = 15;
+/// Shift from a global line index to its page index.
+const IDX_SHIFT: u32 = PAGE_SHIFT - 6;
 /// Cache lines per page.
-const PAGE_LINES: usize = 1 << (PAGE_SHIFT - 6);
-/// 64-bit bitmap words per page.
+const PAGE_LINES: usize = 1 << IDX_SHIFT;
+/// 64-bit words per bit plane.
 const PAGE_WORDS: usize = PAGE_LINES / 64;
-/// XPLines per page.
-const PAGE_XPS: usize = 1 << (PAGE_SHIFT - 8);
 /// Page indices below this bound live in the dense table (32 GiB of
-/// address space); anything beyond spills into an ordered map so a
-/// stray far address cannot balloon the dense vector.
+/// address space); anything beyond spills into an ordered map so a far
+/// address cannot balloon the dense vector.
 const DENSE_MAX_PAGES: u64 = 1 << 20;
+/// The inclusive line-index range of the whole address space.
+const ALL_LINES: (u64, u64) = (0, u64::MAX >> 6);
 
 /// Configuration of the persistence-order model.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,14 +136,6 @@ pub struct LineRec {
     pub via_nt: bool,
 }
 
-/// One buffered XPLine: which of its lines are dirty, and which of
-/// those arrived via NT stores.
-#[derive(Debug, Clone, Copy, Default)]
-struct XpEntry {
-    mask: u8,
-    nt_mask: u8,
-}
-
 /// Counters describing ledger activity (reported with fault results).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PersistStats {
@@ -136,40 +154,149 @@ pub struct PersistStats {
     pub wc_drain_stalls: u64,
 }
 
-/// A sparse table of fixed-size pages keyed by page index. Pages below
-/// [`DENSE_MAX_PAGES`] are a direct `Vec` index; far pages spill into an
-/// ordered map. Iteration is always ascending by page index (the far
-/// keys are all larger than any dense index).
-///
-/// Pages sit behind `Arc` so cloning a table (snapshot/fork of a warm
-/// simulation image) shares every page; a forked table copies a page
-/// only when it is first written (`Arc::make_mut`).
-#[derive(Debug, Default, Clone)]
-struct PageTable<P> {
-    dense: Vec<Option<Arc<P>>>,
-    far: BTreeMap<u64, Arc<P>>,
+/// One bit per line of a page.
+type Plane = [u64; PAGE_WORDS];
+
+/// Everything the ledger knows about 32 KiB of address space (see the
+/// module docs, "Data layout").
+#[derive(Debug, Clone)]
+struct Page {
+    volatile: Plane,
+    buffered: Plane,
+    buffered_nt: Plane,
+    durable: Plane,
+    durable_nt: Plane,
+    ever: Plane,
+    /// Watermark of each durable line's first drain (lines of one XPLine
+    /// can drain in different capacity drains, so it is per line). Stale
+    /// where `durable` is clear.
+    first_at: [Ns; PAGE_LINES],
 }
 
-impl<P: Default + Clone> PageTable<P> {
-    fn get(&self, pi: u64) -> Option<&P> {
+impl Default for Page {
+    fn default() -> Self {
+        Page {
+            volatile: [0; PAGE_WORDS],
+            buffered: [0; PAGE_WORDS],
+            buffered_nt: [0; PAGE_WORDS],
+            durable: [0; PAGE_WORDS],
+            durable_nt: [0; PAGE_WORDS],
+            ever: [0; PAGE_WORDS],
+            first_at: [0; PAGE_LINES],
+        }
+    }
+}
+
+impl Page {
+    /// The first-drain record of the durable line at `bit` of word `w`.
+    fn rec(&self, w: usize, bit: u32) -> LineRec {
+        LineRec {
+            first_at: self.first_at[w << 6 | bit as usize],
+            via_nt: self.durable_nt[w] >> bit & 1 != 0,
+        }
+    }
+}
+
+/// Page index, plane word and bit of the line containing `addr`. For an
+/// XPLine base the bit is a multiple of four: the low bit of its nibble.
+#[inline]
+fn locate(addr: u64) -> (u64, usize, u32) {
+    let idx = addr >> 6;
+    (
+        idx >> IDX_SHIFT,
+        (idx >> 6) as usize % PAGE_WORDS,
+        (idx % 64) as u32,
+    )
+}
+
+/// The line address [`locate`] maps to `(pi, w, bit)`.
+#[inline]
+fn line_at(pi: u64, w: usize, bit: u32) -> u64 {
+    ((pi << IDX_SHIFT) | (w as u64) << 6 | u64::from(bit)) << 6
+}
+
+/// The nibble of a plane word that holds the XPLine of the line at `bit`.
+#[inline]
+fn nibble(bit: u32) -> u64 {
+    0xF << (bit & !3)
+}
+
+/// How many XPLines (aligned nibbles) of a plane word have a bit set.
+#[inline]
+fn live_nibbles(word: u64) -> usize {
+    let any = word | word >> 1 | word >> 2 | word >> 3;
+    (any & 0x1111_1111_1111_1111).count_ones() as usize
+}
+
+/// The set bits of `word`, ascending.
+#[inline]
+fn bits(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// The addresses of the lines `[addr, addr + len)` touches (a zero `len`
+/// still touches `addr`'s line), ascending.
+#[inline]
+fn lines_of(addr: u64, len: u64) -> impl Iterator<Item = u64> {
+    (addr & !(CACHE_LINE - 1)..addr + len.max(1)).step_by(CACHE_LINE as usize)
+}
+
+/// Inclusive line-index bounds of the line addresses in `[start, end)`,
+/// or `None` when there is none.
+#[inline]
+fn line_idx_bounds(start: u64, end: u64) -> Option<(u64, u64)> {
+    if end <= start {
+        return None;
+    }
+    let lo = start.saturating_add(CACHE_LINE - 1) >> 6;
+    let hi = (end - 1) >> 6;
+    (lo <= hi).then_some((lo, hi))
+}
+
+/// Calls `f(word, mask)` for every plane word of page `pi` overlapping
+/// the inclusive global line-index range `[lo_idx, hi_idx]`.
+#[inline]
+fn for_each_word((lo_idx, hi_idx): (u64, u64), pi: u64, mut f: impl FnMut(usize, u64)) {
+    let base = pi << IDX_SHIFT;
+    let a = lo_idx.max(base) - base;
+    let b = hi_idx.min(base + PAGE_LINES as u64 - 1) - base;
+    let (aw, bw) = ((a >> 6) as usize, (b >> 6) as usize);
+    for w in aw..=bw {
+        let lo_b = if w == aw { a & 63 } else { 0 };
+        let hi_b = if w == bw { b & 63 } else { 63 };
+        f(w, (!0u64 >> (63 - (hi_b - lo_b))) << lo_b);
+    }
+}
+
+/// The pages, keyed by page index: a direct `Vec` index below
+/// [`DENSE_MAX_PAGES`], an ordered spill map above. Every walk is
+/// ascending by page index (the spill keys all exceed any dense index).
+///
+/// Pages sit behind `Arc` so cloning the table (snapshot/fork of a warm
+/// simulation image) shares every page; a fork copies a page only when
+/// it first writes to it (`Arc::make_mut`).
+#[derive(Debug, Default, Clone)]
+struct Pages {
+    dense: Vec<Option<Arc<Page>>>,
+    far: BTreeMap<u64, Arc<Page>>,
+}
+
+impl Pages {
+    fn get(&self, pi: u64) -> Option<&Page> {
         if pi < DENSE_MAX_PAGES {
             self.dense.get(pi as usize).and_then(|s| s.as_deref())
         } else {
-            self.far.get(&pi).map(|b| &**b)
+            self.far.get(&pi).map(|p| &**p)
         }
     }
 
-    fn get_mut(&mut self, pi: u64) -> Option<&mut P> {
-        if pi < DENSE_MAX_PAGES {
-            self.dense
-                .get_mut(pi as usize)
-                .and_then(|s| s.as_mut().map(Arc::make_mut))
-        } else {
-            self.far.get_mut(&pi).map(Arc::make_mut)
-        }
-    }
-
-    fn get_or_insert(&mut self, pi: u64) -> &mut P {
+    fn get_or_insert(&mut self, pi: u64) -> &mut Page {
         if pi < DENSE_MAX_PAGES {
             let i = pi as usize;
             if self.dense.len() <= i {
@@ -181,473 +308,60 @@ impl<P: Default + Clone> PageTable<P> {
         }
     }
 
-    /// Present pages in ascending page-index order.
-    fn pages(&self) -> impl Iterator<Item = (u64, &P)> {
-        self.dense
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_deref().map(|p| (i as u64, p)))
-            .chain(self.far.iter().map(|(&pi, p)| (pi, &**p)))
+    /// The dense-table slice covering page indices `[lo, hi]`.
+    fn dense_span(&self, lo: u64, hi: u64) -> std::ops::Range<usize> {
+        let len = self.dense.len() as u64;
+        lo.min(len) as usize..hi.saturating_add(1).min(len) as usize
     }
 
-    /// Present pages with index in `[lo, hi]`, ascending.
-    fn for_each_in(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, &P)) {
-        if lo > hi {
-            return;
-        }
-        let dlo = lo.min(self.dense.len() as u64) as usize;
-        let dhi = hi.saturating_add(1).min(self.dense.len() as u64) as usize;
-        for (i, slot) in self.dense[dlo..dhi].iter().enumerate() {
-            if let Some(p) = slot {
-                f((dlo + i) as u64, p);
-            }
-        }
-        for (&pi, p) in self.far.range(lo..=hi) {
-            f(pi, p);
-        }
+    /// Present pages with index in `[lo, hi]` (`lo <= hi`), ascending.
+    fn range(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, &Page)> {
+        let span = self.dense_span(lo, hi);
+        let dense = self.dense[span.clone()].iter().zip(span);
+        dense
+            .filter_map(|(s, i)| s.as_deref().map(|p| (i as u64, p)))
+            .chain(self.far.range(lo..=hi).map(|(&pi, p)| (pi, &**p)))
     }
 
-    /// Mutable variant of [`for_each_in`](Self::for_each_in).
-    fn for_each_in_mut(&mut self, lo: u64, hi: u64, mut f: impl FnMut(u64, &mut P)) {
-        if lo > hi {
-            return;
-        }
-        let dlo = lo.min(self.dense.len() as u64) as usize;
-        let dhi = hi.saturating_add(1).min(self.dense.len() as u64) as usize;
-        for (i, slot) in self.dense[dlo..dhi].iter_mut().enumerate() {
-            if let Some(p) = slot {
-                f((dlo + i) as u64, Arc::make_mut(p));
-            }
-        }
-        for (&pi, p) in self.far.range_mut(lo..=hi) {
-            f(pi, Arc::make_mut(p));
-        }
+    /// Mutable variant of [`range`](Self::range): every page it yields is
+    /// unshared first.
+    fn range_mut(&mut self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, &mut Page)> {
+        let span = self.dense_span(lo, hi);
+        let dense = self.dense[span.clone()].iter_mut().zip(span);
+        dense
+            .filter_map(|(s, i)| s.as_mut().map(|p| (i as u64, Arc::make_mut(p))))
+            .chain(
+                self.far
+                    .range_mut(lo..=hi)
+                    .map(|(&pi, p)| (pi, Arc::make_mut(p))),
+            )
     }
-}
 
-/// A bitmap word covering bits `lo..=hi` (both `< 64`).
-#[inline]
-fn word_mask(lo: u32, hi: u32) -> u64 {
-    ((!0u64) >> (63 - (hi - lo))) << lo
-}
-
-/// Calls `f(word, mask)` for every word of page `pi` overlapping the
-/// inclusive global line-index range `[lo_idx, hi_idx]`.
-#[inline]
-fn for_each_word(lo_idx: u64, hi_idx: u64, pi: u64, mut f: impl FnMut(usize, u64)) {
-    let base = pi << (PAGE_SHIFT - 6);
-    let a = lo_idx.max(base) - base;
-    let b = hi_idx.min(base + PAGE_LINES as u64 - 1) - base;
-    let (aw, bw) = ((a >> 6) as usize, (b >> 6) as usize);
-    for w in aw..=bw {
-        let lo_b = if w == aw { (a & 63) as u32 } else { 0 };
-        let hi_b = if w == bw { (b & 63) as u32 } else { 63 };
-        f(w, word_mask(lo_b, hi_b));
-    }
-}
-
-/// One page of line-presence bits.
-#[derive(Debug, Clone)]
-struct LinePage {
-    bits: [u64; PAGE_WORDS],
-}
-
-impl Default for LinePage {
-    fn default() -> Self {
-        LinePage {
-            bits: [0; PAGE_WORDS],
-        }
-    }
-}
-
-/// A set of 64 B-aligned line addresses backed by paged bitmaps.
-#[derive(Debug, Default, Clone)]
-struct LineSet {
-    pages: PageTable<LinePage>,
-    len: u64,
-}
-
-impl LineSet {
+    /// The word of `plane` that holds the line containing `addr`, shifted
+    /// so that line is bit 0 (an XPLine base: so its nibble is the low
+    /// nibble). Zero where no page exists.
     #[inline]
-    fn split(line: u64) -> (u64, usize, u64) {
-        let idx = line >> 6;
-        let b = (idx as usize) & (PAGE_LINES - 1);
-        (idx >> (PAGE_SHIFT - 6), b >> 6, 1u64 << (b & 63))
+    fn peek(&self, addr: u64, plane: fn(&Page) -> &Plane) -> u64 {
+        let (pi, w, bit) = locate(addr);
+        self.get(pi).map_or(0, |p| plane(p)[w] >> bit)
     }
 
-    fn insert(&mut self, line: u64) -> bool {
-        let (pi, w, m) = Self::split(line);
-        let p = self.pages.get_or_insert(pi);
-        if p.bits[w] & m == 0 {
-            p.bits[w] |= m;
-            self.len += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn remove(&mut self, line: u64) -> bool {
-        let (pi, w, m) = Self::split(line);
-        if let Some(p) = self.pages.get_mut(pi) {
-            if p.bits[w] & m != 0 {
-                p.bits[w] &= !m;
-                self.len -= 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn contains(&self, line: u64) -> bool {
-        let (pi, w, m) = Self::split(line);
-        self.pages.get(pi).is_some_and(|p| p.bits[w] & m != 0)
-    }
-
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Removes every member line `l` with `start <= l < end`.
-    fn clear_range(&mut self, start: u64, end: u64) {
-        let Some((lo_idx, hi_idx)) = line_idx_bounds(start, end) else {
-            return;
-        };
-        let mut removed = 0u64;
-        self.pages.for_each_in_mut(
-            lo_idx >> (PAGE_SHIFT - 6),
-            hi_idx >> (PAGE_SHIFT - 6),
-            |pi, p| {
-                for_each_word(lo_idx, hi_idx, pi, |w, m| {
-                    removed += u64::from((p.bits[w] & m).count_ones());
-                    p.bits[w] &= !m;
-                });
-            },
-        );
-        self.len -= removed;
-    }
-
-    /// Calls `f` for every member line, ascending by address.
-    fn for_each(&self, mut f: impl FnMut(u64)) {
-        for (pi, p) in self.pages.pages() {
-            for (w, &word) in p.bits.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as u64;
-                    bits &= bits - 1;
-                    f(((pi << (PAGE_SHIFT - 6)) | ((w as u64) << 6) | b) << 6);
+    /// Calls `f(line, page, word, bit)` for every line whose bit is set
+    /// in `plane` and whose index lies in the inclusive range `idx`,
+    /// ascending by address.
+    fn for_each_set(
+        &self,
+        idx: (u64, u64),
+        plane: fn(&Page) -> &Plane,
+        mut f: impl FnMut(u64, &Page, usize, u32),
+    ) {
+        for (pi, p) in self.range(idx.0 >> IDX_SHIFT, idx.1 >> IDX_SHIFT) {
+            for_each_word(idx, pi, |w, m| {
+                for bit in bits(plane(p)[w] & m) {
+                    f(line_at(pi, w, bit), p, w, bit);
                 }
-            }
+            });
         }
-    }
-}
-
-/// Inclusive line-index bounds of the byte range `[start, end)`, or
-/// `None` when the range covers no whole line address.
-#[inline]
-fn line_idx_bounds(start: u64, end: u64) -> Option<(u64, u64)> {
-    if end <= start {
-        return None;
-    }
-    let lo = start.saturating_add(CACHE_LINE - 1) >> 6;
-    let hi = (end - 1) >> 6;
-    (lo <= hi).then_some((lo, hi))
-}
-
-/// One page of first-drain records: presence and NT bitmaps plus the
-/// per-line first-drain watermark (lines of one XPLine can drain in
-/// different capacity drains, so the record is genuinely per line).
-#[derive(Debug, Clone)]
-struct DurPage {
-    present: [u64; PAGE_WORDS],
-    nt: [u64; PAGE_WORDS],
-    first_at: [Ns; PAGE_LINES],
-}
-
-impl Default for DurPage {
-    fn default() -> Self {
-        DurPage {
-            present: [0; PAGE_WORDS],
-            nt: [0; PAGE_WORDS],
-            first_at: [0; PAGE_LINES],
-        }
-    }
-}
-
-/// Ever-drained lines with their first-drain records, paged.
-#[derive(Debug, Default, Clone)]
-struct DurableMap {
-    pages: PageTable<DurPage>,
-    len: u64,
-}
-
-impl DurableMap {
-    /// First-drain insert: a line that already drained keeps its
-    /// original record (ever-drained durability).
-    fn insert_if_absent(&mut self, line: u64, first_at: Ns, via_nt: bool) {
-        let (pi, w, m) = LineSet::split(line);
-        let p = self.pages.get_or_insert(pi);
-        if p.present[w] & m == 0 {
-            p.present[w] |= m;
-            if via_nt {
-                p.nt[w] |= m;
-            }
-            p.first_at[((line >> 6) as usize) & (PAGE_LINES - 1)] = first_at;
-            self.len += 1;
-        }
-    }
-
-    fn contains(&self, line: u64) -> bool {
-        let (pi, w, m) = LineSet::split(line);
-        self.pages.get(pi).is_some_and(|p| p.present[w] & m != 0)
-    }
-
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Presence bits of the four lines of XPLine `xp`, as a nibble in
-    /// XPLine bit order (XPLines are 4-line aligned, so the nibble never
-    /// crosses a bitmap word).
-    fn nibble(&self, xp: u64) -> u8 {
-        let idx = xp >> 6;
-        let pi = idx >> (PAGE_SHIFT - 6);
-        let b = (idx as usize) & (PAGE_LINES - 1);
-        match self.pages.get(pi) {
-            Some(p) => ((p.present[b >> 6] >> (b & 63)) & 0xF) as u8,
-            None => 0,
-        }
-    }
-
-    /// Removes every record for lines in `[start, end)`.
-    fn clear_range(&mut self, start: u64, end: u64) {
-        let Some((lo_idx, hi_idx)) = line_idx_bounds(start, end) else {
-            return;
-        };
-        let mut removed = 0u64;
-        self.pages.for_each_in_mut(
-            lo_idx >> (PAGE_SHIFT - 6),
-            hi_idx >> (PAGE_SHIFT - 6),
-            |pi, p| {
-                for_each_word(lo_idx, hi_idx, pi, |w, m| {
-                    removed += u64::from((p.present[w] & m).count_ones());
-                    p.present[w] &= !m;
-                    p.nt[w] &= !m;
-                });
-            },
-        );
-        self.len -= removed;
-    }
-
-    /// Appends records for lines in `[start, end)` to `out`, ascending.
-    fn collect_range(&self, start: u64, end: u64, out: &mut Vec<(u64, LineRec)>) {
-        let Some((lo_idx, hi_idx)) = line_idx_bounds(start, end) else {
-            return;
-        };
-        self.pages.for_each_in(
-            lo_idx >> (PAGE_SHIFT - 6),
-            hi_idx >> (PAGE_SHIFT - 6),
-            |pi, p| {
-                for_each_word(lo_idx, hi_idx, pi, |w, m| {
-                    let mut bits = p.present[w] & m;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as u64;
-                        bits &= bits - 1;
-                        let local = (w as u64) << 6 | b;
-                        let line = ((pi << (PAGE_SHIFT - 6)) | local) << 6;
-                        out.push((
-                            line,
-                            LineRec {
-                                first_at: p.first_at[local as usize],
-                                via_nt: p.nt[w] & (1u64 << b) != 0,
-                            },
-                        ));
-                    }
-                });
-            },
-        );
-    }
-
-    /// Calls `f` for every recorded line (ascending) with its record.
-    fn for_each(&self, mut f: impl FnMut(u64, LineRec)) {
-        for (pi, p) in self.pages.pages() {
-            for (w, &word) in p.present.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as u64;
-                    bits &= bits - 1;
-                    let local = (w as u64) << 6 | b;
-                    f(
-                        ((pi << (PAGE_SHIFT - 6)) | local) << 6,
-                        LineRec {
-                            first_at: p.first_at[local as usize],
-                            via_nt: p.nt[w] & (1u64 << b) != 0,
-                        },
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// One page of write-combining buffer masks (one dirty/NT mask byte per
-/// XPLine, plus a live count so drained pages scan for free).
-#[derive(Debug, Clone)]
-struct XpPage {
-    mask: [u8; PAGE_XPS],
-    nt: [u8; PAGE_XPS],
-    live: u32,
-}
-
-impl Default for XpPage {
-    fn default() -> Self {
-        XpPage {
-            mask: [0; PAGE_XPS],
-            nt: [0; PAGE_XPS],
-            live: 0,
-        }
-    }
-}
-
-/// The write-combining buffer: per-XPLine dirty masks, paged.
-#[derive(Debug, Default, Clone)]
-struct XpBuf {
-    pages: PageTable<XpPage>,
-    /// XPLines with a nonzero dirty mask.
-    live: usize,
-    /// Total dirty-line bits across all buffered XPLines.
-    lines: u64,
-}
-
-impl XpBuf {
-    #[inline]
-    fn split(xp: u64) -> (u64, usize) {
-        let idx = xp >> 8;
-        (idx >> (PAGE_SHIFT - 8), (idx as usize) & (PAGE_XPS - 1))
-    }
-
-    /// Sets `bit` (and its NT shadow) on `xp`; returns whether the
-    /// XPLine was newly buffered.
-    fn set(&mut self, xp: u64, bit: u8, via_nt: bool) -> bool {
-        let (pi, xi) = Self::split(xp);
-        let p = self.pages.get_or_insert(pi);
-        let was = p.mask[xi];
-        if was & bit == 0 {
-            self.lines += 1;
-        }
-        p.mask[xi] = was | bit;
-        if via_nt {
-            p.nt[xi] |= bit;
-        }
-        if was == 0 {
-            p.live += 1;
-            self.live += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn contains(&self, xp: u64) -> bool {
-        let (pi, xi) = Self::split(xp);
-        self.pages.get(pi).is_some_and(|p| p.mask[xi] != 0)
-    }
-
-    fn get(&self, xp: u64) -> Option<XpEntry> {
-        let (pi, xi) = Self::split(xp);
-        self.pages.get(pi).and_then(|p| {
-            (p.mask[xi] != 0).then_some(XpEntry {
-                mask: p.mask[xi],
-                nt_mask: p.nt[xi],
-            })
-        })
-    }
-
-    fn remove(&mut self, xp: u64) -> Option<XpEntry> {
-        let (pi, xi) = Self::split(xp);
-        let p = self.pages.get_mut(pi)?;
-        if p.mask[xi] == 0 {
-            return None;
-        }
-        let entry = XpEntry {
-            mask: p.mask[xi],
-            nt_mask: p.nt[xi],
-        };
-        p.mask[xi] = 0;
-        p.nt[xi] = 0;
-        p.live -= 1;
-        self.live -= 1;
-        self.lines -= u64::from(entry.mask.count_ones());
-        Some(entry)
-    }
-
-    /// Number of buffered (live) XPLines.
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Buffered XPLines in ascending address order.
-    fn for_each_live(&self, mut f: impl FnMut(u64, XpEntry)) {
-        for (pi, p) in self.pages.pages() {
-            if p.live == 0 {
-                continue;
-            }
-            for xi in 0..PAGE_XPS {
-                if p.mask[xi] != 0 {
-                    f(
-                        ((pi << (PAGE_SHIFT - 8)) | xi as u64) << 8,
-                        XpEntry {
-                            mask: p.mask[xi],
-                            nt_mask: p.nt[xi],
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Clears dirty bits for lines in `[start, end)`; emptied XPLines
-    /// leave the buffer (their acceptance-queue entries go stale and are
-    /// lazily pruned, exactly as a drain's would be).
-    fn clear_lines_in(&mut self, start: u64, end: u64) {
-        if end <= start {
-            return;
-        }
-        let lo_pi = (start & !(XPLINE_BYTES - 1)) >> PAGE_SHIFT;
-        let hi_pi = (end - 1) >> PAGE_SHIFT;
-        let mut freed_xps = 0usize;
-        let mut freed_lines = 0u64;
-        self.pages.for_each_in_mut(lo_pi, hi_pi, |pi, p| {
-            if p.live == 0 {
-                return;
-            }
-            for xi in 0..PAGE_XPS {
-                if p.mask[xi] == 0 {
-                    continue;
-                }
-                let xp = ((pi << (PAGE_SHIFT - 8)) | xi as u64) << 8;
-                let mut clear = 0u8;
-                for i in 0..(XPLINE_BYTES / CACHE_LINE) as u8 {
-                    let line = xp + u64::from(i) * CACHE_LINE;
-                    if line >= start && line < end {
-                        clear |= 1 << i;
-                    }
-                }
-                let cleared = p.mask[xi] & clear;
-                if cleared == 0 {
-                    continue;
-                }
-                freed_lines += u64::from(cleared.count_ones());
-                p.mask[xi] &= !clear;
-                p.nt[xi] &= !clear;
-                if p.mask[xi] == 0 {
-                    p.live -= 1;
-                    freed_xps += 1;
-                }
-            }
-        });
-        self.live -= freed_xps;
-        self.lines -= freed_lines;
     }
 }
 
@@ -656,14 +370,13 @@ impl XpBuf {
 /// All non-durable lines are discarded; the XPLine at the front of the
 /// write-combining buffer may be torn (a strict prefix of its fresh
 /// lines survives). Snapshots are non-destructive *and allocation-light*:
-/// the image borrows the ledger's durable map instead of cloning it, so
-/// an oracle check costs O(buffered lines), not O(lines ever drained).
+/// the image borrows the ledger instead of cloning its durable plane, so
+/// an oracle check never costs O(lines ever drained).
 #[derive(Clone)]
 pub struct CrashImage<'a> {
-    durable: &'a DurableMap,
-    meta: &'a BTreeMap<u64, Ns>,
+    ledger: &'a DurabilityLedger,
     /// Torn-prefix survivors of the front XPLine (ascending, never
-    /// overlapping the durable map).
+    /// durable in the ledger).
     kept: Vec<(u64, LineRec)>,
     /// Lines written but absent from the image (lost to the failure).
     pub discarded_lines: u64,
@@ -675,12 +388,12 @@ impl CrashImage<'_> {
     /// Whether the line containing `addr` is durable in the image.
     pub fn line_durable(&self, addr: u64) -> bool {
         let line = addr & !(CACHE_LINE - 1);
-        self.durable.contains(line) || self.kept.iter().any(|&(l, _)| l == line)
+        self.ledger.durable_contains(line) || self.kept.iter().any(|&(l, _)| l == line)
     }
 
     /// Number of durable lines in the image.
     pub fn durable_lines(&self) -> u64 {
-        self.durable.len() + self.kept.len() as u64
+        self.ledger.durable_len + self.kept.len() as u64
     }
 
     /// Durable lines inside `[start, start + len)`, ascending, with
@@ -688,7 +401,15 @@ impl CrashImage<'_> {
     pub fn durable_lines_in(&self, start: u64, len: u64) -> Vec<(u64, LineRec)> {
         let end = start.saturating_add(len);
         let mut out = Vec::new();
-        self.durable.collect_range(start, end, &mut out);
+        if let Some(idx) = line_idx_bounds(start, end) {
+            self.ledger.pages.for_each_set(
+                idx,
+                |p| &p.durable,
+                |line, p, w, bit| {
+                    out.push((line, p.rec(w, bit)));
+                },
+            );
+        }
         for &(line, rec) in &self.kept {
             if line >= start && line < end {
                 let pos = out.partition_point(|&(l, _)| l < line);
@@ -700,7 +421,7 @@ impl CrashImage<'_> {
 
     /// Watermark at which metadata record `key` was persisted, if it was.
     pub fn meta_at(&self, key: u64) -> Option<Ns> {
-        self.meta.get(&key).copied()
+        self.ledger.meta.get(&key).copied()
     }
 }
 
@@ -711,7 +432,7 @@ impl fmt::Debug for CrashImage<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CrashImage")
             .field("lines", &self.durable_lines_in(0, u64::MAX))
-            .field("meta", self.meta)
+            .field("meta", &self.ledger.meta)
             .field("discarded_lines", &self.discarded_lines)
             .field("torn_lines", &self.torn_lines)
             .finish()
@@ -720,26 +441,29 @@ impl fmt::Debug for CrashImage<'_> {
 
 /// Per-device durability ledger (see the module docs).
 ///
-/// Cloning is cheap relative to its footprint: the paged maps share
-/// their pages via `Arc` until a fork writes to them.
+/// Cloning is cheap relative to its footprint: a clone shares every page
+/// via `Arc` until one side writes to it.
 #[derive(Debug, Clone)]
 pub struct DurabilityLedger {
     cfg: PersistConfig,
     /// Latest simulated time any recorded operation carried. Worker
     /// clocks are not globally monotone, so this is a max-watermark.
     watermark: Ns,
-    /// Volatile dirty lines, FIFO for eviction. The queue may hold
-    /// stale entries (membership is authoritative; see `volatile`).
+    pages: Pages,
+    /// Set bits of the `volatile`, `durable` and `ever` planes, and
+    /// XPLines with any `buffered` bit, over all pages.
+    volatile_len: u64,
+    durable_len: u64,
+    ever_len: u64,
+    buffered_xps: usize,
+    /// Volatile dirty lines, FIFO for eviction. A line written back and
+    /// stored again sits here twice and is evicted at its older position;
+    /// entries whose line is no longer volatile are skipped when popped.
     volatile_queue: VecDeque<u64>,
-    volatile: LineSet,
-    /// Write-combining buffer: per-XPLine dirty-line masks.
-    accepted: XpBuf,
-    /// Acceptance order of XPLines (lazily pruned of drained entries).
+    /// Acceptance order of XPLines. An XPLine emptied by `forget_range`
+    /// and accepted again sits here twice; entries whose XPLine is no
+    /// longer buffered are skipped.
     accept_queue: VecDeque<u64>,
-    /// Ever-drained lines (line base address → first-drain record).
-    durable: DurableMap,
-    /// Every line ever accepted by the device buffer.
-    ever_accepted: LineSet,
     /// Persisted metadata records (key → persist watermark).
     meta: BTreeMap<u64, Ns>,
     /// Injected write-combining drain-stall windows.
@@ -757,23 +481,19 @@ impl DurabilityLedger {
         DurabilityLedger {
             cfg,
             watermark: 0,
+            pages: Pages::default(),
+            volatile_len: 0,
+            durable_len: 0,
+            ever_len: 0,
+            buffered_xps: 0,
             volatile_queue: VecDeque::new(),
-            volatile: LineSet::default(),
-            accepted: XpBuf::default(),
             accept_queue: VecDeque::new(),
-            durable: DurableMap::default(),
-            ever_accepted: LineSet::default(),
             meta: BTreeMap::new(),
             stall_windows: Vec::new(),
             drain_rng,
             stats: PersistStats::default(),
             drain_scratch: Vec::new(),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PersistConfig {
-        &self.cfg
     }
 
     /// Activity counters.
@@ -806,44 +526,30 @@ impl DurabilityLedger {
     }
 
     /// Advances the ledger watermark (max over all recorded clocks).
-    pub fn advance(&mut self, now: Ns) {
+    fn advance(&mut self, now: Ns) {
         self.watermark = self.watermark.max(now);
     }
 
-    fn line_of(addr: u64) -> u64 {
-        addr & !(CACHE_LINE - 1)
+    fn is_volatile(&self, line: u64) -> bool {
+        self.pages.peek(line, |p| &p.volatile) & 1 != 0
     }
 
-    fn xp_of(line: u64) -> u64 {
-        line & !(XPLINE_BYTES - 1)
-    }
-
-    fn bit_of(line: u64) -> u8 {
-        1u8 << ((line % XPLINE_BYTES) / CACHE_LINE)
+    fn is_buffered(&self, xp: u64) -> bool {
+        self.pages.peek(xp, |p| &p.buffered) & 0xF != 0
     }
 
     /// Records regular (cacheable) stores over `[addr, addr + len)`.
     pub fn record_store(&mut self, addr: u64, len: u64, now: Ns) {
         self.advance(now);
-        let mut line = Self::line_of(addr);
-        let end = addr + len.max(1);
-        if end <= line + CACHE_LINE {
-            // Single-line store: the word-store path the mutator and GC
-            // take for every header/reference update. Capacity can only
-            // overflow when the volatile set actually grew.
+        for line in lines_of(addr, len) {
             self.stats.stores += 1;
-            if self.volatile.insert(line) {
-                self.volatile_queue.push_back(line);
-                self.evict_volatile_overflow();
-            }
-            return;
-        }
-        while line < end {
-            self.stats.stores += 1;
-            if self.volatile.insert(line) {
+            let (pi, w, bit) = locate(line);
+            let p = self.pages.get_or_insert(pi);
+            if p.volatile[w] >> bit & 1 == 0 {
+                p.volatile[w] |= 1 << bit;
+                self.volatile_len += 1;
                 self.volatile_queue.push_back(line);
             }
-            line += CACHE_LINE;
         }
         self.evict_volatile_overflow();
     }
@@ -852,13 +558,9 @@ impl DurabilityLedger {
     /// straight to the device buffer, superseding any volatile copy.
     pub fn record_nt_store(&mut self, addr: u64, len: u64, now: Ns) {
         self.advance(now);
-        let mut line = Self::line_of(addr);
-        let end = addr + len.max(1);
-        while line < end {
+        for line in lines_of(addr, len) {
             self.stats.nt_stores += 1;
-            self.volatile.remove(line);
             self.accept(line, true);
-            line += CACHE_LINE;
         }
     }
 
@@ -867,13 +569,10 @@ impl DurabilityLedger {
     /// buffer. Lines with no volatile copy are unaffected.
     pub fn write_back(&mut self, addr: u64, len: u64, now: Ns) {
         self.advance(now);
-        let mut line = Self::line_of(addr);
-        let end = addr + len.max(1);
-        while line < end {
-            if self.volatile.remove(line) {
+        for line in lines_of(addr, len) {
+            if self.is_volatile(line) {
                 self.accept(line, false);
             }
-            line += CACHE_LINE;
         }
     }
 
@@ -885,16 +584,6 @@ impl DurabilityLedger {
         self.meta.insert(key, self.watermark);
     }
 
-    /// Batch variant of [`DurabilityLedger::persist_meta`]: records every
-    /// key at the same watermark, modeling several metadata slots made
-    /// durable under one fence (the allocator journal's safepoint drain).
-    pub fn persist_meta_many(&mut self, keys: impl IntoIterator<Item = u64>, now: Ns) {
-        self.advance(now);
-        for key in keys {
-            self.meta.insert(key, self.watermark);
-        }
-    }
-
     /// Drains every buffered XPLine to media (the cycle-end fence: on
     /// ADR hardware, everything the device buffer accepted before the
     /// fence reaches the medium even across a power failure). Volatile
@@ -902,89 +591,124 @@ impl DurabilityLedger {
     pub fn drain_all(&mut self, now: Ns) {
         self.advance(now);
         while let Some(xp) = self.accept_queue.pop_front() {
-            if let Some(entry) = self.accepted.remove(xp) {
-                self.drain_entry(xp, entry);
+            if self.is_buffered(xp) {
+                self.drain_xp(xp);
             }
         }
-        debug_assert!(self.accepted.len() == 0);
+        debug_assert!(self.buffered_xps == 0);
     }
 
     /// Forgets all state for `[start, start + len)` — the range was
     /// recycled (region freed), so a later incarnation must not inherit
-    /// this life's durability.
+    /// this life's durability. XPLines it empties leave the buffer; their
+    /// acceptance-queue entries go stale, exactly as a drain's would.
     pub fn forget_range(&mut self, start: u64, len: u64) {
-        let end = start.saturating_add(len);
-        self.volatile.clear_range(start, end);
-        self.accepted.clear_lines_in(start, end);
-        self.durable.clear_range(start, end);
-        self.ever_accepted.clear_range(start, end);
+        let Some(idx) = line_idx_bounds(start, start.saturating_add(len)) else {
+            return;
+        };
+        let count = |word: u64| u64::from(word.count_ones());
+        for (pi, p) in self.pages.range_mut(idx.0 >> IDX_SHIFT, idx.1 >> IDX_SHIFT) {
+            for_each_word(idx, pi, |w, m| {
+                self.volatile_len -= count(p.volatile[w] & m);
+                self.durable_len -= count(p.durable[w] & m);
+                self.ever_len -= count(p.ever[w] & m);
+                self.buffered_xps -= live_nibbles(p.buffered[w]) - live_nibbles(p.buffered[w] & !m);
+                for plane in [
+                    &mut p.volatile,
+                    &mut p.buffered,
+                    &mut p.buffered_nt,
+                    &mut p.durable,
+                    &mut p.durable_nt,
+                    &mut p.ever,
+                ] {
+                    plane[w] &= !m;
+                }
+            });
+        }
     }
 
-    /// Number of durable (ever-drained) lines. O(1): the paged tables
-    /// keep a running count, so oracles can poll this every check
-    /// without materializing a set.
+    /// Number of durable (ever-drained) lines. O(1): the ledger keeps a
+    /// running count, so oracles can poll this every check without
+    /// materializing a set.
     pub fn durable_len(&self) -> u64 {
-        self.durable.len()
+        self.durable_len
     }
 
     /// Whether the line containing `addr` has ever drained to media.
-    #[cfg(test)]
     fn durable_contains(&self, addr: u64) -> bool {
-        self.durable.contains(Self::line_of(addr))
+        self.pages.peek(addr, |p| &p.durable) & 1 != 0
     }
 
     /// Calls `f` for every durable line (ascending by address) with its
-    /// first-drain record. Iteration walks the paged bitmaps in place —
-    /// no per-check `BTreeSet` clone.
-    pub fn for_each_durable(&self, f: impl FnMut(u64, LineRec)) {
-        self.durable.for_each(f)
+    /// first-drain record. Iteration walks the plane words in place.
+    pub fn for_each_durable(&self, mut f: impl FnMut(u64, LineRec)) {
+        self.pages.for_each_set(
+            ALL_LINES,
+            |p| &p.durable,
+            |line, p, w, bit| f(line, p.rec(w, bit)),
+        );
     }
 
     /// Number of lines ever accepted by the device buffer.
     pub fn ever_accepted_len(&self) -> u64 {
-        self.ever_accepted.len()
+        self.ever_len
     }
 
     /// Whether the line containing `addr` was ever accepted by the
     /// device buffer.
     pub fn ever_accepted_contains(&self, addr: u64) -> bool {
-        self.ever_accepted.contains(Self::line_of(addr))
+        self.pages.peek(addr, |p| &p.ever) & 1 != 0
     }
 
     /// Calls `f` for every ever-accepted line, ascending by address.
-    pub fn for_each_ever_accepted(&self, f: impl FnMut(u64)) {
-        self.ever_accepted.for_each(f)
+    pub fn for_each_ever_accepted(&self, mut f: impl FnMut(u64)) {
+        self.pages
+            .for_each_set(ALL_LINES, |p| &p.ever, |line, _, _, _| f(line));
     }
 
-    /// Lines currently buffered (volatile or accepted), i.e. written
-    /// but not yet durable.
+    /// Lines currently volatile or buffered, i.e. written but not yet
+    /// durable.
     #[cfg(test)]
     fn pending_lines(&self) -> u64 {
-        self.volatile.len() + self.accepted.lines
+        let mut buffered = 0;
+        self.pages
+            .for_each_set(ALL_LINES, |p| &p.buffered, |_, _, _, _| buffered += 1);
+        self.volatile_len + buffered
     }
 
     fn evict_volatile_overflow(&mut self) {
-        while self.volatile.len() > self.cfg.volatile_lines as u64 {
-            match self.volatile_queue.pop_front() {
-                Some(line) => {
-                    if self.volatile.remove(line) {
-                        self.stats.evictions += 1;
-                        self.accept(line, false);
-                    }
-                }
-                None => break,
+        while self.volatile_len > self.cfg.volatile_lines as u64 {
+            let Some(line) = self.volatile_queue.pop_front() else {
+                break;
+            };
+            if self.is_volatile(line) {
+                self.stats.evictions += 1;
+                self.accept(line, false);
             }
         }
     }
 
+    /// Hands `line` to the device buffer: any volatile copy is
+    /// superseded, its XPLine joins the acceptance queue if it was not
+    /// buffered, and the buffer drains back down to its capacity.
     fn accept(&mut self, line: u64, via_nt: bool) {
-        self.ever_accepted.insert(line);
-        let xp = Self::xp_of(line);
-        let bit = Self::bit_of(line);
-        if self.accepted.set(xp, bit, via_nt) {
-            self.accept_queue.push_back(xp);
+        let (pi, w, bit) = locate(line);
+        let m = 1u64 << bit;
+        let p = self.pages.get_or_insert(pi);
+        self.volatile_len -= p.volatile[w] >> bit & 1;
+        p.volatile[w] &= !m;
+        self.ever_len += !p.ever[w] >> bit & 1;
+        p.ever[w] |= m;
+        let newly_buffered = p.buffered[w] & nibble(bit) == 0;
+        p.buffered[w] |= m;
+        if via_nt {
+            p.buffered_nt[w] |= m;
         }
-        while self.accepted.len() > self.cfg.wc_xplines {
+        if newly_buffered {
+            self.buffered_xps += 1;
+            self.accept_queue.push_back(line & !(XPLINE_BYTES - 1));
+        }
+        while self.buffered_xps > self.cfg.wc_xplines {
             if !self.drain_one() {
                 break;
             }
@@ -1005,16 +729,17 @@ impl DurabilityLedger {
         }
         // Collect up to `reorder_window` live (still-buffered) XPLines
         // in acceptance order, pruning dead queue entries at the front.
-        while let Some(&xp) = self.accept_queue.front() {
-            if self.accepted.contains(xp) {
-                break;
-            }
+        while self
+            .accept_queue
+            .front()
+            .is_some_and(|&xp| !self.is_buffered(xp))
+        {
             self.accept_queue.pop_front();
         }
         let window = self.cfg.reorder_window.max(1);
         self.drain_scratch.clear();
         for (i, &xp) in self.accept_queue.iter().enumerate() {
-            if self.accepted.contains(xp) {
+            if self.is_buffered(xp) {
                 self.drain_scratch.push((i, xp));
                 if self.drain_scratch.len() == window {
                     break;
@@ -1027,36 +752,29 @@ impl DurabilityLedger {
         let pick = (splitmix64(&mut self.drain_rng) % self.drain_scratch.len() as u64) as usize;
         let (qi, xp) = self.drain_scratch[pick];
         self.accept_queue.remove(qi);
-        let entry = self.accepted.remove(xp).expect("candidate is live");
-        self.drain_entry(xp, entry);
+        self.drain_xp(xp);
         true
     }
 
-    fn drain_entry(&mut self, xp: u64, entry: XpEntry) {
+    /// Moves the buffered XPLine `xp` to media: its never-drained lines
+    /// become durable at the watermark, lines that drained before keep
+    /// their first record (ever-drained durability).
+    fn drain_xp(&mut self, xp: u64) {
+        let (pi, w, bit) = locate(xp);
+        let p = self.pages.get_or_insert(pi);
+        let mask = p.buffered[w] & nibble(bit);
+        let fresh = mask & !p.durable[w];
+        p.durable[w] |= fresh;
+        p.durable_nt[w] |= fresh & p.buffered_nt[w];
+        for b in bits(fresh) {
+            p.first_at[w << 6 | b as usize] = self.watermark;
+        }
+        p.buffered[w] &= !mask;
+        p.buffered_nt[w] &= !mask;
+        self.buffered_xps -= 1;
+        self.durable_len += u64::from(fresh.count_ones());
         self.stats.drained_xplines += 1;
-        for i in 0..(XPLINE_BYTES / CACHE_LINE) as u8 {
-            if entry.mask & (1 << i) == 0 {
-                continue;
-            }
-            let line = xp + u64::from(i) * CACHE_LINE;
-            let via_nt = entry.nt_mask & (1 << i) != 0;
-            self.durable.insert_if_absent(line, self.watermark, via_nt);
-            self.stats.drained_lines += 1;
-        }
-    }
-
-    /// Volatile lines without an ever-drained version (word-parallel
-    /// popcount over the paged bitmaps).
-    fn volatile_not_durable(&self) -> u64 {
-        let mut lost = 0u64;
-        for (pi, vp) in self.volatile.pages.pages() {
-            let dp = self.durable.pages.get(pi);
-            for w in 0..PAGE_WORDS {
-                let dur = dp.map_or(0, |p| p.present[w]);
-                lost += u64::from((vp.bits[w] & !dur).count_ones());
-            }
-        }
-        lost
+        self.stats.drained_lines += u64::from(mask.count_ones());
     }
 
     /// Snapshots what the medium would hold if power failed now.
@@ -1066,30 +784,25 @@ impl DurabilityLedger {
     /// torn: a deterministic strict prefix of its never-drained lines
     /// is kept, at least one is lost.
     pub fn crash_image(&self) -> CrashImage<'_> {
-        let mut kept: Vec<(u64, LineRec)> = Vec::new();
+        // Everything that never drained is gone: a volatile copy and a
+        // buffered copy of one line are two losses.
         let mut discarded = 0u64;
-        let mut torn = 0u64;
-
-        // The XPLine at the buffer front may be mid-drain when power
-        // fails: a prefix of its fresh (never-drained) lines made it.
-        let front = self
-            .accept_queue
-            .iter()
-            .find(|&&xp| self.accepted.contains(xp))
-            .copied();
-        if let Some(xp) = front {
-            let entry = self.accepted.get(xp).expect("front is live");
-            let fresh_mask = entry.mask & !self.durable.nibble(xp);
-            if fresh_mask != 0 {
-                let mut fresh: Vec<(u64, bool)> = Vec::with_capacity(4);
-                for i in 0..(XPLINE_BYTES / CACHE_LINE) as u8 {
-                    if fresh_mask & (1 << i) != 0 {
-                        fresh.push((
-                            xp + u64::from(i) * CACHE_LINE,
-                            entry.nt_mask & (1 << i) != 0,
-                        ));
-                    }
-                }
+        for (_, p) in self.pages.range(0, u64::MAX) {
+            for w in 0..PAGE_WORDS {
+                let lost = (p.volatile[w] & !p.durable[w]).count_ones()
+                    + (p.buffered[w] & !p.durable[w]).count_ones();
+                discarded += u64::from(lost);
+            }
+        }
+        // Except that the XPLine at the buffer front may be mid-drain
+        // when power fails: a prefix of its fresh lines made it.
+        let mut kept = Vec::new();
+        let front = self.accept_queue.iter().find(|&&xp| self.is_buffered(xp));
+        if let Some(&xp) = front {
+            let (pi, w, bit) = locate(xp);
+            let p = self.pages.get(pi).expect("the front XPLine is buffered");
+            let fresh = p.buffered[w] & !p.durable[w] & nibble(bit);
+            if fresh != 0 {
                 // One-shot stream derived from the crash instant; the
                 // drain RNG itself is never consumed, so snapshotting
                 // cannot perturb later drains.
@@ -1097,47 +810,24 @@ impl DurabilityLedger {
                     ^ self.watermark.rotate_left(17)
                     ^ xp
                     ^ (self.stats.drained_xplines << 32);
-                let keep = (splitmix64(&mut rng) % fresh.len() as u64) as usize;
-                for &(line, via_nt) in &fresh[..keep] {
-                    kept.push((
-                        line,
-                        LineRec {
-                            first_at: self.watermark,
-                            via_nt,
-                        },
-                    ));
+                let keep = splitmix64(&mut rng) % u64::from(fresh.count_ones());
+                for b in bits(fresh).take(keep as usize) {
+                    let rec = LineRec {
+                        first_at: self.watermark,
+                        via_nt: p.buffered_nt[w] >> b & 1 != 0,
+                    };
+                    kept.push((line_at(pi, w, b), rec));
+                    // A kept line survives in the image, and so does a
+                    // volatile copy of it.
+                    discarded -= 1 + (p.volatile[w] >> b & 1);
                 }
-                if keep > 0 {
-                    torn += 1;
-                }
-                discarded += (fresh.len() - keep) as u64;
             }
         }
-
-        // Everything else that never drained is gone: remaining
-        // accepted lines plus all volatile lines (unless an earlier
-        // version already drained — ever-drained durability).
-        self.accepted.for_each_live(|xp, entry| {
-            if Some(xp) == front {
-                return;
-            }
-            discarded += u64::from((entry.mask & !self.durable.nibble(xp)).count_ones());
-        });
-        discarded += self.volatile_not_durable();
-        // Kept torn-prefix lines survive in the image: a volatile copy
-        // of one is not lost (it was counted above, so uncount it).
-        for &(line, _) in &kept {
-            if self.volatile.contains(line) {
-                discarded -= 1;
-            }
-        }
-
         CrashImage {
-            durable: &self.durable,
-            meta: &self.meta,
+            ledger: self,
+            torn_lines: u64::from(!kept.is_empty()),
             kept,
             discarded_lines: discarded,
-            torn_lines: torn,
         }
     }
 }
@@ -1332,5 +1022,477 @@ mod tests {
         l.forget_range(far, 256);
         assert_eq!(l.durable_len(), 0);
         assert_eq!(l.ever_accepted_len(), 0);
+    }
+
+    // ---- The reference model ------------------------------------------
+    //
+    // The same model written from the module docs with none of the
+    // ledger's machinery: per-line state in a tree, the two FIFO queues,
+    // every count recomputed by walking the tree.
+
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone, Copy, Default)]
+    struct RefLine {
+        volatile: bool,
+        buffered: bool,
+        buffered_nt: bool,
+        ever: bool,
+        durable: Option<LineRec>,
+    }
+
+    struct Reference {
+        cfg: PersistConfig,
+        watermark: Ns,
+        lines: BTreeMap<u64, RefLine>,
+        volatile_queue: VecDeque<u64>,
+        accept_queue: VecDeque<u64>,
+        meta: BTreeMap<u64, Ns>,
+        stalls: Vec<FaultWindow>,
+        rng: u64,
+        stats: PersistStats,
+    }
+
+    /// The reference's own line walk: it shares none of the ledger's
+    /// address arithmetic.
+    fn lines_of(addr: u64, len: u64) -> impl Iterator<Item = u64> {
+        (addr / 64..=(addr + len.max(1) - 1) / 64).map(|idx| idx * 64)
+    }
+
+    impl Reference {
+        fn line(&self, line: u64) -> RefLine {
+            self.lines.get(&line).copied().unwrap_or_default()
+        }
+
+        fn xp_lines(&self, xp: u64) -> impl Iterator<Item = (u64, RefLine)> + '_ {
+            lines_of(xp, XPLINE_BYTES).map(|l| (l, self.line(l)))
+        }
+
+        fn live(&self, xp: u64) -> bool {
+            self.xp_lines(xp).any(|(_, l)| l.buffered)
+        }
+
+        fn store(&mut self, addr: u64, len: u64) {
+            for line in lines_of(addr, len) {
+                self.stats.stores += 1;
+                if !std::mem::replace(&mut self.lines.entry(line).or_default().volatile, true) {
+                    self.volatile_queue.push_back(line);
+                }
+            }
+            while self.lines.values().filter(|l| l.volatile).count() > self.cfg.volatile_lines {
+                let line = self
+                    .volatile_queue
+                    .pop_front()
+                    .expect("volatile lines are queued");
+                if self.line(line).volatile {
+                    self.stats.evictions += 1;
+                    self.accept(line, false);
+                }
+            }
+        }
+
+        fn accept(&mut self, line: u64, via_nt: bool) {
+            let xp = line & !(XPLINE_BYTES - 1);
+            if !self.live(xp) {
+                self.accept_queue.push_back(xp);
+            }
+            let l = self.lines.entry(line).or_default();
+            *l = RefLine {
+                volatile: false,
+                buffered: true,
+                buffered_nt: l.buffered_nt | via_nt,
+                ever: true,
+                durable: l.durable,
+            };
+            loop {
+                let buffered = self.lines.iter().filter(|(_, l)| l.buffered);
+                let xps: std::collections::BTreeSet<u64> =
+                    buffered.map(|(a, _)| a & !255).collect();
+                if xps.len() <= self.cfg.wc_xplines {
+                    break;
+                }
+                if self.stalls.iter().any(|w| w.contains(self.watermark)) {
+                    self.stats.wc_drain_stalls += 1;
+                    break;
+                }
+                // A drain drops the dead entries at the queue front; dead
+                // entries behind a live one stay, and count again once
+                // their XPLine is accepted again.
+                while !self.live(self.accept_queue[0]) {
+                    self.accept_queue.pop_front();
+                }
+                let live =
+                    (0..self.accept_queue.len()).filter(|&i| self.live(self.accept_queue[i]));
+                let window: Vec<usize> = live.take(self.cfg.reorder_window).collect();
+                let pick = window[(splitmix64(&mut self.rng) % window.len() as u64) as usize];
+                let xp = self
+                    .accept_queue
+                    .remove(pick)
+                    .expect("picked from the queue");
+                self.drain(xp);
+            }
+        }
+
+        fn drain(&mut self, xp: u64) {
+            self.stats.drained_xplines += 1;
+            for (line, l) in self
+                .xp_lines(xp)
+                .filter(|(_, l)| l.buffered)
+                .collect::<Vec<_>>()
+            {
+                self.stats.drained_lines += 1;
+                let first = LineRec {
+                    first_at: self.watermark,
+                    via_nt: l.buffered_nt,
+                };
+                let durable = Some(l.durable.unwrap_or(first));
+                let ever = l.ever;
+                self.lines.insert(
+                    line,
+                    RefLine {
+                        durable,
+                        ever,
+                        volatile: l.volatile,
+                        ..RefLine::default()
+                    },
+                );
+            }
+        }
+
+        fn apply(&mut self, op: Op, now: Ns) {
+            // Forgetting a range carries no clock.
+            if !matches!(op, Op::Forget(..)) {
+                self.watermark = self.watermark.max(now);
+            }
+            match op {
+                Op::Store(addr, len) => self.store(addr, len),
+                Op::NtStore(addr, len) => {
+                    for line in lines_of(addr, len) {
+                        self.stats.nt_stores += 1;
+                        self.accept(line, true);
+                    }
+                }
+                Op::WriteBack(addr, len) => {
+                    for line in lines_of(addr, len) {
+                        if self.line(line).volatile {
+                            self.accept(line, false);
+                        }
+                    }
+                }
+                Op::Meta(key) => {
+                    self.meta.insert(key, self.watermark);
+                }
+                Op::DrainAll => {
+                    while let Some(xp) = self.accept_queue.pop_front() {
+                        if self.live(xp) {
+                            self.drain(xp);
+                        }
+                    }
+                }
+                Op::Forget(start, len) => {
+                    let end = start.saturating_add(len);
+                    self.lines.retain(|&l, _| l < start || l >= end);
+                }
+            }
+        }
+
+        /// Everything the ledger's API can show, in [`view`]'s shape.
+        fn view(&self, window: (u64, u64)) -> View {
+            let recs = |(&a, l): (&u64, &RefLine)| l.durable.map(|rec| (a, rec));
+            let durable: Vec<(u64, LineRec)> = self.lines.iter().filter_map(recs).collect();
+            let lost = |l: &RefLine| u64::from(l.volatile) + u64::from(l.buffered);
+            let never_drained = self.lines.values().filter(|l| l.durable.is_none());
+            let mut discarded: u64 = never_drained.map(lost).sum();
+            let (mut lines, mut torn) = (durable.clone(), 0);
+            // The oldest live XPLine is torn: a strict prefix of its
+            // never-drained lines survives, in all their copies.
+            if let Some(&xp) = self.accept_queue.iter().find(|&&xp| self.live(xp)) {
+                let fresh = |(_, l): &(u64, RefLine)| l.buffered && l.durable.is_none();
+                let fresh: Vec<(u64, RefLine)> = self.xp_lines(xp).filter(fresh).collect();
+                if !fresh.is_empty() {
+                    let mut rng = self.cfg.seed
+                        ^ self.watermark.rotate_left(17)
+                        ^ xp
+                        ^ (self.stats.drained_xplines << 32);
+                    let keep = (splitmix64(&mut rng) % fresh.len() as u64) as usize;
+                    for &(line, l) in &fresh[..keep] {
+                        let rec = LineRec {
+                            first_at: self.watermark,
+                            via_nt: l.buffered_nt,
+                        };
+                        lines.push((line, rec));
+                        discarded -= lost(&l);
+                    }
+                    lines.sort_by_key(|&(a, _)| a);
+                    torn = u64::from(keep > 0);
+                }
+            }
+            let end = window.0.saturating_add(window.1);
+            let in_window = lines.iter().filter(|&&(a, _)| a >= window.0 && a < end);
+            let ever = self.lines.iter().filter(|(_, l)| l.ever);
+            View {
+                windowed: in_window.copied().collect(),
+                // What `CrashImage`'s `Debug` prints.
+                image: format!(
+                    "CrashImage {{ lines: {lines:?}, meta: {:?}, \
+                     discarded_lines: {discarded}, torn_lines: {torn} }}",
+                    self.meta
+                ),
+                stats: self.stats,
+                ever: ever.map(|(&a, _)| a).collect(),
+                durable,
+            }
+        }
+    }
+
+    /// One scripted operation (each carries its own `now`).
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Store(u64, u64),
+        NtStore(u64, u64),
+        WriteBack(u64, u64),
+        Meta(u64),
+        DrainAll,
+        Forget(u64, u64),
+    }
+
+    /// What the public API shows of a ledger: the crash image (`Debug`
+    /// text and one `durable_lines_in` window), the counters, and both
+    /// iterations with the running counts they must agree with.
+    #[derive(Debug, PartialEq)]
+    struct View {
+        image: String,
+        windowed: Vec<(u64, LineRec)>,
+        stats: PersistStats,
+        durable: Vec<(u64, LineRec)>,
+        ever: Vec<u64>,
+    }
+
+    fn view(l: &DurabilityLedger, window: (u64, u64)) -> View {
+        let img = l.crash_image();
+        let (mut durable, mut ever) = (Vec::new(), Vec::new());
+        l.for_each_durable(|a, rec| durable.push((a, rec)));
+        l.for_each_ever_accepted(|a| ever.push(a));
+        assert_eq!(durable.len() as u64, l.durable_len());
+        assert_eq!(ever.len() as u64, l.ever_accepted_len());
+        let words = |plane: fn(&Page) -> &Plane| {
+            let pages = l.pages.range(0, u64::MAX);
+            pages
+                .flat_map(move |(_, p)| *plane(p))
+                .collect::<Vec<u64>>()
+        };
+        let volatile: u32 = words(|p| &p.volatile).iter().map(|w| w.count_ones()).sum();
+        let buffered_xps: usize = words(|p| &p.buffered)
+            .iter()
+            .map(|&w| live_nibbles(w))
+            .sum();
+        assert_eq!(
+            (u64::from(volatile), buffered_xps),
+            (l.volatile_len, l.buffered_xps)
+        );
+        View {
+            image: format!("{img:?}"),
+            windowed: img.durable_lines_in(window.0, window.1),
+            stats: l.stats(),
+            durable,
+            ever,
+        }
+    }
+
+    fn apply(l: &mut DurabilityLedger, op: Op, now: Ns) {
+        match op {
+            Op::Store(addr, len) => l.record_store(addr, len, now),
+            Op::NtStore(addr, len) => l.record_nt_store(addr, len, now),
+            Op::WriteBack(addr, len) => l.write_back(addr, len, now),
+            Op::Meta(key) => l.persist_meta(key, now),
+            Op::DrainAll => l.drain_all(now),
+            Op::Forget(start, len) => l.forget_range(start, len),
+        }
+    }
+
+    /// Runs `ops` through the ledger and the reference, comparing their
+    /// views after every operation; returns the ledger for closer looks.
+    fn run(
+        cfg: &PersistConfig,
+        stall: Option<FaultWindow>,
+        ops: &[(Op, Ns)],
+        window: (u64, u64),
+    ) -> DurabilityLedger {
+        let mut l = DurabilityLedger::new(cfg.clone());
+        l.set_stall_windows(stall.into_iter().collect());
+        let mut r = Reference {
+            cfg: cfg.clone(),
+            watermark: 0,
+            lines: BTreeMap::new(),
+            volatile_queue: VecDeque::new(),
+            accept_queue: VecDeque::new(),
+            meta: BTreeMap::new(),
+            stalls: stall.into_iter().collect(),
+            rng: cfg.seed ^ 0xD01A_B1E5,
+            stats: PersistStats::default(),
+        };
+        for (i, &(op, now)) in ops.iter().enumerate() {
+            apply(&mut l, op, now);
+            r.apply(op, now);
+            assert_eq!(
+                view(&l, window),
+                r.view(window),
+                "after op {i}: {op:x?} at {now}"
+            );
+        }
+        l
+    }
+
+    /// Where scripts write: the bottom of the dense table, across a page
+    /// boundary, and the far spill (across a page boundary of it, and at
+    /// an allocator-journal word).
+    const BASES: [u64; 4] = [
+        0,
+        (1 << PAGE_SHIFT) - 0x200,
+        0x4000_0000_0000_0000 - 0x200,
+        0x7C00_0000_0000_0040,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The ledger equals the reference after every operation of
+        /// arbitrary scripts — with what `tests/prop_persist.rs` never
+        /// generates: unaligned `forget_range`, a stall window, tiny
+        /// capacities, out-of-order clocks and far-spill addresses.
+        #[test]
+        fn ledger_equals_the_reference_after_every_op(
+            (wc_xplines, reorder_window, volatile_lines) in (1..6usize, 1..5usize, 1..12usize),
+            seed in any::<u64>(),
+            stall in (any::<bool>(), 0..2_000u64, 1..1_000u64),
+            ops in prop::collection::vec(
+                (0..12u8, 0..BASES.len(), 0..0x500u64, 0..700u64, 0..3_000u64),
+                1..161,
+            ),
+            window in (0..BASES.len(), 0..0x500u64, 0..0x1000u64),
+        ) {
+            let cfg = PersistConfig { enabled: true, wc_xplines, reorder_window, volatile_lines, seed };
+            let stall = stall.0.then_some(FaultWindow { start: stall.1, end: stall.1 + stall.2 });
+            let ops: Vec<(Op, Ns)> = ops
+                .into_iter()
+                .map(|(kind, base, off, len, now)| {
+                    let addr = BASES[base] + off;
+                    let op = match kind {
+                        0..=2 => Op::Store(addr, 8),
+                        3 => Op::Store(addr, len),
+                        4..=5 => Op::NtStore(addr, len),
+                        6..=7 => Op::WriteBack(addr, len),
+                        8 => Op::Meta(off % 8),
+                        9 => Op::DrainAll,
+                        _ => Op::Forget(addr, len),
+                    };
+                    (op, now)
+                })
+                .collect();
+            run(&cfg, stall, &ops, (BASES[window.0] + window.1, window.2));
+        }
+    }
+
+    /// The corners the model must keep, each driven through the reference
+    /// comparison and then asserted on its own.
+    #[test]
+    fn queue_duplicates_sticky_nt_and_first_records_are_kept() {
+        use Op::*;
+        let cfg = |wc_xplines, reorder_window, volatile_lines| PersistConfig {
+            enabled: true,
+            wc_xplines,
+            reorder_window,
+            volatile_lines,
+            seed: 3,
+        };
+        let all = (0, u64::MAX);
+        let (a, b, c) = (0x1000, 0x2000, 0x3000);
+
+        // A line written back and stored again sits twice in the volatile
+        // FIFO and is evicted at its older position: `a`, not `b`, goes.
+        let ops = [
+            Store(a, 8),
+            Store(b, 8),
+            WriteBack(a, 8),
+            Store(a, 8),
+            Store(c, 8),
+        ];
+        let l = run(&cfg(8, 1, 2), None, &ops.map(|op| (op, 0)), all);
+        assert!(!l.is_volatile(a) && l.is_volatile(b) && l.stats().evictions == 1);
+
+        // An XPLine emptied by `forget_range` and accepted again sits
+        // twice in the acceptance queue and drains at its older position.
+        let ops = [
+            NtStore(a, 256),
+            NtStore(b, 8),
+            Forget(a, 256),
+            NtStore(a, 8),
+            NtStore(c, 8),
+        ];
+        let l = run(&cfg(2, 1, 8), None, &ops.map(|op| (op, 0)), all);
+        assert!(l.durable_contains(a) && !l.durable_contains(b));
+
+        // A line both volatile and buffered is two losses; a sole fresh
+        // line of the front XPLine is never kept.
+        let ops = [Store(a, 8), WriteBack(a, 8), Store(a, 8)];
+        let l = run(&cfg(8, 1, 8), None, &ops.map(|op| (op, 0)), all);
+        assert_eq!(l.crash_image().discarded_lines, 2);
+
+        // The buffered-by-NT bit survives a later plain acceptance of the
+        // line; the first drain's record survives later drains, which
+        // `drained_lines` counts again; a forgotten line starts over.
+        let ops = [
+            (NtStore(a, 8), 10),
+            (Store(a, 8), 11),
+            (WriteBack(a, 8), 12),
+            (DrainAll, 20),
+            (NtStore(a, 8), 30),
+            (DrainAll, 40),
+            (Forget(a + 1, 200), 41),
+            (Forget(a, 1), 41),
+            (Store(a, 8), 50),
+            (WriteBack(a, 8), 51),
+            (DrainAll, 60),
+        ];
+        let rec = |first_at, via_nt| vec![(a, LineRec { first_at, via_nt })];
+        let l = run(&cfg(8, 1, 8), None, &ops[..6], all);
+        assert_eq!(l.crash_image().durable_lines_in(a, 64), rec(20, true));
+        assert_eq!((l.stats().drained_lines, l.durable_len()), (2, 1));
+        let l = run(&cfg(8, 1, 8), None, &ops[..7], all);
+        assert_eq!(
+            l.durable_len(),
+            1,
+            "a range that starts inside a line spares it"
+        );
+        let l = run(&cfg(8, 1, 8), None, &ops, all);
+        assert_eq!(l.crash_image().durable_lines_in(a, 64), rec(60, false));
+
+        // Snapshots never consume the drain RNG: a ledger nobody looked at
+        // makes the same reordered drains as one observed after every op.
+        let ops: Vec<(Op, Ns)> = (0..40).map(|i| (NtStore(i * 0x140, 0x100), i)).collect();
+        let seen = run(&cfg(2, 4, 8), None, &ops, all);
+        let mut unseen = DurabilityLedger::new(cfg(2, 4, 8));
+        ops.iter()
+            .for_each(|&(op, now)| apply(&mut unseen, op, now));
+        assert_eq!(view(&seen, all), view(&unseen, all));
+        assert!(seen.stats().drained_xplines > 20);
+
+        // Far-spill pages iterate after every dense page, and a range may
+        // span the end of the dense table.
+        let edge = DENSE_MAX_PAGES << PAGE_SHIFT;
+        let ops = [
+            NtStore(BASES[2], 0x400),
+            NtStore(edge - 0x100, 0x200),
+            NtStore(a, 8),
+            DrainAll,
+            Forget(edge - 0x7f, 0x100),
+        ];
+        let l = run(
+            &cfg(8, 4, 8),
+            None,
+            &ops.map(|op| (op, 0)),
+            (edge - 0x140, 0x200),
+        );
+        assert_eq!(l.durable_len(), 1 + 4 + 16);
     }
 }

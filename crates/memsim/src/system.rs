@@ -510,6 +510,11 @@ impl MemorySystem {
         let _ = tid;
         let hit = self.llc.access(addr);
         if let Some(p) = &mut self.persist[dev.index()] {
+            // Known quirk, kept because fixing it re-blesses every durable
+            // result: `addr` is the unaligned word address, so the 64 B
+            // recorded here end in the *next* line for seven word offsets
+            // of eight, and the ledger dirties two lines for one 8 B store
+            // (DESIGN.md, "Model simplifications worth knowing").
             p.record_store(addr, CACHE_LINE, now);
         }
         let done = self.charge(dev, AccessKind::Write, Pattern::Rand, CACHE_LINE, now);
@@ -526,30 +531,6 @@ impl MemorySystem {
             dev,
             AccessKind::Read,
             pattern,
-            BulkPersist::None,
-            bytes,
-            now,
-        )
-    }
-
-    /// Streams `bytes` of regular stores with the given pattern.
-    pub fn bulk_write(&mut self, dev: DeviceId, pattern: Pattern, bytes: u64, now: Ns) -> Ns {
-        self.charge_bulk(
-            dev,
-            AccessKind::Write,
-            pattern,
-            BulkPersist::None,
-            bytes,
-            now,
-        )
-    }
-
-    /// Streams `bytes` of non-temporal stores (sequential, cache-bypassing).
-    pub fn nt_write(&mut self, dev: DeviceId, bytes: u64, now: Ns) -> Ns {
-        self.charge_bulk(
-            dev,
-            AccessKind::NtWrite,
-            Pattern::Seq,
             BulkPersist::None,
             bytes,
             now,
@@ -640,15 +621,6 @@ impl MemorySystem {
         );
         self.tables[tid].issue(addr, ready);
         issue_done
-    }
-
-    /// Installs all lines of `[addr, addr+len)` into the LLC without
-    /// charging traffic — used after an object copy with regular stores,
-    /// which leaves the copy cache-hot. (Prefer
-    /// [`write_bulk`](Self::write_bulk), which charges and installs in
-    /// one call.)
-    pub fn install_range(&mut self, addr: u64, len: u64) {
-        self.llc.install_range(addr, len);
     }
 
     /// A full store fence (`SFENCE`-like), required after non-temporal
@@ -826,9 +798,9 @@ mod tests {
     #[test]
     fn bulk_nt_write_beats_bulk_regular_write_on_nvm() {
         let mut m = sys();
-        let w = m.bulk_write(DeviceId::Nvm, Pattern::Seq, 1 << 20, 0);
+        let w = m.write_bulk(DeviceId::Nvm, 0, 1 << 20, 0);
         let mut m2 = sys();
-        let nt = m2.nt_write(DeviceId::Nvm, 1 << 20, 0);
+        let nt = m2.nt_write_bulk(DeviceId::Nvm, 0, 1 << 20, 0);
         assert!(nt < w, "nt {nt} vs write {w}");
     }
 
@@ -854,7 +826,7 @@ mod tests {
     fn stats_track_traffic() {
         let mut m = sys();
         m.bulk_read(DeviceId::Nvm, Pattern::Seq, 1000, 0);
-        m.nt_write(DeviceId::Nvm, 500, 0);
+        m.nt_write_bulk(DeviceId::Nvm, 0, 500, 0);
         let s = m.stats();
         assert_eq!(s.read_bytes[DeviceId::Nvm.index()], 1000);
         assert_eq!(s.write_bytes[DeviceId::Nvm.index()], 500);

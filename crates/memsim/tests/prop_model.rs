@@ -130,8 +130,8 @@ proptest! {
             m.set_threads(1);
             match kind {
                 AccessKind::Read => m.bulk_read(dev, pat, bytes, 0),
-                AccessKind::Write => m.bulk_write(dev, pat, bytes, 0),
-                AccessKind::NtWrite => m.nt_write(dev, bytes, 0),
+                AccessKind::Write => m.write_bulk(dev, 0, bytes, 0),
+                AccessKind::NtWrite => m.nt_write_bulk(dev, 0, bytes, 0),
             }
         };
         prop_assert!(run(DeviceId::Nvm) >= run(DeviceId::Dram));
