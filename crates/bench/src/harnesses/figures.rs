@@ -10,9 +10,9 @@ use nvmgc_heap::DevicePlacement;
 use nvmgc_memsim::Ns;
 use nvmgc_metrics::cost::{dram_cost, nvm_cost};
 use nvmgc_metrics::{gc_improvement_per_dollar, geomean, mean, BandwidthSeries};
-use nvmgc_workloads::cassandra::{server_spec, simulate_client, CassandraPhase};
+use nvmgc_workloads::cassandra::{client_spec, server_spec, CassandraPhase};
 use nvmgc_workloads::prefetch_micro::{MicroConfig, MicroTable};
-use nvmgc_workloads::{all_apps, app, renaissance_apps, spark_apps, AppRunConfig};
+use nvmgc_workloads::{all_apps, app, renaissance_apps, run_scenario, spark_apps, AppRunConfig};
 use serde::Serialize;
 
 /// Sampler traffic inside the half-open `[from, to)` intervals: read
@@ -799,7 +799,7 @@ pub(super) fn fig08_tail_latency(d: &mut Driver) -> Gate {
         p99_ms: f64,
     }
     /// One row of the plan-axis companion sweep (`fig08_plan_axis.json`):
-    /// the same client simulation with the collector plan as an extra axis.
+    /// the same client run with the collector plan as an extra axis.
     #[derive(Serialize)]
     struct PlanRow {
         phase: String,
@@ -812,28 +812,31 @@ pub(super) fn fig08_tail_latency(d: &mut Driver) -> Gate {
         max_pause_ms: f64,
     }
     let throughputs = maybe_trim(vec![10_000.0, 30_000.0, 60_000.0, 100_000.0, 130_000.0], 2);
-    // (phase, row label, per-request service time: writes are heavier
-    // than reads).
     let phases = [
-        (CassandraPhase::Write, "write", 5_500.0),
-        (CassandraPhase::Read, "read", 4_000.0),
+        (CassandraPhase::Write, "write"),
+        (CassandraPhase::Read, "read"),
     ];
-    // One server run per (phase, config); the client simulation at every
-    // throughput runs in the cell's measure, on the pool. The server runs
-    // of one phase share their warmup (same Cassandra spec and heap) and
-    // fork from one snapshot.
+    // One server run per (phase, config); the client at every throughput
+    // runs on the cohort engine in the cell's measure, on the pool, as
+    // `(offered rps, p95 ms, p99 ms)`. The server runs of one phase share
+    // their warmup (same Cassandra spec and heap) and fork from one
+    // snapshot.
     let mut serve = |configs: &[(&'static str, GcConfig)]| {
         let (mut cells, mut points) = (Vec::new(), Vec::new());
-        for (phase, phase_name, service_ns) in phases {
+        for (phase, phase_name) in phases {
             for (label, gc) in configs {
                 let cfg = sized_config(server_spec(phase), gc.clone());
                 cells.push((format!("phase={phase:?} config={label}"), cfg));
-                points.push((phase_name, *label, service_ns));
+                points.push((phase_name, *label, phase));
             }
         }
         let servers = d.run(cells, |i, server| {
-            let (pauses, horizon) = (&server.pause_spans, server.total_ns);
-            let client = |&tput| simulate_client(pauses, horizon, points[i].2, tput, 42);
+            let client = |&tput: &f64| {
+                let spec = client_spec(points[i].2, tput);
+                let h = run_scenario(&spec, &server.pause_spans, &[], server.total_ns).histogram;
+                let ms = |q| h.quantile(q) as f64 / 1e6;
+                (tput, ms(0.95), ms(0.99))
+            };
             let latencies: Vec<_> = throughputs.iter().map(client).collect();
             let max_pause_ms = server.gc.max_pause_ns() as f64 / 1e6;
             (latencies, server.gc.cycles(), max_pause_ms)
@@ -847,16 +850,16 @@ pub(super) fn fig08_tail_latency(d: &mut Driver) -> Gate {
         ("vanilla", GcConfig::vanilla(PAPER_THREADS)),
     ];
     for ((phase, config, _), (latencies, ..)) in serve(&configs) {
-        rows.extend(latencies.iter().map(|lat| Row {
+        rows.extend(latencies.iter().map(|&(rps, p95_ms, p99_ms)| Row {
             phase: phase.to_owned(),
             config: config.to_owned(),
-            throughput_kqps: lat.throughput_rps / 1e3,
-            p95_ms: lat.p95_ms,
-            p99_ms: lat.p99_ms,
+            throughput_kqps: rps / 1e3,
+            p95_ms,
+            p99_ms,
         }));
     }
     // Plan axis (ROADMAP: thread the plan axis through fig08): the same
-    // client simulation with the collector plan as an extra dimension,
+    // client run with the collector plan as an extra dimension,
     // at each plan's vanilla and +all presets. A separate grid and a
     // separate result file so the rows above stay byte-stable; within a
     // phase all six configurations fork from one server warmup.
@@ -873,13 +876,13 @@ pub(super) fn fig08_tail_latency(d: &mut Driver) -> Gate {
         ),
     ];
     for ((phase, config, _), (latencies, gc_cycles, max_pause_ms)) in serve(&plan_configs) {
-        plan_rows.extend(latencies.iter().map(|lat| PlanRow {
+        plan_rows.extend(latencies.iter().map(|&(rps, p95_ms, p99_ms)| PlanRow {
             phase: phase.to_owned(),
             plan: config.split('/').next().unwrap_or(config).to_owned(),
             config: config.to_owned(),
-            throughput_kqps: lat.throughput_rps / 1e3,
-            p95_ms: lat.p95_ms,
-            p99_ms: lat.p99_ms,
+            throughput_kqps: rps / 1e3,
+            p95_ms,
+            p99_ms,
             gc_cycles,
             max_pause_ms,
         }));
@@ -920,7 +923,8 @@ pub(super) fn fig08_tail_latency(d: &mut Driver) -> Gate {
         );
     }
     d.report(
-        "open-loop Poisson client over simulated pause schedules",
+        "one open-loop client on the cohort engine over simulated pause schedules; \
+         p95/p99 are histogram bucket bounds",
         rows,
     );
     d.table(

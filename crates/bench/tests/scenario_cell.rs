@@ -7,9 +7,12 @@
 //! silently rot even when the `scenario_matrix` harness (which enforces
 //! the same gate across the grid and exits nonzero) is not run.
 
-use nvmgc_bench::{run_scenario_cell, scenario_matrix_cells};
+use nvmgc_bench::{run_scenario_cell, scenario_matrix_cells, scenario_matrix_config};
 use nvmgc_core::fault::Severity;
+use nvmgc_core::oracle::OracleViolation;
+use nvmgc_core::GcError;
 use nvmgc_workloads::scenario::ScenarioKind;
+use nvmgc_workloads::{run_app, RunFailure, RunPhase};
 
 #[test]
 fn flash_crowd_violations_carry_gc_pause_attribution() {
@@ -85,4 +88,31 @@ fn fault_free_cells_have_no_fault_attribution() {
             w.fault_causes
         );
     }
+}
+
+/// The open finding of ROADMAP 2(a): with a volatile header map, the
+/// moderate fault plan of seed `0xEE81` injects a power failure that
+/// workload seed 203 does not survive. Pinned as today's exact typed
+/// error so it cannot drift unseen; the PR that resolves it — in the
+/// fault-plan generator, the oracle clause or the volatile path's flush
+/// order — flips this test to `run_app(&cfg).is_ok()`.
+#[test]
+fn seed_203_under_fault_seed_ee81_is_an_open_oracle_violation_until_fixed() {
+    let mut cell = scenario_matrix_cells(false)
+        .into_iter()
+        .find(|c| c.config_name == "g1/+all" && c.severity == Severity::Moderate)
+        .expect("the full grid has a faulted g1/+all cell");
+    cell.seed = 0xEE81;
+    let mut cfg = scenario_matrix_config(&cell);
+    cfg.seed = 203;
+
+    let err = run_app(&cfg).expect_err("the finding is still open");
+    assert_eq!((err.phase, err.cycle), (RunPhase::Gc, 15), "{err}");
+    let RunFailure::Gc(GcError::Oracle(OracleViolation::UnrecoverableEvacuation {
+        old, new, ..
+    })) = &err.failure
+    else {
+        panic!("{err}");
+    };
+    assert_eq!((old.raw(), new.raw()), (0xdf360, 0x188000), "{err}");
 }

@@ -49,6 +49,31 @@ pub(crate) const STEAL_NS: u64 = 120;
 /// Cost of acquiring a shared region / LAB chunk, ns.
 pub(crate) const REGION_SYNC_NS: u64 = 60;
 
+/// Fixed CPU cost per processed reference slot, ns.
+pub(crate) const CPU_SLOT_NS: u64 = 6;
+
+/// Fixed CPU cost per copied object (allocation + bookkeeping), ns.
+pub(crate) const CPU_COPY_NS: u64 = 14;
+
+/// Fixed stop-the-world entry overhead per collection, ns: safepoint
+/// arming, thread handshakes, phase setup/teardown. This floor is why
+/// applications with tiny, infrequent pauses gain little from the
+/// bandwidth optimizations (the three unimproved apps of Fig. 5).
+pub const SAFEPOINT_NS: u64 = 250_000;
+
+/// Clock advance when a worker finds no work and spins, ns.
+pub(crate) const IDLE_STEP_NS: u64 = 1_000;
+
+/// During async flushing, a busy worker services one flush chunk every
+/// this many processed slots.
+pub(crate) const FLUSH_INTERLEAVE: u32 = 24;
+
+/// PS only: LAB size in bytes for survivor-space allocation.
+pub(crate) const LAB_BYTES: u32 = 16 << 10;
+
+/// PS only: objects at least this large bypass LABs (direct copy).
+pub(crate) const DIRECT_COPY_BYTES: u32 = 4 << 10;
+
 /// Race-exploration site: a worker takes a region from the allocator.
 pub const RACE_SITE_ALLOC_TAKE: u64 = 1;
 /// Race-exploration site: a worker releases a region to the allocator.
@@ -88,21 +113,6 @@ pub fn race_sync(w: &mut Worker, sh: &mut CycleShared<'_>, site: u64) {
     sh.stats.race_digest = nvmgc_memsim::fault::splitmix64(&mut mix);
 }
 
-/// Per-worker counters merged into [`GcStats`] at the end of a cycle.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WorkerStats {
-    pub(crate) slots: u64,
-    pub(crate) filtered: u64,
-    pub(crate) copied_objects: u64,
-    pub(crate) copied_bytes: u64,
-    pub(crate) promoted_bytes: u64,
-    pub(crate) hm_hits: u64,
-    pub(crate) hm_installs: u64,
-    pub(crate) hm_full: u64,
-    pub(crate) overflow_copies: u64,
-    pub(crate) evac_failures: u64,
-}
-
 /// One simulated GC worker thread.
 #[derive(Debug)]
 pub struct Worker {
@@ -115,7 +125,6 @@ pub struct Worker {
     /// Engine scheduler steps taken (incremented by the engine itself;
     /// cumulative across the phases a worker lives through).
     pub steps: u64,
-    pub(crate) stats: WorkerStats,
     pub(crate) flush: Option<FlushTask>,
     pub(crate) cache_pair: Option<(RegionId, RegionId)>,
     pub(crate) survivor: Option<RegionId>,
@@ -145,7 +154,6 @@ impl Worker {
             clock: start,
             done: false,
             steps: 0,
-            stats: WorkerStats::default(),
             flush: None,
             cache_pair: None,
             survivor: None,
@@ -214,21 +222,5 @@ impl CycleShared<'_> {
             heap: self.heap,
             mem: self.mem,
         }
-    }
-
-    /// Merges a worker's counters into the cycle stats.
-    pub fn absorb_worker(&mut self, w: &Worker) {
-        let s = &w.stats;
-        self.stats.slots_processed += s.slots;
-        self.stats.slots_filtered += s.filtered;
-        self.stats.copied_objects += s.copied_objects;
-        self.stats.copied_bytes += s.copied_bytes;
-        self.stats.promoted_bytes += s.promoted_bytes;
-        self.stats.hm_hits += s.hm_hits;
-        self.stats.hm_installs += s.hm_installs;
-        self.stats.hm_full += s.hm_full;
-        self.stats.cache_overflow_copies += s.overflow_copies;
-        self.stats.evac_failures += s.evac_failures;
-        self.stats.engine_steps += w.steps;
     }
 }

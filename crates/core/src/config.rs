@@ -150,24 +150,6 @@ pub struct GcConfig {
     /// Objects surviving this many collections are promoted to the old
     /// generation.
     pub tenure_age: u8,
-    /// PS only: LAB size in bytes for survivor-space allocation.
-    pub lab_bytes: u32,
-    /// PS only: objects at least this large bypass LABs (direct copy).
-    pub direct_copy_bytes: u32,
-    /// Fixed CPU cost per processed reference slot, ns.
-    pub cpu_slot_ns: f64,
-    /// Fixed CPU cost per copied object (allocation + bookkeeping), ns.
-    pub cpu_copy_ns: f64,
-    /// Fixed stop-the-world entry overhead per collection, ns: safepoint
-    /// arming, thread handshakes, phase setup/teardown. This floor is why
-    /// applications with tiny, infrequent pauses gain little from the
-    /// bandwidth optimizations (the three unimproved apps of Fig. 5).
-    pub safepoint_ns: u64,
-    /// Clock advance when a worker finds no work and spins, ns.
-    pub idle_step_ns: u64,
-    /// During async flushing, a busy worker services one flush chunk every
-    /// this many processed slots.
-    pub flush_interleave: u32,
     /// Async-flush chunk size in bytes.
     pub flush_chunk_bytes: u32,
     /// Deterministic fault-injection plan (empty by default). The GC-level
@@ -192,13 +174,6 @@ impl GcConfig {
             prefetch: true,
             traversal: Traversal::Dfs,
             tenure_age: 3,
-            lab_bytes: 16 << 10,
-            direct_copy_bytes: 4 << 10,
-            cpu_slot_ns: 6.0,
-            cpu_copy_ns: 14.0,
-            safepoint_ns: 250_000,
-            idle_step_ns: 1_000,
-            flush_interleave: 24,
             flush_chunk_bytes: 64 << 10,
             fault: FaultPlan::none(),
             allocator: AllocatorConfig::volatile(),

@@ -27,7 +27,7 @@
 //! A power failure injected in durable-map mode aborts the cycle from
 //! inside any packet into a [`CrashState`] ([`crash_abort`]).
 
-use crate::collector::{CycleShared, Worker};
+use crate::collector::{CycleShared, Worker, SAFEPOINT_NS};
 use crate::config::GcConfig;
 use crate::durable;
 use crate::engine;
@@ -281,7 +281,7 @@ pub(crate) fn run(
     // --- Workers. ------------------------------------------------------
     // All workers begin after the fixed STW entry overhead (safepoint
     // + phase setup); it is part of the pause.
-    let work_start = start + cfg.safepoint_ns;
+    let work_start = start + SAFEPOINT_NS;
     let mut workers: Vec<Worker> = (0..threads).map(|i| Worker::new(i, work_start)).collect();
     // Charge the remembered-set scan (DRAM metadata) split over workers.
     let share = seed.remset_bytes / threads as u64;
@@ -365,9 +365,7 @@ pub(crate) fn run(
     };
 
     // --- Post-processing. ------------------------------------------------
-    for w in &workers {
-        sh.absorb_worker(w);
-    }
+    sh.stats.engine_steps += workers.iter().map(|w| w.steps).sum::<u64>();
     sh.stats.steals = sh.pool.steals();
     sh.stats.cache_regions = sh.cache.regions_allocated();
     sh.stats.cache_peak_bytes = sh.cache.peak_bytes();
@@ -405,12 +403,7 @@ pub(crate) fn run(
     sh.stats.phases.clear_ns = end - wb_end;
 
     // Phase marks for the bandwidth figures.
-    let sampler = sh.mem.sampler_mut();
-    if cfg.write_cache.enabled {
-        sampler.mark_phase(start, scan_end, PhaseKind::GcReadMostly);
-        sampler.mark_phase(scan_end, wb_end, PhaseKind::GcWriteBack);
-    }
-    sampler.mark_phase(start, end, PhaseKind::Gc);
+    sh.mem.sampler_mut().mark_phase(start, end, PhaseKind::Gc);
     // The whole-cycle trace span, from the instant the cycle stopped the
     // mutators: start/end are the exact interval the GC log records,
     // which the trace determinism tests cross-check.

@@ -18,7 +18,10 @@
 //! new policy inherits the fault plane and crash recovery for free.
 
 use crate::access::Gx;
-use crate::collector::{race_sync, CycleShared, Worker, RACE_SITE_ALLOC_TAKE, REGION_SYNC_NS};
+use crate::collector::{
+    race_sync, CycleShared, Worker, DIRECT_COPY_BYTES, LAB_BYTES, RACE_SITE_ALLOC_TAKE,
+    REGION_SYNC_NS,
+};
 use crate::durable::{self, RecordKey};
 use crate::error::GcError;
 use crate::oracle;
@@ -130,7 +133,7 @@ fn g1_survivor_copy(
                     if reserve > 0 {
                         sh.fault.note_pressure_denial();
                     }
-                    w.stats.overflow_copies += 1;
+                    sh.stats.cache_overflow_copies += 1;
                     break;
                 }
             }
@@ -166,8 +169,8 @@ fn ps_survivor_copy(
     // straight to the target space, so the write cache cannot absorb them
     // (paper §4.4: only address-contiguous buffers are cached). Anything
     // that cannot fit a LAB must also go direct, whatever the threshold.
-    let lab_bytes = sh.cfg.lab_bytes.min(sh.heap.config().region_size);
-    if size >= sh.cfg.direct_copy_bytes || size > lab_bytes {
+    let lab_bytes = LAB_BYTES.min(sh.heap.config().region_size);
+    if size >= DIRECT_COPY_BYTES || size > lab_bytes {
         if size > sh.heap.config().region_size {
             return Err(GcError::Heap(HeapError::ObjectTooLarge {
                 size: size as usize,
@@ -245,7 +248,7 @@ fn ps_survivor_copy(
             if reserve > 0 {
                 sh.fault.note_pressure_denial();
             }
-            w.stats.overflow_copies += 1;
+            sh.stats.cache_overflow_copies += 1;
         }
         // Uncached LAB from the shared survivor region.
         loop {
@@ -305,7 +308,7 @@ fn shared_bump_copy(
                     if reserve > 0 {
                         sh.fault.note_pressure_denial();
                     }
-                    w.stats.overflow_copies += 1;
+                    sh.stats.cache_overflow_copies += 1;
                     break;
                 }
             }

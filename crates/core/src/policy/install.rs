@@ -75,7 +75,7 @@ pub(crate) fn install_forwarding(
         charge_map_probes(w, sh, map, obj, put.probes);
         match put.outcome {
             PutOutcome::Installed => {
-                w.stats.hm_installs += 1;
+                sh.stats.hm_installs += 1;
                 if sh.cfg.durable_map_active() {
                     // Durable-linearizable install (Sela & Petrank): key
                     // CAS → value publish → fence, all on NVM, stamped
@@ -86,12 +86,12 @@ pub(crate) fn install_forwarding(
             PutOutcome::Existing(other) => {
                 // Another worker won (cannot happen under the DES, but the
                 // algorithm handles it): our copy is wasted, use theirs.
-                w.stats.hm_hits += 1;
+                sh.stats.hm_hits += 1;
                 return Some(InstallOutcome::Won(other));
             }
             PutOutcome::Full => {
                 // Bounded probing failed: install into the NVM header.
-                w.stats.hm_full += 1;
+                sh.stats.hm_full += 1;
                 header_install(w, sh, obj, public)?;
                 if sh.cfg.durable_map_active() {
                     // The fallback install is fenced too, keyed by the

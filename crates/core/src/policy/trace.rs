@@ -8,7 +8,10 @@
 //! faults and the async-flush interleave all live here and are shared by
 //! every plan.
 
-use crate::collector::{CycleShared, Worker, ROOT_ARRAY_BASE, STEAL_NS};
+use crate::collector::{
+    CycleShared, Worker, CPU_COPY_NS, CPU_SLOT_NS, FLUSH_INTERLEAVE, IDLE_STEP_NS, ROOT_ARRAY_BASE,
+    STEAL_NS,
+};
 use crate::config::Traversal;
 use crate::error::GcError;
 use crate::header_map::HeaderMap;
@@ -31,7 +34,7 @@ pub(crate) fn step_scan(w: &mut Worker, sh: &mut CycleShared<'_>) {
     }
     if sh.cache.config().async_flush && sh.cache.has_ready() {
         let due = sh.pool.depth(w.id) == 0
-            || w.slots_since_flush_check >= sh.cfg.flush_interleave
+            || w.slots_since_flush_check >= FLUSH_INTERLEAVE
             || sh.fault.take_forced_drain(w.clock);
         if due {
             w.slots_since_flush_check = 0;
@@ -75,7 +78,7 @@ pub(crate) fn step_scan(w: &mut Worker, sh: &mut CycleShared<'_>) {
         w.done = true;
         return;
     }
-    w.clock += sh.cfg.idle_step_ns;
+    w.clock += IDLE_STEP_NS;
 }
 
 /// Applies injected worker faults (pauses, slowdowns, crash points) to
@@ -131,8 +134,8 @@ fn process_task(w: &mut Worker, sh: &mut CycleShared<'_>, task: Task) {
         scan_card_region(w, sh, region);
         return;
     }
-    w.stats.slots += 1;
-    w.clock += sh.cfg.cpu_slot_ns as u64;
+    sh.stats.slots_processed += 1;
+    w.clock += CPU_SLOT_NS;
     // Step 1: load the reference.
     let (slot, referent) = match task {
         Task::Root(i) => {
@@ -174,7 +177,7 @@ fn process_task(w: &mut Worker, sh: &mut CycleShared<'_>, task: Task) {
             .map(|r| sh.heap.region(r).in_cset)
             .unwrap_or(false);
     if !in_cset {
-        w.stats.filtered += 1;
+        sh.stats.slots_filtered += 1;
         return;
     }
     // Steps 2–3: forward (copying if we are first).
@@ -210,7 +213,7 @@ fn resolve_forward(w: &mut Worker, sh: &mut CycleShared<'_>, obj: Addr) -> Optio
         let (found, probes) = map.get(obj);
         charge_map_probes(w, sh, map, obj, probes);
         if let Some(addr) = found {
-            w.stats.hm_hits += 1;
+            sh.stats.hm_hits += 1;
             return Some(addr);
         }
         // Fall through: must still check the NVM header (the map may have
@@ -239,14 +242,14 @@ fn copy_and_forward(
     let age = hdr.age().saturating_add(1);
     let from_old = sh.heap.region(obj.region(sh.heap.shift())).kind() == RegionKind::Old;
     let promote = age >= sh.cfg.tenure_age || from_old;
-    w.clock += sh.cfg.cpu_copy_ns as u64;
+    w.clock += CPU_COPY_NS;
 
     let (copy, cached) = match copy_into_dest(w, sh, obj, size, promote) {
         Ok(pair) => pair,
         Err(GcError::Heap(HeapError::OutOfRegions)) => {
             // Evacuation failure: leave the object in place, self-forward
             // it (G1's handling), and retain its region at cycle end.
-            w.stats.evac_failures += 1;
+            sh.stats.evac_failures += 1;
             sh.self_forwarded.push((obj, hdr));
             let region = obj.region(sh.heap.shift());
             if !sh.retained.contains(&region) {
@@ -283,11 +286,11 @@ fn copy_and_forward(
         InstallOutcome::Installed => {}
     }
 
-    w.stats.copied_objects += 1;
+    sh.stats.copied_objects += 1;
     if promote {
-        w.stats.promoted_bytes += size as u64;
+        sh.stats.promoted_bytes += size as u64;
     } else {
-        w.stats.copied_bytes += size as u64;
+        sh.stats.copied_bytes += size as u64;
     }
 
     // Push the copy's reference slots (paper §3.1 step 4, second half).

@@ -5,6 +5,7 @@
 //! the interrupted cycle and finish it with the reachable graph preserved
 //! exactly — same shape, classes and payloads as a never-crashed run.
 
+use nvmgc_core::collector::SAFEPOINT_NS;
 use nvmgc_core::fault::GcFault;
 use nvmgc_core::{G1Collector, GcConfig, GcError};
 use nvmgc_heap::verify::{verify_heap, verify_remsets};
@@ -127,7 +128,6 @@ fn mid_packet_instant(durable: bool, packet: usize) -> (u64, u64) {
     let mut h = heap();
     let mut m = mem(cfg.threads);
     let mut roots = build_graph(&mut h, GRAPH_SEED, OBJECTS);
-    let safepoint = cfg.safepoint_ns;
     let mut gc = G1Collector::new(cfg);
     let outcome = gc
         .collect(&mut h, &mut m, &mut roots, 0)
@@ -138,7 +138,7 @@ fn mid_packet_instant(durable: bool, packet: usize) -> (u64, u64) {
     let before: u64 = phases[..packet].iter().map(|&(_, ns)| ns).sum();
     // The scan phase opens with the safepoint entry, before any worker
     // steps.
-    let entry = if packet == 0 { safepoint } else { 0 };
+    let entry = if packet == 0 { SAFEPOINT_NS } else { 0 };
     let end = before + phases[packet].1;
     ((before + entry + end) / 2, end)
 }
@@ -213,7 +213,7 @@ fn power_crash_mid_evacuation_recovers_and_resumes() {
 fn volatile_map_power_failure_keeps_oracle_path() {
     let mut cfg = durable_cfg();
     cfg.header_map.durable = false;
-    let crash_at = cfg.safepoint_ns + 10_000;
+    let crash_at = SAFEPOINT_NS + 10_000;
     cfg.fault
         .gc
         .events
@@ -300,8 +300,7 @@ fn crashed_mixed_cycle_reports_its_mark_and_its_whole_pause() {
         (outcome, crashes)
     };
     let (clean, _) = run(None);
-    let safepoint = durable_cfg().safepoint_ns;
-    let mid_scan = clean.stats.mark_ns + (safepoint + clean.stats.phases.scan_ns) / 2;
+    let mid_scan = clean.stats.mark_ns + (SAFEPOINT_NS + clean.stats.phases.scan_ns) / 2;
     let (resumed, crashes) = run(Some(mid_scan));
     assert_eq!(crashes, 1);
     assert_eq!(resumed.stats.recovered_cycles, 1);

@@ -150,21 +150,14 @@ pub enum PhaseKind {
     Mutator,
     /// A stop-the-world GC pause.
     Gc,
-    /// The read-mostly sub-phase of an NVM-aware GC.
-    GcReadMostly,
-    /// The write-only (write-back) sub-phase of an NVM-aware GC.
-    GcWriteBack,
 }
 
 /// A labeled simulated-time interval.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct Phase {
-    /// Interval start, ns.
-    pub start: Ns,
-    /// Interval end, ns.
-    pub end: Ns,
-    /// What ran during the interval.
-    pub kind: PhaseKind,
+#[derive(Debug, Clone, Copy)]
+struct Phase {
+    start: Ns,
+    end: Ns,
+    kind: PhaseKind,
 }
 
 /// One bin of the sampled bandwidth series.
@@ -279,11 +272,6 @@ impl TrafficSampler {
         &self.bins[dev.index()]
     }
 
-    /// All recorded phase marks in insertion order.
-    pub fn phases(&self) -> &[Phase] {
-        &self.phases
-    }
-
     /// Average bandwidth (MB/s) at `dev` across the bins overlapping the
     /// recorded phases of `kind`, split into (read, write).
     ///
@@ -366,7 +354,7 @@ mod tests {
         s.record(DeviceId::Nvm, AccessKind::Read, 100, 0);
         s.mark_phase(0, 10, PhaseKind::Gc);
         assert!(s.series(DeviceId::Nvm).is_empty());
-        assert!(s.phases().is_empty());
+        assert!(s.phases.is_empty());
     }
 
     #[test]
@@ -384,7 +372,7 @@ mod tests {
         s.mark_phase(0, 10, PhaseKind::Gc);
         s.reset();
         assert!(s.series(DeviceId::Nvm).is_empty());
-        assert!(s.phases().is_empty());
+        assert!(s.phases.is_empty());
     }
 
     #[test]

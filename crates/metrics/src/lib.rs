@@ -2,9 +2,9 @@
 //!
 //! Everything an experiment harness needs to turn raw simulation output
 //! into the rows and series the paper's tables and figures report:
-//! percentile/mean/stddev helpers, bandwidth time-series reshaping, the
-//! cost-efficiency metric of the paper's Fig. 12, plain-text table
-//! rendering, and JSON export of results.
+//! mean/geomean helpers, HDR latency histograms, bandwidth time-series
+//! reshaping, the cost-efficiency metric of the paper's Fig. 12,
+//! plain-text table rendering, and JSON export of results.
 
 #![warn(missing_docs)]
 
@@ -20,6 +20,6 @@ pub use cost::gc_improvement_per_dollar;
 pub use hdr::{HdrHistogram, LatencyQuantiles};
 pub use report::{write_json, ExperimentReport};
 pub use series::BandwidthSeries;
-pub use stats::{geomean, mean, percentile, stddev, stddev_population, Summary};
+pub use stats::{geomean, mean};
 pub use table::TextTable;
 pub use trace::{bandwidth_timeline, chrome_trace, timeline_rows, ChromeTrace, TimelineRow};

@@ -1,36 +1,11 @@
 //! Basic statistics helpers.
 
-use serde::Serialize;
-
 /// Arithmetic mean; zero for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Sample standard deviation (Bessel-corrected, divisor `n - 1`); zero
-/// for fewer than two samples. Benchmark cells report 3–5 repeats, so
-/// the sample estimator is the right default — the population form is
-/// available as [`stddev_population`].
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
-/// Population standard deviation (divisor `n`); zero for fewer than two
-/// samples. Use only when the slice is the whole population, not a
-/// handful of benchmark repeats.
-pub fn stddev_population(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 /// Geometric mean; zero if the slice is empty or any sample is
@@ -42,116 +17,25 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
-/// Percentile by linear interpolation between closest ranks; `p` in
-/// `[0, 100]`. Zero for an empty slice.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v: Vec<f64> = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in samples"));
-    let rank = (p.clamp(0.0, 100.0) / 100.0) * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        v[lo]
-    } else {
-        let frac = rank - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
-    }
-}
-
-/// A compact summary of a sample set.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct Summary {
-    /// Sample count.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (divisor `n - 1`).
-    pub stddev: f64,
-    /// Minimum sample.
-    pub min: f64,
-    /// Maximum sample.
-    pub max: f64,
-    /// Median (p50).
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
-
-impl Summary {
-    /// Computes a summary of `xs`.
-    pub fn of(xs: &[f64]) -> Summary {
-        Summary {
-            n: xs.len(),
-            mean: mean(xs),
-            stddev: stddev(xs),
-            min: xs.iter().copied().fold(f64::INFINITY, f64::min),
-            max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            p50: percentile(xs, 50.0),
-            p95: percentile(xs, 95.0),
-            p99: percentile(xs, 99.0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_of_samples() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        // Squared deviations sum to 32: sample divisor 7, population 8.
-        assert!((stddev(&xs) - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert!((stddev_population(&xs) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_stddev_exceeds_population_stddev() {
-        let xs = [1.0, 2.0, 4.0];
-        assert!(stddev(&xs) > stddev_population(&xs));
-        // A single sample has no spread estimate under either divisor.
-        assert_eq!(stddev(&[3.0]), 0.0);
-        assert_eq!(stddev_population(&[3.0]), 0.0);
     }
 
     #[test]
     fn empty_slices_are_zero() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(stddev(&[]), 0.0);
-        assert_eq!(stddev_population(&[]), 0.0);
         assert_eq!(geomean(&[]), 0.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
     }
 
     #[test]
     fn geomean_of_powers() {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[1.0, -1.0]), 0.0);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((percentile(&xs, 0.0) - 1.0).abs() < 1e-12);
-        assert!((percentile(&xs, 100.0) - 4.0).abs() < 1e-12);
-        assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
-        // Unsorted input is handled.
-        let ys = [4.0, 1.0, 3.0, 2.0];
-        assert!((percentile(&ys, 50.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_fields() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.n, 3);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert!((s.p50 - 2.0).abs() < 1e-12);
     }
 }

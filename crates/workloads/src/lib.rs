@@ -16,9 +16,11 @@
 //! - [`runner`] — runs one application to completion against a collector
 //!   configuration and gathers the measurements experiments need.
 //! - [`profiles`] — the 26 paper applications.
-//! - [`cassandra`] — the open-loop request/latency workload of Fig. 8.
-//! - [`scenario`] — million-client open-loop cohorts with shaped load,
-//!   HDR latency distributions and attributed SLO-violation windows.
+//! - [`cassandra`] — the server and client specs of Fig. 8's
+//!   request/latency workload.
+//! - [`scenario`] — the one client model: open-loop cohorts (one client
+//!   to millions) with shaped load, HDR latency distributions and
+//!   attributed SLO-violation windows.
 //! - [`prefetch_micro`] — the §4.3 software-prefetch microbenchmark.
 
 #![warn(missing_docs)]

@@ -1,13 +1,15 @@
-//! Open-loop million-client latency scenarios.
+//! Open-loop latency scenarios: the repository's one client model.
 //!
-//! [`cassandra`](crate::cassandra) models one open-loop client at a fixed
-//! Poisson rate; this module scales the same mechanism to *client
-//! cohorts*: a seeded population of `clients` open-loop issuers whose
-//! aggregate arrival stream is charged in micro-batches — one FIFO queue
-//! operation and one [`HdrHistogram::record_n`] per `batch` requests,
-//! the client-side analog of the simulator's `charge_bulk`. One run
-//! therefore simulates millions of clients at the cost of thousands of
-//! queue steps, deterministically.
+//! A request that arrives during, or queues behind, a stop-the-world
+//! pause waits for it (paper §5.4). This module plays that mechanism for
+//! *client cohorts*: a seeded population of `clients` open-loop issuers
+//! whose aggregate arrival stream is charged in micro-batches — one FIFO
+//! queue operation and one [`HdrHistogram::record_n`] per `batch`
+//! requests, the client-side analog of the simulator's `charge_bulk`.
+//! One run therefore simulates millions of clients at the cost of
+//! thousands of queue steps, deterministically; Fig. 8's single client
+//! at a fixed offered rate is the `clients: 1, batch: 1` corner
+//! ([`cassandra::client_spec`](crate::cassandra::client_spec)).
 //!
 //! A [`ScenarioSpec`] shapes the load over the server run's horizon:
 //!
@@ -313,7 +315,7 @@ pub fn run_scenario(
 
         // Single FIFO server; service cannot make progress inside a
         // stop-the-world pause, so a request overlapping one is pushed
-        // past its end (same mechanism as `cassandra::simulate_client`).
+        // past its end.
         let mut start = server_free.max(arr);
         while pause_idx < pauses.len() && pauses[pause_idx].end_ns <= start {
             pause_idx += 1;
@@ -553,6 +555,78 @@ mod tests {
             .expect("attributed window");
         assert_eq!(w.fault_causes, vec!["latency-spike".to_owned()]);
         assert_eq!(w.fence_count, 1);
+    }
+
+    /// Fig. 8's corner of the engine: one client, `batch: 1`, so every
+    /// request is its own queue operation — a path the cohort tests above
+    /// (`batch: 100`) never take.
+    #[test]
+    fn a_single_client_queues_behind_pauses_and_its_own_load() {
+        const MS: Ns = 1_000_000;
+        let client = |service_ns: f64, rps: f64| ScenarioSpec {
+            kind: ScenarioKind::Steady,
+            clients: 1,
+            rps_per_client: rps,
+            batch: 1,
+            service_ns,
+            slo_ns: u64::MAX,
+            seed: 5,
+        };
+        let light = client(20_000.0, 8_000.0);
+        // Service capacity is 1/50 µs = 20k rps.
+        let (idle, busy) = (client(50_000.0, 2_000.0), client(50_000.0, 19_000.0));
+        // (behaviour, horizon, baseline, contender, quantiles that must
+        // rise from baseline to contender — none means nothing may move).
+        type Side<'a> = (&'a ScenarioSpec, &'a [PauseSpan]);
+        let cases: [(&str, Ns, Side, Side, &[f64]); 4] = [
+            (
+                "a longer pause hurts more",
+                1_000 * MS,
+                (&light, &[pause(100 * MS, 110 * MS)]),
+                (&light, &[pause(100 * MS, 180 * MS)]),
+                &[0.99],
+            ),
+            (
+                "back-to-back pauses compound",
+                1_000 * MS,
+                (&light, &[pause(100 * MS, 150 * MS)]),
+                (
+                    &light,
+                    &[pause(100 * MS, 150 * MS), pause(150 * MS, 200 * MS)],
+                ),
+                &[0.95, 0.99],
+            ),
+            (
+                "pauses after the horizon change nothing",
+                1_000 * MS,
+                (&light, &[]),
+                (&light, &[pause(2_000 * MS, 2_100 * MS)]),
+                &[],
+            ),
+            (
+                "load near service capacity raises the tail with no pause",
+                500 * MS,
+                (&idle, &[]),
+                (&busy, &[]),
+                &[0.99],
+            ),
+        ];
+        for (behaviour, horizon, base, contender, rising) in cases {
+            let a = run_scenario(base.0, base.1, &[], horizon).histogram;
+            let b = run_scenario(contender.0, contender.1, &[], horizon).histogram;
+            assert!(a.count() > 500, "{behaviour}: {} requests", a.count());
+            if rising.is_empty() {
+                assert_eq!(a.encode(), b.encode(), "{behaviour}");
+            }
+            for &q in rising {
+                assert!(
+                    b.quantile(q) > a.quantile(q),
+                    "{behaviour}: q{q} {} vs {}",
+                    b.quantile(q),
+                    a.quantile(q)
+                );
+            }
+        }
     }
 
     #[test]

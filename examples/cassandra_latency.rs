@@ -1,56 +1,58 @@
 //! Cassandra-like tail-latency demo (paper §5.4, Fig. 8).
 //!
 //! Runs a memtable-style server workload under vanilla and optimized G1,
-//! then drives an open-loop client against each run's pause schedule and
-//! prints the throughput/latency curves for the write and read phases.
+//! then drives one open-loop client at each offered rate against each
+//! run's pause schedule and prints the throughput/latency curves for the
+//! write and read phases.
 //!
 //! ```sh
 //! cargo run --release --example cassandra_latency
 //! ```
 
 use nvmgc_core::GcConfig;
-use nvmgc_workloads::cassandra::{server_spec, simulate_client, CassandraPhase};
-use nvmgc_workloads::{run_app, AppRunConfig};
+use nvmgc_workloads::cassandra::{client_spec, server_spec, CassandraPhase};
+use nvmgc_workloads::{run_app, run_scenario, AppRunConfig};
 
 fn main() {
     let threads = 28;
     println!("== Cassandra-like tail latency, {threads} GC threads ==\n");
-    for phase in [CassandraPhase::Write, CassandraPhase::Read] {
-        let (phase_name, service_ns) = match phase {
-            CassandraPhase::Write => ("write", 5_500.0),
-            CassandraPhase::Read => ("read", 4_000.0),
-        };
+    for (phase, phase_name) in [
+        (CassandraPhase::Write, "write"),
+        (CassandraPhase::Read, "read"),
+    ] {
         println!("--- {phase_name} phase ---");
         println!(
             "{:>8} | {:>9} {:>9} | {:>9} {:>9} | {:>7} {:>7}",
             "kqps", "opt p95", "opt p99", "van p95", "van p99", "p95 x", "p99 x"
         );
-        for tput in [10_000.0f64, 30_000.0, 60_000.0, 100_000.0, 130_000.0] {
-            let mut row = Vec::new();
-            for gc in [GcConfig::plus_all(threads, 0), GcConfig::vanilla(threads)] {
-                let mut cfg = AppRunConfig::standard(server_spec(phase), gc);
-                let hb = cfg.heap_bytes();
-                if cfg.gc.write_cache.enabled {
-                    cfg.gc.write_cache.max_bytes = hb / 32;
-                }
-                if cfg.gc.header_map.enabled {
-                    cfg.gc.header_map.max_bytes = hb / 32;
-                }
-                let server = run_app(&cfg).expect("server run succeeds");
-                let lat =
-                    simulate_client(&server.pause_spans, server.total_ns, service_ns, tput, 42);
-                row.push((lat.p95_ms, lat.p99_ms));
+        // The pause schedule does not depend on the client: one server
+        // run per configuration, every offered rate swept over it.
+        let [opt, van] = [GcConfig::plus_all(threads, 0), GcConfig::vanilla(threads)].map(|gc| {
+            let mut cfg = AppRunConfig::standard(server_spec(phase), gc);
+            let hb = cfg.heap_bytes();
+            if cfg.gc.write_cache.enabled {
+                cfg.gc.write_cache.max_bytes = hb / 32;
             }
-            let (opt, van) = (row[0], row[1]);
+            if cfg.gc.header_map.enabled {
+                cfg.gc.header_map.max_bytes = hb / 32;
+            }
+            run_app(&cfg).expect("server run succeeds")
+        });
+        for tput in [10_000.0, 30_000.0, 60_000.0, 100_000.0, 130_000.0] {
+            let [opt, van] = [&opt, &van].map(|server| {
+                let spec = client_spec(phase, tput);
+                let h = run_scenario(&spec, &server.pause_spans, &[], server.total_ns).histogram;
+                [0.95, 0.99].map(|q| h.quantile(q) as f64 / 1e6)
+            });
             println!(
                 "{:>8.0} | {:>9.2} {:>9.2} | {:>9.2} {:>9.2} | {:>6.2}x {:>6.2}x",
                 tput / 1e3,
-                opt.0,
-                opt.1,
-                van.0,
-                van.1,
-                van.0 / opt.0.max(1e-9),
-                van.1 / opt.1.max(1e-9),
+                opt[0],
+                opt[1],
+                van[0],
+                van[1],
+                van[0] / opt[0].max(1e-9),
+                van[1] / opt[1].max(1e-9),
             );
         }
         println!();

@@ -5,14 +5,19 @@ use nvmgc_core::{FaultPlan, GcConfig, GcStats, Severity};
 use nvmgc_heap::verify::GraphDigest;
 use nvmgc_heap::DevicePlacement;
 use nvmgc_memsim::DeviceId;
+use nvmgc_workloads::cassandra::{client_spec, server_spec, CassandraPhase};
 use nvmgc_workloads::spec::ClassMix;
-use nvmgc_workloads::{app, run_app, AppRunConfig, WorkloadSpec};
+use nvmgc_workloads::{app, run_app, run_scenario, AppRunConfig, WorkloadSpec};
 
 /// A downsized config so integration tests stay fast. Debug builds run
 /// ~10x slower than release, so they get a further-reduced scale — the
 /// assertions here are about ordering and invariants, not magnitudes.
 fn small(name: &str, gc: GcConfig) -> AppRunConfig {
-    let mut spec = app(name);
+    small_spec(app(name), gc)
+}
+
+/// [`small`] for a workload that is not one of the named applications.
+fn small_spec(mut spec: WorkloadSpec, gc: GcConfig) -> AppRunConfig {
     spec.alloc_young_multiple = if cfg!(debug_assertions) { 2.0 } else { 4.0 };
     if cfg!(debug_assertions) {
         spec.touches_per_alloc = spec.touches_per_alloc.min(3);
@@ -301,4 +306,33 @@ fn simulated_quantities_of_one_run_are_pinned() {
         )
     };
     assert_eq!(got, pinned);
+}
+
+/// Fig. 8 end to end at small scale: a cassandra-write server under
+/// vanilla and `+all`, one client at 60 kqps on the cohort engine over
+/// each pause schedule. The optimisations shorten the pauses the requests
+/// queue behind, and the p95/p99 (integer ns, histogram bucket bounds) are
+/// pinned so a change to the client engine or to `client_spec` shows here.
+#[test]
+fn cassandra_client_tail_latency_is_pinned_and_improves_under_all() {
+    let tail = |gc| {
+        let server = run_app(&small_spec(server_spec(CassandraPhase::Write), gc)).unwrap();
+        let spec = client_spec(CassandraPhase::Write, 60_000.0);
+        let h = run_scenario(&spec, &server.pause_spans, &[], server.total_ns).histogram;
+        [h.quantile(0.95), h.quantile(0.99)]
+    };
+    let (vanilla, all) = (tail(GcConfig::vanilla(28)), tail(GcConfig::plus_all(28, 0)));
+    for [p95, p99] in [vanilla, all] {
+        assert!(p95 <= p99);
+    }
+    assert!(
+        all[1] < vanilla[1],
+        "+all p99 {all:?} vs vanilla {vanilla:?}"
+    );
+    let pinned = if cfg!(debug_assertions) {
+        ([1_998_847, 2_064_383], [1_245_183, 1_376_255])
+    } else {
+        ([1_835_007, 2_162_687], [1_146_879, 1_474_559])
+    };
+    assert_eq!((vanilla, all), pinned);
 }
