@@ -430,8 +430,9 @@ pub fn check_recovery_completion(
     let in_cset: FxHashSet<RegionId> = cset.iter().copied().collect();
     let kept: FxHashSet<RegionId> = retained.iter().copied().collect();
     let evacuated = |r: RegionId| in_cset.contains(&r) && !kept.contains(&r);
-    let mut sources: FxHashSet<u64> = FxHashSet::default();
-    let mut targets: FxHashSet<u64> = FxHashSet::default();
+    // One entry a record: sized once instead of rehashed up to it.
+    let sized = || FxHashSet::with_capacity_and_hasher(forwards.len(), Default::default());
+    let (mut sources, mut targets): (FxHashSet<u64>, FxHashSet<u64>) = (sized(), sized());
     for &(old, new) in forwards {
         if !sources.insert(old.raw()) {
             return Err(OracleViolation::RecoveryCompletion {

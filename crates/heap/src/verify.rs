@@ -70,8 +70,11 @@ pub fn verify_heap(heap: &Heap, roots: &[Addr]) -> Result<GraphDigest, VerifyErr
     // The digest numbers objects by first-visit order, so it is a pure
     // function of the traversal — the map's hasher (a deterministic
     // FxHash here, for speed on the per-GC-cycle digest passes) cannot
-    // influence it.
-    let mut order: FxHashMap<u64, u64> = FxHashMap::default();
+    // influence it, and neither can its capacity. Every distinct root is
+    // an entry, so the roots size it: grown from empty it rehashed a dozen
+    // times a call, around every collection of a faulted cell.
+    let mut order: FxHashMap<u64, u64> =
+        FxHashMap::with_capacity_and_hasher(roots.len(), Default::default());
     let mut stack: Vec<Addr> = Vec::new();
     let mut checksum = 0u64;
     let mut objects = 0u64;

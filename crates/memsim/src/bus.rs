@@ -12,6 +12,34 @@
 //! interference curve), which is how the model reproduces the total-
 //! bandwidth collapse the paper measures when copy-based GC mixes object
 //! copying (writes) into heap traversal (reads).
+//!
+//! # The fast path
+//!
+//! [`Ledger::grant`] runs once per simulated word access. Almost every
+//! call starts in the epoch the previous one started in, next to no fault
+//! window, and fits what is left of that epoch; `grant` answers that case
+//! inline and hands everything else to an out-of-line slow path. The fast
+//! path is taken when all of these hold:
+//!
+//! - `now` lies in the cached *calm interval*: no stall or collapse
+//!   window is open there and none opens or closes inside it, so there is
+//!   nothing to defer past and the cost multiplier is 1. With no windows
+//!   installed the interval is the whole time axis. The slow path computes
+//!   it around the start time it served; `set_faults` empties it.
+//! - `now` lies in the cached epoch, that epoch is not below the ledger
+//!   base, and its bucket is tracked.
+//! - the request's weighted bytes fit the epoch's remaining budget.
+//!
+//! Both paths do the same `f64` operations on the same operands in the
+//! same order (multiplying by the absent collapse factor, 1.0, is exact),
+//! so which one serves a grant is invisible in every completion time and
+//! counter. The epoch's budget — two divisions from its two running
+//! totals — is stored beside them whenever they change: it is a function
+//! of nothing else, so the next grant loads it instead of waiting for the
+//! divisions. An epoch nothing was granted in has no share yet; its budget
+//! is one of two per-device constants, by whether the request writes. The
+//! test module keeps the one-path `grant` this replaced and compares the
+//! two after every operation of random scripts.
 
 use crate::device::{AccessKind, DeviceParams, Pattern};
 use crate::fault::FaultWindow;
@@ -23,6 +51,13 @@ use std::collections::VecDeque;
 /// stall at once (graceful degradation instead of unbounded spinning).
 pub const STALL_RETRY_LIMIT: u32 = 8;
 
+/// How many epochs one grant may span. A request that needs more is a
+/// configuration error (a device with next to no bandwidth, or an epoch
+/// far too short for the transfers it carries): debug builds panic on it,
+/// release builds return the completion of what fitted, so such a run
+/// finishes, too early, rather than spinning.
+const MAX_GRANT_EPOCHS: u64 = 1_000_000;
+
 /// Per-epoch usage accounting.
 #[derive(Debug, Clone, Copy, Default)]
 struct EpochUse {
@@ -30,6 +65,11 @@ struct EpochUse {
     weighted: f64,
     /// Weighted bytes of write traffic granted in this epoch.
     weighted_write: f64,
+    /// The epoch's budget at its current write share: a function of the
+    /// two totals above, stored whenever they change so the next grant
+    /// loads it. Meaningless while `weighted` is zero (see
+    /// [`Ledger::cap_of`]).
+    cap: f64,
 }
 
 /// Bandwidth ledger for one device.
@@ -46,6 +86,12 @@ pub struct Ledger {
     /// `f64` (the division result is computed from identical operands).
     weight_ratio: [[f64; 2]; 3],
     epoch_ns: Ns,
+    /// `epoch_ns as f64` and `bw_read_seq * epoch_ns as f64`.
+    epoch_f: f64,
+    base_budget: f64,
+    /// The budget of an untouched epoch whose first request is a read
+    /// (write share 0) or a write (write share 1).
+    fresh_cap: [f64; 2],
     /// Index of the first epoch still tracked.
     base_epoch: u64,
     epochs: VecDeque<EpochUse>,
@@ -73,6 +119,11 @@ pub struct Ledger {
     /// cache — no observable effect.
     last_epoch: u64,
     last_epoch_start: Ns,
+    /// A cached interval `[calm.0, calm.0 + calm.1)` of start times at
+    /// which no fault window is open and across which none opens: every
+    /// time of the axis when none is installed. Empty until the slow path
+    /// fills it; `set_faults` empties it.
+    calm: (Ns, Ns),
 }
 
 impl Ledger {
@@ -93,10 +144,16 @@ impl Ledger {
                     params.bw_read_seq / params.bandwidth(kind, pattern).max(1e-9);
             }
         }
+        let epoch_f = epoch_ns as f64;
+        let base_budget = params.bw_read_seq * epoch_f;
+        let fresh_cap = [0.0, 1.0].map(|w| (base_budget * params.interference_factor(w)).max(1.0));
         Ledger {
             params,
             weight_ratio,
             epoch_ns,
+            epoch_f,
+            base_budget,
+            fresh_cap,
             base_epoch: 0,
             epochs: VecDeque::new(),
             stall_windows: Vec::new(),
@@ -108,6 +165,7 @@ impl Ledger {
             grants: 0,
             last_epoch: 0,
             last_epoch_start: 0,
+            calm: (0, 0),
         }
     }
 
@@ -116,6 +174,7 @@ impl Ledger {
     pub fn set_faults(&mut self, stalls: Vec<FaultWindow>, collapses: Vec<(FaultWindow, f64)>) {
         self.stall_windows = stalls;
         self.collapse_windows = collapses;
+        self.calm = (0, 0);
     }
 
     /// Whether any injected fault window (stall or collapse) is
@@ -134,15 +193,18 @@ impl Ledger {
     /// closing) mid-burst is invisible to it. This is the query the
     /// splitting loop in `MemorySystem` iterates on.
     pub fn next_fault_boundary(&self, after: Ns) -> Option<Ns> {
-        let stall_edges = self.stall_windows.iter().flat_map(|w| [w.start, w.end]);
-        let collapse_edges = self
-            .collapse_windows
-            .iter()
-            .flat_map(|(w, _)| [w.start, w.end]);
-        stall_edges
-            .chain(collapse_edges)
-            .filter(|&edge| edge > after)
-            .min()
+        self.fault_edges().filter(|&edge| edge > after).min()
+    }
+
+    /// Every installed window, stall or collapse.
+    fn fault_windows(&self) -> impl Iterator<Item = &FaultWindow> {
+        let collapses = self.collapse_windows.iter().map(|(w, _)| w);
+        self.stall_windows.iter().chain(collapses)
+    }
+
+    /// The start and end of every installed window.
+    fn fault_edges(&self) -> impl Iterator<Item = Ns> + '_ {
+        self.fault_windows().flat_map(|w| [w.start, w.end])
     }
 
     /// Fault-observation counters: `(stall_deferrals, stall_retry_aborts,
@@ -251,28 +313,30 @@ impl Ledger {
         idx
     }
 
-    /// Test-only accessor for an epoch's accounting bucket (the grant
-    /// path resolves the index once and reuses it instead).
-    #[cfg(test)]
-    fn epoch_use(&mut self, epoch: u64) -> &mut EpochUse {
-        let idx = self.epoch_index(epoch);
-        &mut self.epochs[idx]
+    /// The budget of an epoch for a request of the given kind: the
+    /// interference curve at the epoch's weighted-write share — `u.cap`
+    /// once anything was granted; for an untouched epoch the share is 1
+    /// or 0 depending on whether the pending request writes.
+    #[inline]
+    fn cap_of(&self, u: &EpochUse, is_write: bool) -> f64 {
+        if u.weighted <= 0.0 {
+            self.fresh_cap[usize::from(is_write)]
+        } else {
+            u.cap
+        }
     }
 
-    /// The epoch's effective write share: its current weighted-write
-    /// ratio, or (for an untouched epoch) 1 or 0 depending on whether the
-    /// pending request writes.
-    #[inline]
-    fn write_share(u: &EpochUse, kind: AccessKind) -> f64 {
-        if u.weighted <= 0.0 {
-            if kind.is_write() {
-                1.0
-            } else {
-                0.0
-            }
-        } else {
-            u.weighted_write / u.weighted
+    /// Charges `take > 0` weighted bytes to bucket `idx` and stores the
+    /// budget the new totals give.
+    #[inline(always)]
+    fn charge(&mut self, idx: usize, take: f64, is_write: bool) {
+        let u = &mut self.epochs[idx];
+        u.weighted += take;
+        if is_write {
+            u.weighted_write += take;
         }
+        let share = u.weighted_write / u.weighted;
+        u.cap = (self.base_budget * self.params.interference_factor(share)).max(1.0);
     }
 
     /// Grants bandwidth for a request starting at `now` and returns the
@@ -280,13 +344,46 @@ impl Ledger {
     /// the caller adds once per request).
     ///
     /// Zero-byte requests complete immediately.
+    #[inline]
     pub fn grant(&mut self, now: Ns, kind: AccessKind, pattern: Pattern, bytes: u64) -> Ns {
         if bytes == 0 {
             return now;
         }
+        // The fast path (module docs): no window to defer past or to
+        // inflate the cost, the cached epoch, a tracked bucket, and a
+        // request that fits it.
+        if now.wrapping_sub(self.calm.0) < self.calm.1
+            && now.wrapping_sub(self.last_epoch_start) < self.epoch_ns
+            && self.last_epoch >= self.base_epoch
+        {
+            let idx = (self.last_epoch - self.base_epoch) as usize;
+            if let Some(&u) = self.epochs.get(idx) {
+                let is_write = kind.is_write();
+                let remaining = self.weight(kind, pattern, bytes);
+                let cap = self.cap_of(&u, is_write);
+                let used = u.weighted;
+                if remaining > 0.0 && remaining <= (cap - used).max(0.0) {
+                    self.grants += 1;
+                    self.charge(idx, remaining, is_write);
+                    let frac = ((used + remaining) / cap).min(1.0);
+                    let completion = self.last_epoch_start + (frac * self.epoch_f) as Ns;
+                    return completion.max(now);
+                }
+            }
+        }
+        self.grant_slow(now, kind, pattern, bytes)
+    }
+
+    /// Every grant the fast path declines: a start inside or next to a
+    /// fault window, a new epoch, a request that spills into later ones.
+    #[inline(never)]
+    fn grant_slow(&mut self, now: Ns, kind: AccessKind, pattern: Pattern, bytes: u64) -> Ns {
         self.grants += 1;
         let now = self.defer_past_stalls(now);
         let mut remaining = self.weight(kind, pattern, bytes) * self.collapse_factor(now);
+        if now.wrapping_sub(self.calm.0) >= self.calm.1 {
+            self.calm = self.calm_around(now);
+        }
         let epoch_of_now = if now.wrapping_sub(self.last_epoch_start) < self.epoch_ns {
             self.last_epoch
         } else {
@@ -297,37 +394,45 @@ impl Ledger {
         };
         let start_epoch = epoch_of_now.max(self.base_epoch);
         let mut completion = now;
-        let base_budget = self.params.bw_read_seq * self.epoch_ns as f64;
         let is_write = kind.is_write();
-        // Bound the loop defensively; a single request spanning this many
-        // epochs would indicate a configuration error. Every epoch in the
-        // range is ≥ `base_epoch` (the start is clamped and the base
-        // cannot advance mid-grant), so the accounting bucket is resolved
-        // once per iteration — this loop runs once per word access and is
-        // the simulator's hottest code after the engine scheduler itself.
-        for epoch in start_epoch..start_epoch + 1_000_000 {
+        // Every epoch in the range is ≥ `base_epoch` (the start is clamped
+        // and the base cannot advance mid-grant), so the accounting bucket
+        // is resolved once per iteration.
+        for epoch in start_epoch..start_epoch + MAX_GRANT_EPOCHS {
             let idx = self.epoch_index(epoch);
             let u = self.epochs[idx];
-            let cap = (base_budget * self.params.interference_factor(Self::write_share(&u, kind)))
-                .max(1.0);
+            let cap = self.cap_of(&u, is_write);
             let used = u.weighted;
             let avail = (cap - used).max(0.0);
             let take = remaining.min(avail);
             if take > 0.0 {
-                let u = &mut self.epochs[idx];
-                u.weighted += take;
-                if is_write {
-                    u.weighted_write += take;
-                }
+                self.charge(idx, take, is_write);
                 remaining -= take;
                 let frac = ((used + take) / cap).min(1.0);
-                completion = epoch * self.epoch_ns + (frac * self.epoch_ns as f64) as Ns;
+                completion = epoch * self.epoch_ns + (frac * self.epoch_f) as Ns;
             }
             if remaining <= 1e-9 {
                 break;
             }
         }
+        debug_assert!(
+            remaining <= 1e-9,
+            "grant of {bytes} B at {now} ns still owes {remaining} weighted bytes after \
+             {MAX_GRANT_EPOCHS} epochs: the device's bandwidth or the epoch length is misconfigured"
+        );
         completion.max(now)
+    }
+
+    /// The largest interval around `now` free of fault-window edges, as
+    /// `(start, length)`; empty when a window is open at `now`.
+    fn calm_around(&self, now: Ns) -> (Ns, Ns) {
+        if self.fault_windows().any(|w| w.contains(now)) {
+            return (0, 0);
+        }
+        let before = self.fault_edges().filter(|&edge| edge <= now);
+        let lo = before.max().unwrap_or(0);
+        let hi = self.next_fault_boundary(now).unwrap_or(Ns::MAX);
+        (lo, hi - lo)
     }
 
     /// Drops accounting for epochs that end before `ns`.
@@ -533,12 +638,33 @@ mod tests {
         let mut l = nvm_ledger();
         l.grant(0, AccessKind::Read, Pattern::Seq, 64);
         l.retire_before(10 * l.epoch_ns());
-        let u = l.epoch_use(3); // epoch 3 < base epoch 10
-        u.weighted += 1.0;
+        let idx = l.epoch_index(3); // epoch 3 < base epoch 10
+        l.charge(idx, 1.0, false);
         let (_, _, _, stale) = l.fault_counters();
         assert_eq!(stale, 1);
-        // The charge landed on the base epoch's bucket.
-        assert!(l.epoch_use(10).weighted >= 1.0);
+        // The charge landed on the base epoch's bucket, and the budget
+        // stored beside it is the one its totals give.
+        assert_eq!(l.epoch_index(10), idx);
+        let u = l.epochs[idx];
+        assert_eq!((u.weighted, u.cap), (1.0, l.fresh_cap[0]));
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "still owes"))]
+    fn a_grant_that_outlasts_the_epoch_bound_says_so() {
+        // A device with next to no bandwidth: the floor of one weighted
+        // byte an epoch is all it grants, so this request needs a thousand
+        // epochs more than one grant may span. Debug builds panic; release
+        // builds return the end of the last epoch charged, with the last
+        // thousand bytes granted nowhere.
+        let crawl = DeviceParams {
+            bw_read_seq: 1e-6,
+            ..DeviceParams::optane()
+        };
+        let mut l = Ledger::new(crawl, 1);
+        let done = l.grant(0, AccessKind::Read, Pattern::Seq, MAX_GRANT_EPOCHS + 1_000);
+        assert_eq!(done, MAX_GRANT_EPOCHS);
+        assert_eq!(l.epochs.len() as u64, MAX_GRANT_EPOCHS);
     }
 
     #[test]
@@ -586,5 +712,231 @@ mod tests {
         // Replaying the original (now pre-base) start time still works.
         let done2 = l.grant(0, AccessKind::Write, Pattern::Rand, 4 << 10);
         assert!(done2 >= done);
+    }
+
+    /// `grant` as it was before the fast path and the stored `cap`, kept
+    /// verbatim as the reference the replacement is checked against. It
+    /// shares the ledger's fields and every other method, and neither
+    /// reads nor writes `EpochUse::cap`.
+    mod reference {
+        use super::super::{AccessKind, EpochUse, Ledger, Ns, Pattern};
+
+        fn write_share(u: &EpochUse, kind: AccessKind) -> f64 {
+            if u.weighted <= 0.0 {
+                if kind.is_write() {
+                    1.0
+                } else {
+                    0.0
+                }
+            } else {
+                u.weighted_write / u.weighted
+            }
+        }
+
+        pub fn grant(
+            l: &mut Ledger,
+            now: Ns,
+            kind: AccessKind,
+            pattern: Pattern,
+            bytes: u64,
+        ) -> Ns {
+            if bytes == 0 {
+                return now;
+            }
+            l.grants += 1;
+            let now = l.defer_past_stalls(now);
+            let mut remaining = l.weight(kind, pattern, bytes) * l.collapse_factor(now);
+            let epoch_of_now = if now.wrapping_sub(l.last_epoch_start) < l.epoch_ns {
+                l.last_epoch
+            } else {
+                let e = now / l.epoch_ns;
+                l.last_epoch = e;
+                l.last_epoch_start = e * l.epoch_ns;
+                e
+            };
+            let start_epoch = epoch_of_now.max(l.base_epoch);
+            let mut completion = now;
+            let base_budget = l.params.bw_read_seq * l.epoch_ns as f64;
+            let is_write = kind.is_write();
+            for epoch in start_epoch..start_epoch + 1_000_000 {
+                let idx = l.epoch_index(epoch);
+                let u = l.epochs[idx];
+                let cap =
+                    (base_budget * l.params.interference_factor(write_share(&u, kind))).max(1.0);
+                let used = u.weighted;
+                let avail = (cap - used).max(0.0);
+                let take = remaining.min(avail);
+                if take > 0.0 {
+                    let u = &mut l.epochs[idx];
+                    u.weighted += take;
+                    if is_write {
+                        u.weighted_write += take;
+                    }
+                    remaining -= take;
+                    let frac = ((used + take) / cap).min(1.0);
+                    completion = epoch * l.epoch_ns + (frac * l.epoch_ns as f64) as Ns;
+                }
+                if remaining <= 1e-9 {
+                    break;
+                }
+            }
+            completion.max(now)
+        }
+    }
+
+    use proptest::prelude::*;
+
+    const EPOCH: Ns = 1_000;
+
+    /// One scripted ledger operation. Times are relative to the script's
+    /// clock, which every grant moves to its own start time.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A grant `dt` after the clock, or (`back`) before it.
+        Grant {
+            dt: Ns,
+            back: bool,
+            req: (u8, bool, u64),
+        },
+        /// A grant one before, at, or one after (`nudge` 0, 1, 2) the
+        /// `n`th edge of the installed windows.
+        GrantAtEdge {
+            n: usize,
+            nudge: Ns,
+            req: (u8, bool, u64),
+        },
+        /// `retire_before(clock + ahead - 2 * EPOCH)`.
+        Retire {
+            ahead: Ns,
+        },
+        /// `set_faults` with stall windows `(offset, length)` and collapse
+        /// windows `(offset, length, factor)`.
+        Faults {
+            stalls: Vec<(Ns, Ns)>,
+            collapses: Vec<(Ns, Ns, u8)>,
+        },
+        Reset,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        // `(kind, random pattern, bytes)`: from one byte to bulks of
+        // several epochs (an epoch of the NVM device is 38 KB of reads).
+        let req = || {
+            let bytes = prop_oneof![1..9u64, 1..4_097u64, 30_000..400_000u64];
+            (0..3u8, any::<bool>(), bytes)
+        };
+        let grant = || {
+            (0..3 * EPOCH, 0..4u8, req()).prop_map(|(dt, back, req)| Op::Grant {
+                dt,
+                back: back == 0,
+                req,
+            })
+        };
+        let stalls = prop::collection::vec((0..4 * EPOCH, 1..2 * EPOCH), 0..3);
+        let collapses = prop::collection::vec((0..4 * EPOCH, 1..2 * EPOCH, 0..6u8), 0..3);
+        prop_oneof![
+            // Half the ops are plain grants.
+            grant(),
+            grant(),
+            grant(),
+            grant(),
+            grant(),
+            (0..12usize, 0..3u64, req()).prop_map(|(n, nudge, req)| Op::GrantAtEdge {
+                n,
+                nudge,
+                req
+            }),
+            (0..12usize, 0..3u64, req()).prop_map(|(n, nudge, req)| Op::GrantAtEdge {
+                n,
+                nudge,
+                req
+            }),
+            (0..4 * EPOCH).prop_map(|ahead| Op::Retire { ahead }),
+            (stalls, collapses).prop_map(|(stalls, collapses)| Op::Faults { stalls, collapses }),
+            (0..8u8).prop_map(|n| if n == 0 {
+                Op::Reset
+            } else {
+                Op::Retire { ahead: 0 }
+            }),
+        ]
+    }
+
+    /// Everything the ledger can show: counters, the tracked range, and
+    /// the bit patterns of every tracked epoch's totals.
+    fn observed(l: &Ledger) -> String {
+        let bits = |u: &EpochUse| (u.weighted.to_bits(), u.weighted_write.to_bits());
+        let epochs: Vec<(u64, u64)> = l.epochs.iter().map(bits).collect();
+        format!(
+            "{} grants, faults {:?}, base epoch {}, totals {epochs:x?}",
+            l.grants(),
+            l.fault_counters(),
+            l.base_epoch
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fast path, the stored `cap` and the calm interval change
+        /// no bit of any completion time, counter or epoch total.
+        #[test]
+        fn grant_equals_reference(
+            ops in prop::collection::vec(arb_op(), 1..401),
+            dram in any::<bool>(),
+        ) {
+            let params = if dram { DeviceParams::dram() } else { DeviceParams::optane() };
+            let mut new = Ledger::new(params, EPOCH);
+            let mut old = new.clone();
+            let mut clock: Ns = 0;
+            let mut edges: Vec<Ns> = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                let grant_at = match *op {
+                    Op::Grant { dt, back, req } => {
+                        Some((if back { clock.saturating_sub(dt) } else { clock + dt }, req))
+                    }
+                    Op::GrantAtEdge { n, nudge, req } => {
+                        let edge = edges.get(n % edges.len().max(1)).copied().unwrap_or(clock);
+                        Some(((edge + nudge).saturating_sub(1), req))
+                    }
+                    Op::Retire { ahead } => {
+                        let ns = (clock + ahead).saturating_sub(2 * EPOCH);
+                        new.retire_before(ns);
+                        old.retire_before(ns);
+                        None
+                    }
+                    Op::Faults { ref stalls, ref collapses } => {
+                        let window = |off: Ns, len: Ns| FaultWindow { start: clock + off, end: clock + off + len };
+                        let stalls: Vec<FaultWindow> =
+                            stalls.iter().map(|&(off, len)| window(off, len)).collect();
+                        // Factors 0.5 (clamped to 1), 1, 1.5, … 3.
+                        let collapses: Vec<(FaultWindow, f64)> = collapses
+                            .iter()
+                            .map(|&(off, len, f)| (window(off, len), 0.5 + f64::from(f) * 0.5))
+                            .collect();
+                        let all = stalls.iter().chain(collapses.iter().map(|(w, _)| w));
+                        edges = all.flat_map(|w| [w.start, w.end]).collect();
+                        new.set_faults(stalls.clone(), collapses.clone());
+                        old.set_faults(stalls, collapses);
+                        None
+                    }
+                    Op::Reset => {
+                        new.reset();
+                        old.reset();
+                        None
+                    }
+                };
+                if let Some((now, (kind, rand, bytes))) = grant_at {
+                    clock = now;
+                    let kind = [AccessKind::Read, AccessKind::Write, AccessKind::NtWrite][kind as usize];
+                    let pattern = if rand { Pattern::Rand } else { Pattern::Seq };
+                    prop_assert_eq!(
+                        new.grant(now, kind, pattern, bytes),
+                        reference::grant(&mut old, now, kind, pattern, bytes),
+                        "op {}: {:?} at {}", i, op, now
+                    );
+                }
+                prop_assert_eq!(observed(&new), observed(&old), "after op {}: {:?}", i, op);
+            }
+        }
     }
 }
