@@ -14,7 +14,7 @@
 
 use crate::runner::{PoolStats, WorkCounters};
 use crate::warm::{run_forked_cells, ForkStats};
-use crate::{apply_paper_ratios, sized_config, PAPER_THREADS};
+use crate::{sized_config, PAPER_THREADS};
 use nvmgc_core::fault::{FaultPlan, Severity};
 use nvmgc_core::{GcConfig, GcStats};
 use nvmgc_heap::DevicePlacement;
@@ -160,7 +160,7 @@ pub(crate) fn matrix_config(
     cfg.heap.region_size = 32 << 10;
     cfg.heap.heap_regions = 256;
     cfg.heap.young_regions = 64;
-    apply_paper_ratios(&mut cfg);
+    cfg.apply_paper_ratios();
     cfg.gc.fault = FaultPlan::generate(seed, severity, FAULT_MATRIX_HORIZON_NS);
     cfg
 }

@@ -502,7 +502,7 @@ pub(super) fn abl_mixed_gc(d: &mut Driver) -> Gate {
         config: variants[i].0.to_owned(),
         trigger: variants[i].2.to_owned(),
         gc_ms: r.gc_seconds() * 1e3,
-        mixed_cycles: r.mixed_cycles,
+        mixed_cycles: r.mixed_cycles(),
         peak_old_regions: r.peak_old_regions,
         final_old_regions_estimate: r.peak_old_regions,
         max_pause_ms: r.gc.max_pause_ns() as f64 / 1e6,

@@ -7,7 +7,7 @@ use crate::{
 };
 use nvmgc_core::{GcConfig, PauseSpan};
 use nvmgc_heap::DevicePlacement;
-use nvmgc_memsim::Ns;
+use nvmgc_memsim::{mbps, traffic_in, Ns};
 use nvmgc_metrics::cost::{dram_cost, nvm_cost};
 use nvmgc_metrics::{gc_improvement_per_dollar, geomean, mean, BandwidthSeries};
 use nvmgc_workloads::cassandra::{client_spec, server_spec, CassandraPhase};
@@ -15,39 +15,9 @@ use nvmgc_workloads::prefetch_micro::{MicroConfig, MicroTable};
 use nvmgc_workloads::{all_apps, app, renaissance_apps, run_scenario, spark_apps, AppRunConfig};
 use serde::Serialize;
 
-/// Sampler traffic inside the half-open `[from, to)` intervals: read
-/// bytes, write bytes and the intervals' total length in ns. A bin
-/// counts whole when an interval touches it.
-fn traffic_in(
-    series: &[(u64, u64)],
-    bin_ns: Ns,
-    intervals: impl Iterator<Item = (Ns, Ns)>,
-) -> (u64, u64, u64) {
-    let (mut rd, mut wr, mut dur) = (0u64, 0u64, 0u64);
-    for (from, to) in intervals.filter(|&(from, to)| to > from) {
-        dur += to - from;
-        let first = (from / bin_ns) as usize;
-        let last = ((to - 1) / bin_ns) as usize;
-        for b in series.iter().take(last + 1).skip(first) {
-            rd += b.0;
-            wr += b.1;
-        }
-    }
-    (rd, wr, dur)
-}
-
 /// Whether `app` is one of the Spark applications the paper reports apart.
 fn is_spark(app: &str) -> bool {
     spark_apps().iter().any(|s| s.name == app)
-}
-
-/// `bytes` over `ns` as MB/s (zero over an empty span).
-fn mbps(bytes: u64, ns: u64) -> f64 {
-    if ns == 0 {
-        0.0
-    } else {
-        bytes as f64 / ns as f64 * 1000.0
-    }
 }
 
 /// The heap devices of the bandwidth-timeline figures, in cell order.
@@ -233,14 +203,15 @@ pub(super) fn fig02_scalability(d: &mut Driver) -> Gate {
         .collect();
     let rows = d.run(cells, |i, r| {
         let (_, label, t) = points[i];
+        // The run's traffic all lands on its heap device. The two sums
+        // differ in the last bit; each device keeps the one its committed
+        // rows were produced with.
         let dev_bw = if label == "dram" {
-            // The DRAM run's traffic all lands on DRAM; compute its
-            // in-GC bandwidth from the DRAM series + pause marks.
-            let pauses = r.pause_spans.iter().map(|p| (p.start_ns, p.end_ns));
-            let (rd, wr, dur) = traffic_in(&r.dram_series, r.bin_ns, pauses);
+            let (rd, wr, dur) = traffic_in(&r.dram_series, r.bin_ns, r.pauses());
             mbps(rd + wr, dur)
         } else {
-            r.gc_nvm_bandwidth.0 + r.gc_nvm_bandwidth.1
+            let (rd, wr, dur) = traffic_in(&r.nvm_series, r.bin_ns, r.pauses());
+            mbps(rd, dur) + mbps(wr, dur)
         };
         Row {
             device: label.to_owned(),
@@ -300,26 +271,24 @@ pub(super) fn fig03_als_bandwidth(d: &mut Driver) -> Gate {
     let out = d.run(device_cells("als"), |i, r| {
         let label = DEVICES[i];
         let series = [&r.dram_series, &r.nvm_series][i];
-        let phase_bw = || {
-            let pauses = r.pause_spans.iter().map(|p| (p.start_ns, p.end_ns));
-            let (rd, wr, dur) = traffic_in(series, r.bin_ns, pauses);
+        let (gc_r, gc_w) = {
+            let (rd, wr, dur) = traffic_in(series, r.bin_ns, r.pauses());
             (mbps(rd, dur), mbps(wr, dur))
         };
-        let (gc_r, gc_w) = if label == "nvm" {
-            r.gc_nvm_bandwidth
-        } else {
-            phase_bw()
-        };
         let (mu_r, mu_w) = if label == "nvm" {
-            r.app_nvm_bandwidth
+            let (rd, wr, dur) = traffic_in(series, r.bin_ns, r.mutator_phases());
+            (mbps(rd, dur), mbps(wr, dur))
         } else {
-            let (tr, tw) = series.iter().fold((0, 0), |(r, w), &(a, b)| (r + a, w + b));
+            let (tr, tw) = series
+                .iter()
+                .fold((0, 0), |(r, w), b| (r + b.read_bytes, w + b.write_bytes));
             let gc_ns = r.gc.total_pause_ns();
             let mu_ns = r.total_ns.saturating_sub(gc_ns).max(1);
-            let (gr, gw) = phase_bw();
-            // Mutator-phase traffic = total − in-GC traffic.
-            let gc_bytes_r = gr / 1000.0 * gc_ns as f64;
-            let gc_bytes_w = gw / 1000.0 * gc_ns as f64;
+            // Mutator-phase traffic = total − in-GC traffic (setup's
+            // traffic included, which `mutator_phases()` leaves out; the
+            // committed DRAM row is this estimate).
+            let gc_bytes_r = gc_r / 1000.0 * gc_ns as f64;
+            let gc_bytes_w = gc_w / 1000.0 * gc_ns as f64;
             (
                 (tr as f64 - gc_bytes_r).max(0.0) / mu_ns as f64 * 1000.0,
                 (tw as f64 - gc_bytes_w).max(0.0) / mu_ns as f64 * 1000.0,
@@ -625,7 +594,10 @@ pub(super) fn fig06_gc_bandwidth(d: &mut Driver) -> Gate {
     let apps = maybe_trim(all_apps(), 4);
     let variants = [GcConfig::plus_all(THREADS, 0), GcConfig::vanilla(THREADS)];
     let cells = app_grid(&apps, &variants, |_, cfg| cfg.sample_series = true);
-    let bw = d.run(cells, |_, r| r.gc_nvm_bandwidth.0 + r.gc_nvm_bandwidth.1);
+    let bw = d.run(cells, |_, r| {
+        let (rd, wr, dur) = traffic_in(&r.nvm_series, r.bin_ns, r.pauses());
+        mbps(rd, dur) + mbps(wr, dur)
+    });
     let rows: Vec<Row> = apps
         .iter()
         .zip(bw.chunks_exact(2))
@@ -730,7 +702,7 @@ pub(super) fn fig07_split_bandwidth(d: &mut Driver) -> Gate {
             let first = (p.start_ns / r.bin_ns) as usize;
             let last = ((p.end_ns - 1) / r.bin_ns) as usize;
             for b in r.nvm_series.iter().take(last + 1).skip(first) {
-                peak_write = peak_write.max(b.1 as f64 / r.bin_ns as f64 * 1000.0);
+                peak_write = peak_write.max(b.write_mbps(r.bin_ns));
             }
         }
         GcWindow {

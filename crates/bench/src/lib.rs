@@ -88,21 +88,9 @@ pub fn seed() -> u64 {
 /// map sized at the paper's ratio (1/32 of the heap each).
 pub fn sized_config(spec: WorkloadSpec, gc: GcConfig) -> AppRunConfig {
     let mut cfg = AppRunConfig::standard(spec, gc);
-    apply_paper_ratios(&mut cfg);
+    cfg.apply_paper_ratios();
     cfg.seed = seed();
     cfg
-}
-
-/// Sizes the write cache and header map at the paper's ratio for `cfg`'s
-/// current heap geometry (re-applied after a harness resizes the heap).
-pub(crate) fn apply_paper_ratios(cfg: &mut AppRunConfig) {
-    let heap_bytes = cfg.heap_bytes();
-    if cfg.gc.write_cache.enabled && cfg.gc.write_cache.max_bytes != u64::MAX {
-        cfg.gc.write_cache.max_bytes = (heap_bytes / 32).max(cfg.heap.region_size as u64);
-    }
-    if cfg.gc.header_map.enabled {
-        cfg.gc.header_map.max_bytes = (heap_bytes / 32).max(1 << 20);
-    }
 }
 
 /// Trims a roster to a representative subset in fast mode.

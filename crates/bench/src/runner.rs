@@ -230,8 +230,6 @@ impl WorkCounters {
     }
 
     /// The counters as `(JSON key, value)` pairs, in serialization order.
-    /// The perf gate iterates this list, so adding a field here extends
-    /// the gate automatically.
     pub fn named(&self) -> [(&'static str, u64); 10] {
         [
             ("simulated_ns", self.simulated_ns),
@@ -248,32 +246,8 @@ impl WorkCounters {
     }
 }
 
-/// Extracts the integer following `"key":` in `text`, or `None` if the
-/// key is absent. The vendored `serde_json` is serialize-only, so the
-/// perf gate reads its baseline back with this scanner instead of a
-/// parser; it is sufficient for the flat counter block
-/// [`throughput_report`] emits, where every counter key is unique.
-pub fn scan_counter(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Whether `now` is within ±10% of `baseline` — the perf-budget
-/// acceptance test. A zero baseline admits only zero.
-pub fn within_budget(baseline: u64, now: u64) -> bool {
-    if baseline == 0 {
-        return now == 0;
-    }
-    now.abs_diff(baseline) * 10 <= baseline
-}
-
 /// Payload of `results/sim_throughput.json`: the deterministic counter
-/// block CI budgets against.
+/// block CI diffs against the committed file.
 #[derive(Serialize)]
 struct ThroughputRecord {
     harness: String,
@@ -424,46 +398,5 @@ mod tests {
             assert!(json.contains(&format!("\"{key}\"")), "{key} missing");
         }
         assert_eq!(json.matches(':').count(), a.named().len());
-    }
-
-    #[test]
-    fn scanner_reads_pretty_printed_integers() {
-        let text =
-            "{\n  \"counters\": {\n    \"engine_steps\": 12345,\n    \"bus_grants\": 0\n  }\n}";
-        assert_eq!(scan_counter(text, "engine_steps"), Some(12345));
-        assert_eq!(scan_counter(text, "bus_grants"), Some(0));
-        assert_eq!(scan_counter(text, "absent"), None);
-    }
-
-    #[test]
-    fn budget_is_ten_percent_two_sided() {
-        assert!(within_budget(100, 110));
-        assert!(within_budget(100, 90));
-        assert!(!within_budget(100, 111));
-        assert!(!within_budget(100, 89));
-        assert!(within_budget(0, 0));
-        assert!(!within_budget(0, 1));
-    }
-
-    #[test]
-    fn scanner_round_trips_a_written_record() {
-        // The gate reads back exactly what throughput_report emits: the
-        // serialized counter block must be scannable key by key.
-        let counters = WorkCounters {
-            simulated_ns: 7,
-            engine_steps: 11,
-            bus_grants: 13,
-            llc_installs: 17,
-            bulk_grant_splits: 19,
-            oracle_checks: 23,
-            snapshot_forks: 29,
-            warmup_steps_saved: 31,
-            client_requests: 37,
-            client_cohorts: 41,
-        };
-        let json = serde_json::to_string_pretty(&counters).expect("serialize");
-        for (key, value) in counters.named() {
-            assert_eq!(scan_counter(&json, key), Some(value), "{key}");
-        }
     }
 }

@@ -44,7 +44,7 @@ use crate::stack::{Task, WorkPool};
 use crate::stats::GcStats;
 use crate::write_cache::WriteCachePool;
 use nvmgc_heap::{Addr, Header, Heap, RegionId, RegionKind};
-use nvmgc_memsim::{DeviceId, Ns, PhaseKind, TraceCat, TRACK_CYCLE};
+use nvmgc_memsim::{DeviceId, Ns, TraceCat, TRACK_CYCLE};
 use std::collections::VecDeque;
 
 /// What one cycle starts from: its collection set, its initial work and
@@ -402,11 +402,10 @@ pub(crate) fn run(
     let end = drain_journal(&mut sh, clear_end);
     sh.stats.phases.clear_ns = end - wb_end;
 
-    // Phase marks for the bandwidth figures.
-    sh.mem.sampler_mut().mark_phase(start, end, PhaseKind::Gc);
     // The whole-cycle trace span, from the instant the cycle stopped the
-    // mutators: start/end are the exact interval the GC log records,
-    // which the trace determinism tests cross-check.
+    // mutators (a mixed cycle's mark runs before its seed) to the instant
+    // they resume: the runner's `PauseSpan` of the cycle is this interval
+    // plus the mark, which the trace determinism tests cross-check.
     sh.mem.trace_mut().span(
         "cycle",
         TraceCat::Cycle,

@@ -265,8 +265,7 @@ mod tests {
     fn mem(ledger: bool) -> (MemorySystem, Ns) {
         let mut cfg = MemConfig::default();
         cfg.persist.enabled = ledger;
-        let fence = cfg.fence_ns as Ns;
-        (MemorySystem::new(cfg), fence)
+        (MemorySystem::new(cfg), nvmgc_memsim::FENCE_NS)
     }
 
     #[test]

@@ -10,117 +10,55 @@
 //! [0.113s] GC(3)   copied 2368K, promoted 192K, 31337 slots, 14 steals
 //! ```
 
-use crate::stats::GcStats;
-use nvmgc_memsim::Ns;
+use crate::stats::{GcStats, PauseSpan};
 use std::fmt::Write as _;
 
-/// What kind of collection a log entry describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GcKind {
-    /// Stop-the-world young collection.
-    Young,
-    /// Mixed collection (young + selected old regions).
-    Mixed,
-    /// Whole-heap full collection.
-    Full,
-}
-
-impl GcKind {
-    fn label(self) -> &'static str {
-        match self {
-            GcKind::Young => "Pause Young (Normal)",
-            GcKind::Mixed => "Pause Young (Mixed)",
-            GcKind::Full => "Pause Full",
-        }
-    }
-}
-
-/// One collection as recorded by the log, in machine-readable form.
-///
-/// The rendered lines are for human eyeballs; cross-checks (e.g. the
-/// trace layer's GC-log/span consistency test) use these entries, whose
-/// timestamps are exact simulated nanoseconds rather than rounded
-/// seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GcLogEntry {
-    /// What kind of collection ran.
-    pub kind: GcKind,
-    /// Evacuation-pause start, simulated ns. For mixed/full collections
-    /// the stop-the-world mark precedes this point.
-    pub start: Ns,
-    /// Evacuation-pause end (`start + stats.pause_ns()`), simulated ns.
-    /// Identical to the end of the collector's `"cycle"` trace span.
-    pub end: Ns,
-}
-
-/// Accumulates human-readable log lines for a run.
-#[derive(Debug, Default)]
-pub struct GcLog {
-    lines: Vec<String>,
-    entries: Vec<GcLogEntry>,
-    cycle: usize,
-}
-
-impl GcLog {
-    /// Creates an empty log.
-    pub fn new() -> GcLog {
-        GcLog::default()
-    }
-
-    /// Records one collection cycle.
-    ///
-    /// `start` is the pause start in simulated time; `before_bytes` /
-    /// `after_bytes` are the occupied young+old byte counts around the
-    /// pause (shown like HotSpot's `7168K->2368K`).
-    pub fn record(
-        &mut self,
-        kind: GcKind,
-        start: Ns,
-        stats: &GcStats,
-        before_bytes: u64,
-        after_bytes: u64,
-    ) {
-        let id = self.cycle;
-        self.cycle += 1;
-        let evac_start = start + stats.mark_ns;
-        self.entries.push(GcLogEntry {
-            kind,
-            start: evac_start,
-            end: evac_start + stats.pause_ns(),
-        });
-        let at = (start + stats.pause_ns()) as f64 / 1e9;
-        let mut line = String::new();
-        let _ = write!(
-            line,
-            "[{at:.3}s] GC({id}) {} {}K->{}K {:.2}ms",
-            kind.label(),
-            before_bytes >> 10,
-            after_bytes >> 10,
+/// Renders a run's collections as log text: one block of lines per
+/// cycle, `cycles[i]` being the statistics of the pause `pause_spans[i]`.
+/// The occupied young+old byte counts around each pause ride on the span
+/// (shown like HotSpot's `7168K->2368K`).
+pub fn render(cycles: &[GcStats], pause_spans: &[PauseSpan]) -> String {
+    let mut out = String::new();
+    for (id, (stats, span)) in cycles.iter().zip(pause_spans).enumerate() {
+        let at = (span.start_ns + stats.pause_ns()) as f64 / 1e9;
+        let label = if span.mixed {
+            "Pause Young (Mixed)"
+        } else {
+            "Pause Young (Normal)"
+        };
+        let _ = writeln!(
+            out,
+            "[{at:.3}s] GC({id}) {label} {}K->{}K {:.2}ms",
+            span.before_bytes >> 10,
+            span.after_bytes >> 10,
             stats.pause_ns() as f64 / 1e6
         );
-        self.lines.push(line);
         if stats.mark_ns > 0 {
-            self.lines.push(format!(
+            let _ = writeln!(
+                out,
                 "[{at:.3}s] GC({id})   concurrent-equivalent mark {:.2}ms",
                 stats.mark_ns as f64 / 1e6
-            ));
+            );
         }
         if stats.recovery_ns > 0 {
-            self.lines.push(format!(
+            let _ = writeln!(
+                out,
                 "[{at:.3}s] GC({id})   crashed attempts + recovery {:.2}ms",
                 stats.recovery_ns as f64 / 1e6
-            ));
+            );
         }
         let named = stats.phases.named();
-        self.lines.push(format!(
+        let _ = writeln!(
+            out,
             "[{at:.3}s] GC({id})   {}",
             named
                 .iter()
                 .map(|(label, ns)| format!("{label} {:.2}ms", *ns as f64 / 1e6))
                 .collect::<Vec<_>>()
                 .join(", ")
-        ));
-        let mut detail = format!(
+        );
+        let _ = write!(
+            out,
             "[{at:.3}s] GC({id})   copied {}K, promoted {}K, {} slots, {} steals",
             stats.copied_bytes >> 10,
             stats.promoted_bytes >> 10,
@@ -128,41 +66,17 @@ impl GcLog {
             stats.steals
         );
         if stats.evac_failures > 0 {
-            let _ = write!(detail, ", {} evacuation failures", stats.evac_failures);
+            let _ = write!(out, ", {} evacuation failures", stats.evac_failures);
         }
         if stats.old_regions_collected > 0 {
-            let _ = write!(detail, ", {} old regions", stats.old_regions_collected);
+            let _ = write!(out, ", {} old regions", stats.old_regions_collected);
         }
         if stats.humongous_freed > 0 {
-            let _ = write!(detail, ", {} humongous freed", stats.humongous_freed);
+            let _ = write!(out, ", {} humongous freed", stats.humongous_freed);
         }
-        self.lines.push(detail);
+        out.push('\n');
     }
-
-    /// The rendered log lines.
-    pub fn lines(&self) -> &[String] {
-        &self.lines
-    }
-
-    /// The machine-readable per-collection entries, in cycle order.
-    pub fn entries(&self) -> &[GcLogEntry] {
-        &self.entries
-    }
-
-    /// Renders the whole log as one string.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for l in &self.lines {
-            out.push_str(l);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Number of collections recorded.
-    pub fn cycles(&self) -> usize {
-        self.cycle
-    }
+    out
 }
 
 #[cfg(test)]
@@ -185,11 +99,22 @@ mod tests {
         }
     }
 
+    /// The pause of `stats` starting at `start_ns`.
+    fn span(start_ns: u64, stats: &GcStats, mixed: bool, occupancy: (u64, u64)) -> PauseSpan {
+        PauseSpan {
+            start_ns,
+            end_ns: start_ns + stats.mark_ns + stats.pause_ns(),
+            mixed,
+            recovered: false,
+            before_bytes: occupancy.0,
+            after_bytes: occupancy.1,
+        }
+    }
+
     #[test]
     fn young_entry_has_hotspot_shape() {
-        let mut log = GcLog::new();
-        log.record(GcKind::Young, 108_170_000, &stats(), 7 << 20, 2 << 20);
-        let text = log.render();
+        let s = [stats()];
+        let text = render(&s, &[span(108_170_000, &s[0], false, (7 << 20, 2 << 20))]);
         assert!(
             text.contains("GC(0) Pause Young (Normal) 7168K->2048K 4.83ms"),
             "{text}"
@@ -197,22 +122,22 @@ mod tests {
         assert!(text.contains("scan 3.91ms"));
         assert!(text.contains("31337 slots"));
         assert!(!text.contains("mark"), "no mark line for young GC");
-        assert_eq!(log.cycles(), 1);
+        assert_eq!(text.lines().count(), 3);
     }
 
     #[test]
-    fn mixed_and_full_entries_show_mark_and_extras() {
+    fn mixed_entries_show_mark_and_extras() {
         let mut s = stats();
         s.mark_ns = 1_500_000;
         s.old_regions_collected = 7;
         s.humongous_freed = 2;
         s.evac_failures = 3;
-        let mut log = GcLog::new();
-        log.record(GcKind::Mixed, 0, &s, 1 << 20, 1 << 19);
-        log.record(GcKind::Full, 10_000_000, &s, 1 << 20, 1 << 19);
-        let text = log.render();
+        let spans = [
+            span(0, &s, true, (1 << 20, 1 << 19)),
+            span(10_000_000, &s, true, (1 << 20, 1 << 19)),
+        ];
+        let text = render(&[s.clone(), s], &spans);
         assert!(text.contains("Pause Young (Mixed)"));
-        assert!(text.contains("Pause Full"));
         assert!(text.contains("mark 1.50ms"));
         assert!(text.contains("7 old regions"));
         assert!(text.contains("2 humongous freed"));
@@ -221,18 +146,26 @@ mod tests {
     }
 
     #[test]
-    fn entries_carry_exact_evacuation_intervals() {
-        let mut log = GcLog::new();
-        log.record(GcKind::Young, 1_000, &stats(), 7 << 20, 2 << 20);
-        let mut s = stats();
-        s.mark_ns = 500; // mixed: mark precedes the evacuation pause
-        log.record(GcKind::Mixed, 10_000, &s, 1 << 20, 1 << 19);
-        let e = log.entries();
-        assert_eq!(e.len(), 2);
-        assert_eq!(e[0].kind, GcKind::Young);
-        assert_eq!(e[0].start, 1_000);
-        assert_eq!(e[0].end, 1_000 + stats().pause_ns());
-        assert_eq!(e[1].start, 10_500, "mark excluded from the evac pause");
-        assert_eq!(e[1].end, 10_500 + s.pause_ns());
+    fn timestamps_come_from_the_pause_span() {
+        // A line is stamped with the span's start plus the cycle's pause:
+        // the end of a young pause, and for a mixed one the instant its
+        // evacuation would have ended had the mark not preceded it.
+        let young = stats();
+        let mut mixed = stats();
+        mixed.mark_ns = 500_000_000;
+        let spans = [
+            span(1_000_000_000, &young, false, (7 << 20, 2 << 20)),
+            span(2_000_000_000, &mixed, true, (1 << 20, 1 << 19)),
+        ];
+        let text = render(&[young, mixed], &spans);
+        assert!(
+            text.contains("[1.005s] GC(0) Pause Young (Normal)"),
+            "{text}"
+        );
+        assert!(
+            text.contains("[2.005s] GC(1) Pause Young (Mixed)"),
+            "{text}"
+        );
+        assert!(!text.contains("[2.505s]"), "{text}");
     }
 }

@@ -46,9 +46,10 @@ impl GcPhaseTimes {
 /// One stop-the-world pause, positioned on the simulated timeline.
 ///
 /// `RunGcStats::pauses_ns` keeps only durations; latency attribution
-/// (the scenario suite's SLO-violation windows) additionally needs
-/// *when* each pause ran and what kind of cycle caused it, so the app
-/// runner records one `PauseSpan` per cycle alongside the stats.
+/// (the scenario suite's SLO-violation windows), in-pause bandwidth and
+/// the GC log additionally need *when* each pause ran and what kind of
+/// cycle caused it, so the app runner records one `PauseSpan` per cycle
+/// alongside the stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PauseSpan {
     /// Simulated time the mutators stopped.
@@ -60,6 +61,10 @@ pub struct PauseSpan {
     pub mixed: bool,
     /// `true` when this cycle resumed a crashed durable-mode evacuation.
     pub recovered: bool,
+    /// Bytes of occupied young and old regions when the mutators stopped.
+    pub before_bytes: u64,
+    /// Bytes of occupied young and old regions when they resumed.
+    pub after_bytes: u64,
 }
 
 impl PauseSpan {

@@ -58,10 +58,10 @@ pub use hashfast::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use persist::{CrashImage, DurabilityLedger, LineRec, PersistConfig, PersistStats};
 pub use prefetch::PrefetchTable;
 pub use sampler::{
-    device_track, PhaseKind, TraceCat, TraceEvent, TraceLog, TrafficSample, TrafficSampler,
+    device_track, mbps, traffic_in, TraceCat, TraceEvent, TraceLog, TrafficSample, TrafficSampler,
     TRACK_CYCLE,
 };
-pub use system::{MemConfig, MemStats, MemorySystem};
+pub use system::{MemConfig, MemStats, MemorySystem, FENCE_NS};
 
 /// Simulated time in nanoseconds.
 pub type Ns = u64;

@@ -2,9 +2,10 @@
 //!
 //! Every grant at a device is recorded into fixed-width time bins, split by
 //! device and read/write direction. Experiments pull the resulting series
-//! to plot the bandwidth timelines of Figs. 2, 3 and 7, and phase marks
-//! (GC active intervals) reproduce the vertical demarcation lines in those
-//! figures.
+//! to plot the bandwidth timelines of Figs. 2, 3 and 7. The sampler knows
+//! nothing about *when* a run collected: [`traffic_in`] sums the bins under
+//! whatever intervals the caller's timeline supplies (Fig. 6's "NVM
+//! bandwidth during GC" is the traffic inside the run's pauses).
 
 use crate::device::{AccessKind, DeviceId};
 use crate::Ns;
@@ -143,23 +144,6 @@ impl TraceLog {
     }
 }
 
-/// What a phase mark denotes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum PhaseKind {
-    /// Mutator (application) execution.
-    Mutator,
-    /// A stop-the-world GC pause.
-    Gc,
-}
-
-/// A labeled simulated-time interval.
-#[derive(Debug, Clone, Copy)]
-struct Phase {
-    start: Ns,
-    end: Ns,
-    kind: PhaseKind,
-}
-
 /// One bin of the sampled bandwidth series.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct TrafficSample {
@@ -172,30 +156,55 @@ pub struct TrafficSample {
 impl TrafficSample {
     /// Read bandwidth over a bin of `bin_ns`, in MB/s.
     pub fn read_mbps(&self, bin_ns: Ns) -> f64 {
-        bytes_to_mbps(self.read_bytes, bin_ns)
+        mbps(self.read_bytes, bin_ns)
     }
 
     /// Write bandwidth over a bin of `bin_ns`, in MB/s.
     pub fn write_mbps(&self, bin_ns: Ns) -> f64 {
-        bytes_to_mbps(self.write_bytes, bin_ns)
+        mbps(self.write_bytes, bin_ns)
     }
 }
 
-fn bytes_to_mbps(bytes: u64, bin_ns: Ns) -> f64 {
-    if bin_ns == 0 {
+/// `bytes` over `ns` as MB/s (zero over an empty span).
+pub fn mbps(bytes: u64, ns: Ns) -> f64 {
+    if ns == 0 {
         return 0.0;
     }
     // bytes/ns = GB/s; ×1000 for MB/s.
-    bytes as f64 / bin_ns as f64 * 1000.0
+    bytes as f64 / ns as f64 * 1000.0
 }
 
-/// Records per-bin traffic for both devices plus phase marks.
+/// Traffic of `series` (bins of `bin_ns`) inside the half-open
+/// `[from, to)` intervals: read bytes, write bytes and the intervals'
+/// total length in ns. A bin counts whole when an interval touches it.
+///
+/// Bytes and duration come back separately because `(rd + wr) / dur` and
+/// `rd / dur + wr / dur` differ in the last bit; each caller keeps the
+/// operation order its committed numbers were produced with.
+pub fn traffic_in(
+    series: &[TrafficSample],
+    bin_ns: Ns,
+    intervals: impl Iterator<Item = (Ns, Ns)>,
+) -> (u64, u64, Ns) {
+    let (mut read, mut write, mut dur) = (0u64, 0u64, 0u64);
+    for (from, to) in intervals.filter(|&(from, to)| to > from) {
+        dur += to - from;
+        let first = (from / bin_ns) as usize;
+        let last = ((to - 1) / bin_ns) as usize;
+        for bin in series.iter().take(last + 1).skip(first) {
+            read += bin.read_bytes;
+            write += bin.write_bytes;
+        }
+    }
+    (read, write, dur)
+}
+
+/// Records per-bin traffic for both devices.
 #[derive(Debug, Clone)]
 pub struct TrafficSampler {
     bin_ns: Ns,
     /// Indexed `[device][bin]`.
     bins: [Vec<TrafficSample>; 2],
-    phases: Vec<Phase>,
     enabled: bool,
     /// Cache of the last bin resolved by [`record`](Self::record): the
     /// bin index and its start time. Consecutive records land in the
@@ -217,7 +226,6 @@ impl TrafficSampler {
         TrafficSampler {
             bin_ns,
             bins: [Vec::new(), Vec::new()],
-            phases: Vec::new(),
             enabled: true,
             last_bin: 0,
             last_bin_start: 0,
@@ -260,38 +268,9 @@ impl TrafficSampler {
         }
     }
 
-    /// Marks a phase interval.
-    pub fn mark_phase(&mut self, start: Ns, end: Ns, kind: PhaseKind) {
-        if self.enabled {
-            self.phases.push(Phase { start, end, kind });
-        }
-    }
-
     /// The recorded series for a device.
     pub fn series(&self, dev: DeviceId) -> &[TrafficSample] {
         &self.bins[dev.index()]
-    }
-
-    /// Average bandwidth (MB/s) at `dev` across the bins overlapping the
-    /// recorded phases of `kind`, split into (read, write).
-    ///
-    /// This is how Fig. 6 ("NVM bandwidth during GC") is computed: only
-    /// traffic that lands inside GC pauses counts.
-    pub fn phase_bandwidth(&self, dev: DeviceId, kind: PhaseKind) -> (f64, f64) {
-        let mut read = 0u64;
-        let mut write = 0u64;
-        let mut dur = 0u64;
-        let series = self.series(dev);
-        for ph in self.phases.iter().filter(|p| p.kind == kind) {
-            dur += ph.end.saturating_sub(ph.start);
-            let first = (ph.start / self.bin_ns) as usize;
-            let last = (ph.end.saturating_sub(1) / self.bin_ns) as usize;
-            for bin in series.iter().skip(first).take(last + 1 - first) {
-                read += bin.read_bytes;
-                write += bin.write_bytes;
-            }
-        }
-        (bytes_to_mbps(read, dur), bytes_to_mbps(write, dur))
     }
 
     /// Total (read, write) bytes recorded for a device.
@@ -301,10 +280,9 @@ impl TrafficSampler {
             .fold((0, 0), |(r, w), s| (r + s.read_bytes, w + s.write_bytes))
     }
 
-    /// Clears all samples and phases.
+    /// Clears all samples.
     pub fn reset(&mut self) {
         self.bins = [Vec::new(), Vec::new()];
-        self.phases.clear();
         self.last_bin = 0;
         self.last_bin_start = 0;
     }
@@ -337,14 +315,14 @@ mod tests {
     }
 
     #[test]
-    fn phase_bandwidth_only_counts_marked_intervals() {
+    fn traffic_in_only_counts_the_given_intervals() {
         let mut s = TrafficSampler::new(1000);
         s.record(DeviceId::Nvm, AccessKind::Read, 4000, 500); // bin 0
         s.record(DeviceId::Nvm, AccessKind::Read, 8000, 5500); // bin 5
-        s.mark_phase(0, 1000, PhaseKind::Gc);
-        let (read, write) = s.phase_bandwidth(DeviceId::Nvm, PhaseKind::Gc);
-        assert!((read - 4000.0).abs() < 1e-9, "read {read}");
-        assert_eq!(write, 0.0);
+        let gc = [(0, 1000)].into_iter();
+        let (read, write, dur) = traffic_in(s.series(DeviceId::Nvm), s.bin_ns(), gc);
+        assert!((mbps(read, dur) - 4000.0).abs() < 1e-9, "read {read}");
+        assert_eq!(mbps(write, dur), 0.0);
     }
 
     #[test]
@@ -352,9 +330,7 @@ mod tests {
         let mut s = TrafficSampler::new(1000);
         s.set_enabled(false);
         s.record(DeviceId::Nvm, AccessKind::Read, 100, 0);
-        s.mark_phase(0, 10, PhaseKind::Gc);
         assert!(s.series(DeviceId::Nvm).is_empty());
-        assert!(s.phases.is_empty());
     }
 
     #[test]
@@ -369,10 +345,8 @@ mod tests {
     fn reset_clears_everything() {
         let mut s = TrafficSampler::new(1000);
         s.record(DeviceId::Nvm, AccessKind::Read, 100, 0);
-        s.mark_phase(0, 10, PhaseKind::Gc);
         s.reset();
         assert!(s.series(DeviceId::Nvm).is_empty());
-        assert!(s.phases.is_empty());
     }
 
     #[test]

@@ -16,23 +16,25 @@ use crate::sampler::{device_track, TraceCat, TraceLog, TrafficSampler};
 use crate::{Ns, CACHE_LINE};
 use serde::Serialize;
 
+/// Bandwidth-arbitration epoch length of both device ledgers, ns.
+const EPOCH_NS: Ns = 20_000;
+/// Traffic-sampler bin width, ns.
+const SAMPLE_BIN_NS: Ns = 1_000_000;
+/// Cost of an access served by the LLC, ns.
+const LLC_HIT_NS: Ns = 14;
+/// Cost of issuing a prefetch instruction, ns (1.5 ns on the modeled
+/// core; the clock counts whole nanoseconds).
+const PREFETCH_ISSUE_NS: Ns = 1;
+/// Cost of a full memory fence, ns.
+pub const FENCE_NS: Ns = 30;
+
 /// Configuration of the simulated memory hierarchy.
 #[derive(Debug, Clone)]
 pub struct MemConfig {
-    /// Bandwidth-arbitration epoch length, ns.
-    pub epoch_ns: Ns,
-    /// Traffic-sampler bin width, ns.
-    pub sample_bin_ns: Ns,
     /// Modeled LLC capacity in bytes (scaled with the heap; see DESIGN.md).
     pub llc_bytes: u64,
-    /// Cost of an access served by the LLC, ns.
-    pub llc_hit_ns: f64,
     /// Outstanding software-prefetch slots per thread.
     pub prefetch_slots: usize,
-    /// Cost of issuing a prefetch instruction, ns.
-    pub prefetch_issue_ns: f64,
-    /// Cost of a full memory fence, ns.
-    pub fence_ns: f64,
     /// DRAM device parameters.
     pub dram: DeviceParams,
     /// NVM device parameters.
@@ -46,13 +48,8 @@ pub struct MemConfig {
 impl Default for MemConfig {
     fn default() -> Self {
         MemConfig {
-            epoch_ns: 20_000,
-            sample_bin_ns: 1_000_000,
             llc_bytes: 2 << 20,
-            llc_hit_ns: 14.0,
             prefetch_slots: 48,
-            prefetch_issue_ns: 1.5,
-            fence_ns: 30.0,
             dram: DeviceParams::dram(),
             nvm: DeviceParams::optane(),
             persist: PersistConfig::default(),
@@ -134,11 +131,11 @@ impl MemorySystem {
     /// Builds a memory system from a configuration.
     pub fn new(cfg: MemConfig) -> Self {
         let ledgers = [
-            Ledger::new(cfg.dram.clone(), cfg.epoch_ns),
-            Ledger::new(cfg.nvm.clone(), cfg.epoch_ns),
+            Ledger::new(cfg.dram.clone(), EPOCH_NS),
+            Ledger::new(cfg.nvm.clone(), EPOCH_NS),
         ];
         let llc = LlcModel::new(cfg.llc_bytes);
-        let sampler = TrafficSampler::new(cfg.sample_bin_ns);
+        let sampler = TrafficSampler::new(SAMPLE_BIN_NS);
         let persist = [
             (cfg.persist.enabled && cfg.dram.persistent)
                 .then(|| DurabilityLedger::new(cfg.persist.clone())),
@@ -488,11 +485,11 @@ impl MemorySystem {
             if let Some(ready_at) = table.consume(addr) {
                 self.llc.install(addr);
                 let start = now.max(ready_at);
-                return start + self.cfg.llc_hit_ns as Ns;
+                return start + LLC_HIT_NS;
             }
         }
         if self.llc.access(addr) {
-            return now + self.cfg.llc_hit_ns as Ns;
+            return now + LLC_HIT_NS;
         }
         let done = self.charge(dev, AccessKind::Read, Pattern::Rand, CACHE_LINE, now);
         self.finish(dev, AccessKind::Read, Pattern::Rand, CACHE_LINE, now, done)
@@ -519,7 +516,7 @@ impl MemorySystem {
         }
         let done = self.charge(dev, AccessKind::Write, Pattern::Rand, CACHE_LINE, now);
         if hit {
-            now + self.cfg.llc_hit_ns as Ns
+            now + LLC_HIT_NS
         } else {
             self.finish(dev, AccessKind::Write, Pattern::Rand, CACHE_LINE, now, done)
         }
@@ -606,7 +603,7 @@ impl MemorySystem {
     /// Consumes bandwidth immediately but only costs the thread the issue
     /// overhead; the fill completes asynchronously.
     pub fn prefetch(&mut self, tid: usize, dev: DeviceId, addr: u64, now: Ns) -> Ns {
-        let issue_done = now + self.cfg.prefetch_issue_ns as Ns;
+        let issue_done = now + PREFETCH_ISSUE_NS;
         if self.tables.get(tid).is_none() {
             return issue_done;
         }
@@ -626,7 +623,7 @@ impl MemorySystem {
     /// A full store fence (`SFENCE`-like), required after non-temporal
     /// writes before data may be read by other threads.
     pub fn fence(&mut self, now: Ns) -> Ns {
-        now + self.cfg.fence_ns as Ns
+        now + FENCE_NS
     }
 
     /// Invalidates cached lines for a recycled address range.
@@ -666,7 +663,7 @@ impl MemorySystem {
                     now,
                     key,
                 );
-                now + self.cfg.fence_ns as Ns
+                now + FENCE_NS
             }
             None => now,
         }
@@ -701,7 +698,7 @@ impl MemorySystem {
                     now,
                     count,
                 );
-                now + self.cfg.fence_ns as Ns
+                now + FENCE_NS
             }
             None => now,
         }
@@ -737,6 +734,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::{mbps, traffic_in};
 
     fn sys() -> MemorySystem {
         let mut m = MemorySystem::new(MemConfig::default());
@@ -758,7 +756,7 @@ mod tests {
         let mut m = sys();
         let t1 = m.read_word(0, DeviceId::Nvm, 0x1000, 0);
         let t2 = m.read_word(0, DeviceId::Nvm, 0x1000, t1);
-        assert_eq!(t2 - t1, m.config().llc_hit_ns as Ns);
+        assert_eq!(t2 - t1, LLC_HIT_NS);
     }
 
     #[test]
@@ -769,7 +767,7 @@ mod tests {
         // Wait well past the fill time, then access.
         let start = 100_000;
         let done = m.read_word(0, DeviceId::Nvm, addr, start);
-        assert_eq!(done - start, m.config().llc_hit_ns as Ns);
+        assert_eq!(done - start, LLC_HIT_NS);
     }
 
     #[test]
@@ -836,12 +834,9 @@ mod tests {
     fn sampler_sees_phase_traffic() {
         let mut m = sys();
         m.bulk_read(DeviceId::Nvm, Pattern::Seq, 1 << 16, 0);
-        m.sampler_mut()
-            .mark_phase(0, 1_000_000, crate::PhaseKind::Gc);
-        let (read, _) = m
-            .sampler()
-            .phase_bandwidth(DeviceId::Nvm, crate::PhaseKind::Gc);
-        assert!(read > 0.0);
+        let gc = [(0, 1_000_000)].into_iter();
+        let (read, _, dur) = traffic_in(m.sampler().series(DeviceId::Nvm), SAMPLE_BIN_NS, gc);
+        assert!(mbps(read, dur) > 0.0);
     }
 
     #[test]
@@ -936,7 +931,7 @@ mod tests {
     fn persist_meta_costs_one_fence_when_active() {
         let mut m = persist_sys();
         let done = m.persist_meta(DeviceId::Nvm, 7, 100);
-        assert_eq!(done, 100 + m.config().fence_ns as Ns);
+        assert_eq!(done, 100 + FENCE_NS);
         // Inactive device: free no-op.
         assert_eq!(m.persist_meta(DeviceId::Dram, 7, 100), 100);
     }

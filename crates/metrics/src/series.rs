@@ -1,5 +1,6 @@
 //! Bandwidth time series reshaping for the timeline figures.
 
+use nvmgc_memsim::TrafficSample;
 use serde::Serialize;
 
 /// A read/write/total bandwidth series in MB/s over fixed-width bins — the
@@ -15,13 +16,12 @@ pub struct BandwidthSeries {
 }
 
 impl BandwidthSeries {
-    /// Builds a series from raw `(read_bytes, write_bytes)` bins.
-    pub fn from_bins(bins: &[(u64, u64)], bin_ns: u64) -> BandwidthSeries {
-        let to_mbps = |bytes: u64| bytes as f64 / bin_ns as f64 * 1000.0;
+    /// Builds a series from the sampler's raw byte bins.
+    pub fn from_bins(bins: &[TrafficSample], bin_ns: u64) -> BandwidthSeries {
         BandwidthSeries {
             bin_ms: bin_ns as f64 / 1e6,
-            read: bins.iter().map(|&(r, _)| to_mbps(r)).collect(),
-            write: bins.iter().map(|&(_, w)| to_mbps(w)).collect(),
+            read: bins.iter().map(|b| b.read_mbps(bin_ns)).collect(),
+            write: bins.iter().map(|b| b.write_mbps(bin_ns)).collect(),
         }
     }
 
@@ -52,7 +52,11 @@ mod tests {
     #[test]
     fn from_bins_converts_units() {
         // 1_000_000 bytes over 1 ms = 1 GB/s = 1000 MB/s.
-        let s = BandwidthSeries::from_bins(&[(1_000_000, 500_000)], 1_000_000);
+        let bin = TrafficSample {
+            read_bytes: 1_000_000,
+            write_bytes: 500_000,
+        };
+        let s = BandwidthSeries::from_bins(&[bin], 1_000_000);
         assert!((s.read[0] - 1000.0).abs() < 1e-9);
         assert!((s.write[0] - 500.0).abs() < 1e-9);
         assert!((s.total()[0] - 1500.0).abs() < 1e-9);

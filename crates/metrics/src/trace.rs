@@ -22,7 +22,7 @@
 //!   the rows.
 
 use crate::table::TextTable;
-use nvmgc_memsim::{Ns, TraceCat, TraceEvent};
+use nvmgc_memsim::{Ns, TraceCat, TraceEvent, TrafficSample};
 use serde::Serialize;
 
 /// One event in the Trace Event Format (`chrome://tracing`).
@@ -124,12 +124,16 @@ fn overlaps(e: &TraceEvent, bin_start: Ns, bin_end: Ns) -> bool {
 /// Builds the paper-style bandwidth-over-time rows from a sampled series
 /// plus the trace log.
 ///
-/// `series` is the per-bin `(read_bytes, write_bytes)` NVM series from
-/// the traffic sampler (`AppRunResult::nvm_series`), `bin_ns` its bin
+/// `series` is the per-bin NVM byte series from the traffic sampler
+/// (`AppRunResult::nvm_series`), `bin_ns` its bin
 /// width. Only cycle, fault and fence events are folded into the `marks`
 /// column — per-worker spans would repeat the same label `threads`
 /// times.
-pub fn timeline_rows(series: &[(u64, u64)], bin_ns: Ns, events: &[TraceEvent]) -> Vec<TimelineRow> {
+pub fn timeline_rows(
+    series: &[TrafficSample],
+    bin_ns: Ns,
+    events: &[TraceEvent],
+) -> Vec<TimelineRow> {
     let marks_of = |bin_start: Ns, bin_end: Ns| -> String {
         let mut labels: Vec<&'static str> = Vec::new();
         for e in events {
@@ -143,19 +147,18 @@ pub fn timeline_rows(series: &[(u64, u64)], bin_ns: Ns, events: &[TraceEvent]) -
     series
         .iter()
         .enumerate()
-        .map(|(i, &(read, write))| {
+        .map(|(i, bin)| {
             let bin_start = i as Ns * bin_ns;
             let bin_end = bin_start + bin_ns;
-            let total = read + write;
+            let total = bin.read_bytes + bin.write_bytes;
             TimelineRow {
                 t_ms: bin_start as f64 / 1e6,
-                // bytes/ns = GB/s; ×1000 for MB/s.
-                read_mbps: read as f64 / bin_ns as f64 * 1000.0,
-                write_mbps: write as f64 / bin_ns as f64 * 1000.0,
+                read_mbps: bin.read_mbps(bin_ns),
+                write_mbps: bin.write_mbps(bin_ns),
                 write_share: if total == 0 {
                     0.0
                 } else {
-                    write as f64 / total as f64
+                    bin.write_bytes as f64 / total as f64
                 },
                 marks: marks_of(bin_start, bin_end),
             }
@@ -188,6 +191,13 @@ pub fn bandwidth_timeline(rows: &[TimelineRow]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bin(read_bytes: u64, write_bytes: u64) -> TrafficSample {
+        TrafficSample {
+            read_bytes,
+            write_bytes,
+        }
+    }
 
     fn ev(name: &'static str, cat: TraceCat, track: u32, ts: Ns, dur: Ns) -> TraceEvent {
         TraceEvent {
@@ -223,7 +233,7 @@ mod tests {
         // Two 1 ms bins; a cycle span inside bin 0, a fault window
         // covering bin 1, a per-worker phase span that must NOT be
         // folded into marks.
-        let series = vec![(1_000_000, 0), (0, 3_000_000)];
+        let series = [bin(1_000_000, 0), bin(0, 3_000_000)];
         let events = vec![
             ev("cycle", TraceCat::Cycle, 1_000_000, 100_000, 200_000),
             ev(
@@ -248,7 +258,7 @@ mod tests {
 
     #[test]
     fn timeline_table_renders_every_row() {
-        let rows = timeline_rows(&[(64_000, 64_000)], 1_000_000, &[]);
+        let rows = timeline_rows(&[bin(64_000, 64_000)], 1_000_000, &[]);
         let table = bandwidth_timeline(&rows);
         assert_eq!(table.len(), 1);
         let text = table.render();
@@ -258,7 +268,7 @@ mod tests {
 
     #[test]
     fn zero_duration_instants_mark_their_bin() {
-        let series = vec![(1, 0)];
+        let series = [bin(1, 0)];
         let events = vec![ev("persist-fence", TraceCat::Fence, 1_000_002, 0, 0)];
         let rows = timeline_rows(&series, 1_000, &events);
         assert_eq!(rows[0].marks, "persist-fence");

@@ -1,21 +1,21 @@
 //! Application run orchestration.
 //!
 //! Runs one workload to completion against a collector configuration:
-//! mutator phases alternate with stop-the-world young collections, phase
-//! intervals are marked in the traffic sampler, and the result carries
-//! everything the experiment harnesses report — application time, GC
-//! pauses, per-phase bandwidth and raw memory-model counters.
+//! mutator phases alternate with stop-the-world young collections, and
+//! the result carries everything the experiment harnesses report —
+//! application time, GC statistics, raw memory-model counters, and the
+//! run's one timeline (`mutator_start_ns`, `pause_spans`, `total_ns`),
+//! of which in-pause bandwidth and the GC log are projections.
 
 use crate::mutator::{Mutator, MutatorStep};
 use crate::spec::WorkloadSpec;
 use nvmgc_core::fault::FaultPlan;
-use nvmgc_core::gclog::{GcKind, GcLog};
 use nvmgc_core::stats::{PauseSpan, RunGcStats};
 use nvmgc_core::{G1Collector, GcConfig, GcError, GcStats};
 use nvmgc_heap::verify::{verify_heap, GraphDigest, VerifyError};
-use nvmgc_heap::{DevicePlacement, Heap, HeapConfig, RegionId, RegionKind};
+use nvmgc_heap::{DevicePlacement, Heap, HeapConfig, HeapError, RegionId, RegionKind};
 use nvmgc_memsim::{
-    DeviceId, MemConfig, MemStats, MemorySystem, Ns, PhaseKind, TraceCat, TraceEvent,
+    DeviceId, MemConfig, MemStats, MemorySystem, Ns, TraceCat, TraceEvent, TrafficSample,
 };
 use std::fmt;
 
@@ -49,8 +49,6 @@ pub struct AppRunConfig {
     pub seed: u64,
     /// Collection-triggering policy.
     pub trigger: GcTrigger,
-    /// Keep a HotSpot-style GC log for the run.
-    pub keep_gc_log: bool,
     /// Record full bandwidth time series (costs memory; timeline figures
     /// only).
     pub sample_series: bool,
@@ -83,7 +81,6 @@ impl AppRunConfig {
             },
             seed: 0x5EED,
             trigger: GcTrigger::YoungOnly,
-            keep_gc_log: false,
             sample_series: false,
             trace: false,
         }
@@ -94,10 +91,23 @@ impl AppRunConfig {
         self.heap.young_regions as u64 * self.heap.region_size as u64
     }
 
-    /// Heap size in bytes (for sizing the write cache / header map like
-    /// the paper: 1/32 of the heap each).
+    /// Heap size in bytes.
     pub fn heap_bytes(&self) -> u64 {
         self.heap.heap_regions as u64 * self.heap.region_size as u64
+    }
+
+    /// Sizes the write cache and header map at the paper's ratio, 1/32 of
+    /// the heap each, for the current heap geometry (call again after
+    /// resizing the heap). An unlimited write cache stays unlimited; a
+    /// small heap keeps a cache of one region and a 1 MiB map.
+    pub fn apply_paper_ratios(&mut self) {
+        let heap_bytes = self.heap_bytes();
+        if self.gc.write_cache.enabled && self.gc.write_cache.max_bytes != u64::MAX {
+            self.gc.write_cache.max_bytes = (heap_bytes / 32).max(self.heap.region_size as u64);
+        }
+        if self.gc.header_map.enabled {
+            self.gc.header_map.max_bytes = (heap_bytes / 32).max(1 << 20);
+        }
     }
 }
 
@@ -248,6 +258,10 @@ pub fn fault_names(plan: &FaultPlan) -> Vec<&'static str> {
 pub struct AppRunResult {
     /// Workload name.
     pub name: String,
+    /// Simulated time the first mutator phase began (the end of the
+    /// pre-tenuring setup). With `pause_spans` and `total_ns` this is the
+    /// run's timeline: see [`AppRunResult::mutator_phases`].
+    pub mutator_start_ns: Ns,
     /// Total simulated run time (mutator + GC pauses).
     pub total_ns: Ns,
     /// Simulated time spent in mutator phases (excludes pauses).
@@ -256,26 +270,20 @@ pub struct AppRunResult {
     pub gc: RunGcStats,
     /// Per-cycle statistics.
     pub cycles: Vec<GcStats>,
-    /// Average NVM (read, write) bandwidth during GC pauses, MB/s.
-    pub gc_nvm_bandwidth: (f64, f64),
-    /// Average NVM (read, write) bandwidth during mutator phases, MB/s.
-    pub app_nvm_bandwidth: (f64, f64),
     /// Raw memory-model counters.
     pub mem_stats: MemStats,
-    /// Raw per-bin NVM (read, write) byte series (when sampling enabled).
-    pub nvm_series: Vec<(u64, u64)>,
-    /// Raw per-bin DRAM (read, write) byte series (when sampling enabled).
-    pub dram_series: Vec<(u64, u64)>,
+    /// Raw per-bin NVM traffic series (when sampling enabled).
+    pub nvm_series: Vec<TrafficSample>,
+    /// Raw per-bin DRAM traffic series (when sampling enabled).
+    pub dram_series: Vec<TrafficSample>,
     /// Sampler bin width, ns.
     pub bin_ns: Ns,
-    /// The GC pauses in simulated time, as typed spans carrying cycle
-    /// kind (young, mixed, crash-recovery) — what the latency scenario
-    /// suite attributes SLO-violation windows to.
+    /// The GC pauses in simulated time, one per entry of `cycles`, as
+    /// typed spans carrying cycle kind (young, mixed, crash-recovery) and
+    /// heap occupancy — what the latency scenario suite attributes
+    /// SLO-violation windows to, what bandwidth "inside GC" is measured
+    /// over, and what `nvmgc_core::gclog::render` prints.
     pub pause_spans: Vec<PauseSpan>,
-    /// How many of the cycles were mixed collections.
-    pub mixed_cycles: usize,
-    /// The HotSpot-style GC log (empty unless requested).
-    pub gc_log: GcLog,
     /// The deterministic trace events in canonical `(ts, track)` order
     /// (empty unless [`AppRunConfig::trace`] was set).
     pub trace: Vec<TraceEvent>,
@@ -324,6 +332,25 @@ impl AppRunResult {
             self.gc.total_pause_ns() as f64 / self.total_ns as f64
         }
     }
+
+    /// How many of the cycles were mixed collections.
+    pub fn mixed_cycles(&self) -> usize {
+        self.pause_spans.iter().filter(|p| p.mixed).count()
+    }
+
+    /// The `[start, end)` intervals the mutators were stopped, in order.
+    pub fn pauses(&self) -> impl Iterator<Item = (Ns, Ns)> + '_ {
+        self.pause_spans.iter().map(|p| (p.start_ns, p.end_ns))
+    }
+
+    /// The `[start, end)` intervals the mutators ran: what `pauses()`
+    /// leaves of `[mutator_start_ns, total_ns)`, the last one ending with
+    /// the run. With `pauses()` they tile that interval.
+    pub fn mutator_phases(&self) -> impl Iterator<Item = (Ns, Ns)> + '_ {
+        let starts = std::iter::once(self.mutator_start_ns).chain(self.pauses().map(|p| p.1));
+        let ends = self.pauses().map(|p| p.0).chain([self.total_ns]);
+        starts.zip(ends)
+    }
 }
 
 /// A warm simulation image: the complete simulation-visible state after
@@ -348,6 +375,7 @@ pub struct SimSnapshot {
     mem: MemorySystem,
     mutator: Mutator,
     first_step: MutatorStep,
+    mutator_start_ns: Ns,
     warm_key: String,
     warmup_allocs: u64,
 }
@@ -395,28 +423,16 @@ impl SimSnapshot {
             .setup(&mut heap, &mut mem)
             .map_err(|e| fail(RunPhase::Setup, RunFailure::Gc(GcError::Heap(e))))?;
 
-        let phase_start = mutator.clock;
-        let first_step = mutator
-            .run(&mut heap, &mut mem)
+        let mutator_start_ns = mutator.clock;
+        let first_step = mutator_phase(&mut heap, &mut mem, &mut mutator, threads, 0)
             .map_err(|e| fail(RunPhase::Mutator, RunFailure::Gc(GcError::Heap(e))))?;
-        let gc_start = mutator.clock;
-        mem.sampler_mut()
-            .mark_phase(phase_start, gc_start, PhaseKind::Mutator);
-        // The mutator runs on the lane one past the GC workers.
-        mem.trace_mut().span(
-            "mutator",
-            TraceCat::Mutator,
-            threads as u32,
-            phase_start,
-            gc_start,
-            0,
-        );
         let warmup_allocs = mutator.allocated_objects();
         Ok(SimSnapshot {
             heap,
             mem,
             mutator,
             first_step,
+            mutator_start_ns,
             warm_key: Self::warm_key_for(cfg),
             warmup_allocs,
         })
@@ -458,9 +474,32 @@ impl SimSnapshot {
             Self::warm_key_for(cfg),
             "forked config must share the snapshot's warmup prefix"
         );
-        let (heap, mem, mutator, first_step) = self.restore();
-        finish_run(cfg, heap, mem, mutator, first_step)
+        finish_run(cfg, self.clone())
     }
+}
+
+/// One mutator phase: runs the mutator until it needs a collection or is
+/// done and emits the phase's `"mutator"` trace span, tagged with the
+/// number of collections before it. The mutator runs on the lane one past
+/// the GC workers.
+fn mutator_phase(
+    heap: &mut Heap,
+    mem: &mut MemorySystem,
+    mutator: &mut Mutator,
+    threads: usize,
+    cycle: usize,
+) -> Result<MutatorStep, HeapError> {
+    let start = mutator.clock;
+    let step = mutator.run(heap, mem)?;
+    mem.trace_mut().span(
+        "mutator",
+        TraceCat::Mutator,
+        threads as u32,
+        start,
+        mutator.clock,
+        cycle as u64,
+    );
+    Ok(step)
 }
 
 /// The memory configuration a run actually uses. Power-failure faults
@@ -494,8 +533,7 @@ fn effective_mem_config(cfg: &AppRunConfig) -> MemConfig {
 /// digest mismatch or structural error surfaces as a typed [`RunError`]
 /// naming the injected faults, never a panic.
 pub fn run_app(cfg: &AppRunConfig) -> Result<AppRunResult, RunError> {
-    let snap = SimSnapshot::capture(cfg)?;
-    finish_run(cfg, snap.heap, snap.mem, snap.mutator, snap.first_step)
+    finish_run(cfg, SimSnapshot::capture(cfg)?)
 }
 
 /// Mutator (non-pause) time of a run: total minus accumulated GC pauses,
@@ -511,16 +549,17 @@ fn mutator_time(total_ns: Ns, gc_ns: Ns) -> Result<Ns, RunFailure> {
 }
 
 /// Completes a run from a warm image: constructs the collector and
-/// drives the mutator-phase / collection loop to completion. `first_step`
-/// is the scheduling step the warmup's mutator phase already produced
-/// (its sampler mark and trace span were emitted at capture time).
-fn finish_run(
-    cfg: &AppRunConfig,
-    mut heap: Heap,
-    mut mem: MemorySystem,
-    mut mutator: Mutator,
-    first_step: MutatorStep,
-) -> Result<AppRunResult, RunError> {
+/// drives the collection / mutator-phase loop to completion, starting
+/// from the scheduling step the warmup's mutator phase produced.
+fn finish_run(cfg: &AppRunConfig, snap: SimSnapshot) -> Result<AppRunResult, RunError> {
+    let SimSnapshot {
+        mut heap,
+        mut mem,
+        mut mutator,
+        first_step: mut step,
+        mutator_start_ns,
+        ..
+    } = snap;
     let active_faults = fault_names(&cfg.gc.fault);
     let fail = |phase: RunPhase, cycle: usize, failure: RunFailure| RunError {
         workload: cfg.spec.name.to_owned(),
@@ -535,142 +574,103 @@ fn finish_run(
     let mut gc = G1Collector::new(cfg.gc.clone());
     let mut cycles: Vec<GcStats> = Vec::new();
     let mut pause_spans: Vec<PauseSpan> = Vec::new();
-    let mut mixed_cycles = 0usize;
     let mut peak_old_regions = 0usize;
     let mut digest_checks = 0usize;
-    let mut gc_log = GcLog::new();
-    let mut phase_start = mutator.clock;
     // Guard against a futile-collection livelock: if the live set grows to
     // fill the heap, every mutator step demands a GC that reclaims nothing.
     // Bail out with a typed error after this many zero-progress cycles.
     const FUTILE_GC_LIMIT: usize = 8;
     let mut futile_cycles = 0usize;
     let mut bytes_at_last_gc = u64::MAX;
-    let mut pending_step = Some(first_step);
 
-    loop {
-        let step = match pending_step.take() {
-            Some(step) => step,
-            None => {
-                let step = mutator.run(&mut heap, &mut mem).map_err(|e| {
-                    fail(
-                        RunPhase::Mutator,
-                        cycles.len(),
-                        RunFailure::Gc(GcError::Heap(e)),
-                    )
-                })?;
-                let gc_start = mutator.clock;
-                mem.sampler_mut()
-                    .mark_phase(phase_start, gc_start, PhaseKind::Mutator);
-                // The mutator runs on the lane one past the GC workers.
-                mem.trace_mut().span(
-                    "mutator",
-                    TraceCat::Mutator,
-                    threads as u32,
-                    phase_start,
-                    gc_start,
-                    cycles.len() as u64,
-                );
-                step
-            }
-        };
+    while step == MutatorStep::NeedsGc {
         let gc_start = mutator.clock;
-        match step {
-            MutatorStep::Done => break,
-            MutatorStep::NeedsGc => {
-                let cycle = cycles.len();
-                if mutator.allocated_bytes() == bytes_at_last_gc {
-                    futile_cycles += 1;
-                    if futile_cycles >= FUTILE_GC_LIMIT {
-                        return Err(fail(
-                            RunPhase::Gc,
-                            cycle,
-                            RunFailure::HeapExhausted { futile_cycles },
-                        ));
-                    }
-                } else {
-                    futile_cycles = 0;
-                    bytes_at_last_gc = mutator.allocated_bytes();
+        let cycle = cycles.len();
+        if mutator.allocated_bytes() == bytes_at_last_gc {
+            futile_cycles += 1;
+            if futile_cycles >= FUTILE_GC_LIMIT {
+                return Err(fail(
+                    RunPhase::Gc,
+                    cycle,
+                    RunFailure::HeapExhausted { futile_cycles },
+                ));
+            }
+        } else {
+            futile_cycles = 0;
+            bytes_at_last_gc = mutator.allocated_bytes();
+        }
+        let old_frac =
+            (heap.old().len() + heap.humongous().len()) as f64 / cfg.heap.heap_regions as f64;
+        let mixed = matches!(cfg.trigger, GcTrigger::Adaptive { ihop } if old_frac > ihop);
+        let occupied = |h: &Heap| -> u64 {
+            (h.eden().len() + h.survivor().len() + h.old().len()) as u64
+                * h.config().region_size as u64
+        };
+        let before_bytes = occupied(&heap);
+        let before_digest = if verify_runs {
+            Some(
+                verify_heap(&heap, &mutator.roots)
+                    .map_err(|e| fail(RunPhase::Verify, cycle, RunFailure::Verify(e)))?,
+            )
+        } else {
+            None
+        };
+        let mut attempt = if mixed {
+            gc.collect_mixed(&mut heap, &mut mem, &mut mutator.roots, gc_start)
+        } else {
+            gc.collect(&mut heap, &mut mem, &mut mutator.roots, gc_start)
+        };
+        // A durable-map power failure is recoverable, not fatal:
+        // replay the crash image's durable prefix and finish the
+        // interrupted evacuation. A second power failure during
+        // the resumed cycle loops around again. The post-cycle
+        // digest check below then proves the recovered graph
+        // identical to a never-crashed run.
+        let outcome = loop {
+            match attempt {
+                Err(GcError::PowerCrash(crash)) => {
+                    attempt =
+                        gc.recover_from_crash(&mut heap, &mut mem, &mut mutator.roots, *crash);
                 }
-                let old_frac = (heap.old().len() + heap.humongous().len()) as f64
-                    / cfg.heap.heap_regions as f64;
-                let mixed = matches!(cfg.trigger, GcTrigger::Adaptive { ihop } if old_frac > ihop);
-                let occupied = |h: &Heap| -> u64 {
-                    (h.eden().len() + h.survivor().len() + h.old().len()) as u64
-                        * h.config().region_size as u64
-                };
-                let before_bytes = occupied(&heap);
-                let before_digest = if verify_runs {
-                    Some(
-                        verify_heap(&heap, &mutator.roots)
-                            .map_err(|e| fail(RunPhase::Verify, cycle, RunFailure::Verify(e)))?,
-                    )
-                } else {
-                    None
-                };
-                let mut attempt = if mixed {
-                    mixed_cycles += 1;
-                    gc.collect_mixed(&mut heap, &mut mem, &mut mutator.roots, gc_start)
-                } else {
-                    gc.collect(&mut heap, &mut mem, &mut mutator.roots, gc_start)
-                };
-                // A durable-map power failure is recoverable, not fatal:
-                // replay the crash image's durable prefix and finish the
-                // interrupted evacuation. A second power failure during
-                // the resumed cycle loops around again. The post-cycle
-                // digest check below then proves the recovered graph
-                // identical to a never-crashed run.
-                let outcome = loop {
-                    match attempt {
-                        Err(GcError::PowerCrash(crash)) => {
-                            attempt = gc.recover_from_crash(
-                                &mut heap,
-                                &mut mem,
-                                &mut mutator.roots,
-                                *crash,
-                            );
-                        }
-                        other => break other,
-                    }
-                }
-                .map_err(|e| fail(RunPhase::Gc, cycle, RunFailure::Gc(e)))?;
-                if let Some(before) = before_digest {
-                    let after = verify_heap(&heap, &mutator.roots)
-                        .map_err(|e| fail(RunPhase::Verify, cycle, RunFailure::Verify(e)))?;
-                    if after != before {
-                        return Err(fail(
-                            RunPhase::Verify,
-                            cycle,
-                            RunFailure::DigestMismatch { before, after },
-                        ));
-                    }
-                    digest_checks += 1;
-                }
-                if cfg.keep_gc_log {
-                    let kind = if mixed { GcKind::Mixed } else { GcKind::Young };
-                    gc_log.record(
-                        kind,
-                        gc_start,
-                        &outcome.stats,
-                        before_bytes,
-                        occupied(&heap),
-                    );
-                }
-                peak_old_regions = peak_old_regions.max(heap.old().len());
-                pause_spans.push(PauseSpan {
-                    start_ns: gc_start,
-                    end_ns: outcome.end_ns,
-                    mixed,
-                    recovered: outcome.stats.recovered_cycles > 0,
-                });
-                cycles.push(outcome.stats);
-                mutator.on_gc_complete(outcome.end_ns);
-                // Collectors move rooted objects; none may change a class.
-                #[cfg(test)]
-                mutator.assert_shapes_match(&heap);
-                phase_start = outcome.end_ns;
+                other => break other,
             }
         }
+        .map_err(|e| fail(RunPhase::Gc, cycle, RunFailure::Gc(e)))?;
+        if let Some(before) = before_digest {
+            let after = verify_heap(&heap, &mutator.roots)
+                .map_err(|e| fail(RunPhase::Verify, cycle, RunFailure::Verify(e)))?;
+            if after != before {
+                return Err(fail(
+                    RunPhase::Verify,
+                    cycle,
+                    RunFailure::DigestMismatch { before, after },
+                ));
+            }
+            digest_checks += 1;
+        }
+        peak_old_regions = peak_old_regions.max(heap.old().len());
+        pause_spans.push(PauseSpan {
+            start_ns: gc_start,
+            end_ns: outcome.end_ns,
+            mixed,
+            recovered: outcome.stats.recovered_cycles > 0,
+            before_bytes,
+            after_bytes: occupied(&heap),
+        });
+        cycles.push(outcome.stats);
+        mutator.on_gc_complete(outcome.end_ns);
+        // Collectors move rooted objects; none may change a class.
+        #[cfg(test)]
+        mutator.assert_shapes_match(&heap);
+        step = mutator_phase(&mut heap, &mut mem, &mut mutator, threads, cycles.len()).map_err(
+            |e| {
+                fail(
+                    RunPhase::Mutator,
+                    cycles.len(),
+                    RunFailure::Gc(GcError::Heap(e)),
+                )
+            },
+        )?;
     }
 
     #[cfg(test)]
@@ -688,34 +688,19 @@ fn finish_run(
         .map(|r| heap.allocator().lower(r).kind)
         .collect();
     let sampler = mem.sampler();
-    let gc_nvm_bandwidth = sampler.phase_bandwidth(DeviceId::Nvm, PhaseKind::Gc);
-    let app_nvm_bandwidth = sampler.phase_bandwidth(DeviceId::Nvm, PhaseKind::Mutator);
-    let to_pairs = |dev: DeviceId| -> Vec<(u64, u64)> {
-        sampler
-            .series(dev)
-            .iter()
-            .map(|s| (s.read_bytes, s.write_bytes))
-            .collect()
-    };
-    let nvm_series = to_pairs(DeviceId::Nvm);
-    let dram_series = to_pairs(DeviceId::Dram);
-    let bin_ns = sampler.bin_ns();
 
     Ok(AppRunResult {
         name: cfg.spec.name.to_owned(),
+        mutator_start_ns,
         total_ns,
         mutator_ns,
         gc: gc.run_stats.clone(),
         cycles,
-        gc_nvm_bandwidth,
-        app_nvm_bandwidth,
         mem_stats: mem.stats(),
-        nvm_series,
-        dram_series,
-        bin_ns,
+        nvm_series: sampler.series(DeviceId::Nvm).to_vec(),
+        dram_series: sampler.series(DeviceId::Dram).to_vec(),
+        bin_ns: sampler.bin_ns(),
         pause_spans,
-        mixed_cycles,
-        gc_log,
         trace: mem.trace_mut().take_sorted(),
         peak_old_regions,
         allocated_objects: mutator.allocated_objects(),
@@ -730,6 +715,7 @@ fn finish_run(
 mod tests {
     use super::*;
     use crate::spec::ClassMix;
+    use nvmgc_memsim::traffic_in;
 
     fn small_spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -856,7 +842,7 @@ mod tests {
         for (label, cfg) in inputs {
             let r = run_app(&cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(r.gc.cycles() >= 2, "{label}");
-            assert_eq!(r.mixed_cycles > 0, label == "mixed", "{label}");
+            assert_eq!(r.mixed_cycles() > 0, label == "mixed", "{label}");
             let recovered: u64 = r.cycles.iter().map(|c| c.recovered_cycles).sum();
             assert_eq!(recovered > 0, label == "durable + crash", "{label}");
             for (i, (span, c)) in r.pause_spans.iter().zip(&r.cycles).enumerate() {
@@ -878,8 +864,46 @@ mod tests {
         cfg.sample_series = true;
         let r = run_app(&cfg).unwrap();
         assert!(r.gc.cycles() >= 2);
-        assert!(r.gc_nvm_bandwidth.0 > 0.0, "GC reads NVM");
+        let (read, _, _) = traffic_in(&r.nvm_series, r.bin_ns, r.pauses());
+        assert!(read > 0, "GC reads NVM");
         assert!(!r.nvm_series.is_empty());
+    }
+
+    #[test]
+    fn pauses_and_mutator_phases_tile_the_run() {
+        let mut cfg = small_cfg(GcConfig::vanilla(4));
+        cfg.trigger = GcTrigger::Adaptive { ihop: 0.0 };
+        cfg.sample_series = true;
+        let r = run_app(&cfg).unwrap();
+        assert!(r.mixed_cycles() >= 1);
+        assert!(r.mutator_start_ns > 0, "setup takes simulated time");
+
+        // Sorted by start, the two projections cover
+        // `[mutator_start_ns, total_ns)` with no gap and no overlap.
+        let mut intervals: Vec<(Ns, Ns)> = r.pauses().chain(r.mutator_phases()).collect();
+        assert_eq!(intervals.len(), 2 * r.pause_spans.len() + 1);
+        intervals.sort_unstable();
+        let mut at = r.mutator_start_ns;
+        for (from, to) in intervals {
+            assert_eq!(from, at, "gap or overlap at {at}");
+            assert!(to >= from);
+            at = to;
+        }
+        assert_eq!(at, r.total_ns);
+        let stopped: Ns = r.pauses().map(|(from, to)| to - from).sum();
+        let running: Ns = r.mutator_phases().map(|(from, to)| to - from).sum();
+        assert_eq!(stopped + running, r.total_ns - r.mutator_start_ns);
+
+        // One interval over the whole run sees every byte the sampler did.
+        for series in [&r.nvm_series, &r.dram_series] {
+            let totals = series.iter().fold((0, 0), |(rd, wr), b| {
+                (rd + b.read_bytes, wr + b.write_bytes)
+            });
+            let whole = [(0, r.total_ns)].into_iter();
+            let (read, write, dur) = traffic_in(series, r.bin_ns, whole);
+            assert_eq!((read, write, dur), (totals.0, totals.1, r.total_ns));
+        }
+        assert!(r.nvm_series.iter().any(|b| b.read_bytes > 0));
     }
 
     #[test]

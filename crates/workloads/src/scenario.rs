@@ -415,6 +415,8 @@ mod tests {
             end_ns: end,
             mixed: false,
             recovered: false,
+            before_bytes: 0,
+            after_bytes: 0,
         }
     }
 

@@ -1,34 +1,21 @@
-//! The HotSpot-style GC log produced by the runner.
+//! The HotSpot-style GC log rendered from a run's record.
 
-use nvmgc_core::GcConfig;
+use nvmgc_core::{gclog, GcConfig};
 use nvmgc_workloads::{app, run_app, AppRunConfig};
-
-fn cfg(keep_log: bool) -> AppRunConfig {
-    let mut spec = app("dotty");
-    spec.alloc_young_multiple = 2.0;
-    let mut c = AppRunConfig::standard(spec, GcConfig::plus_all(12, 0));
-    let hb = c.heap_bytes();
-    c.gc.write_cache.max_bytes = hb / 32;
-    c.gc.header_map.max_bytes = hb / 32;
-    c.keep_gc_log = keep_log;
-    c
-}
 
 #[test]
 fn log_records_every_cycle_in_hotspot_shape() {
-    let r = run_app(&cfg(true)).unwrap();
-    assert_eq!(r.gc_log.cycles(), r.gc.cycles());
-    let text = r.gc_log.render();
-    assert!(text.contains("Pause Young (Normal)"));
+    let mut spec = app("dotty");
+    spec.alloc_young_multiple = 2.0;
+    let mut cfg = AppRunConfig::standard(spec, GcConfig::plus_all(12, 0));
+    cfg.apply_paper_ratios();
+    let r = run_app(&cfg).unwrap();
+    let text = gclog::render(&r.cycles, &r.pause_spans);
+    for id in 0..r.gc.cycles() {
+        assert!(text.contains(&format!("GC({id}) Pause Young (Normal)")));
+    }
+    assert!(!text.contains(&format!("GC({})", r.gc.cycles())));
     assert!(text.contains("scan "));
-    assert!(text.contains("GC(0)"));
     // Occupancy transitions are shown as `NK->MK`.
     assert!(text.contains("K->"), "{text}");
-}
-
-#[test]
-fn log_is_empty_unless_requested() {
-    let r = run_app(&cfg(false)).unwrap();
-    assert_eq!(r.gc_log.cycles(), 0);
-    assert!(r.gc_log.render().is_empty());
 }

@@ -27,7 +27,7 @@ fn run(gc: GcConfig, trigger: GcTrigger) -> (usize, usize, u64) {
     cfg.trigger = trigger;
     let r = run_app(&cfg).expect("run survives");
     let failures = r.cycles.iter().map(|c| c.evac_failures).sum();
-    (r.gc.cycles(), r.mixed_cycles, failures)
+    (r.gc.cycles(), r.mixed_cycles(), failures)
 }
 
 #[test]

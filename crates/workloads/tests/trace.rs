@@ -6,7 +6,7 @@
 //! - the event log is a pure function of the configuration and seed —
 //!   two runs produce byte-identical JSON, which is what lets the CI
 //!   trace suite `diff` artifacts across `NVMGC_JOBS` settings;
-//! - the trace agrees with the GC log: every logged collection has a
+//! - the trace agrees with the run's timeline: every pause span has a
 //!   matching `"cycle"` span with *identical* simulated timestamps, even
 //!   under a fault-injection plan with persistence enabled.
 
@@ -46,7 +46,6 @@ fn traced_cfg() -> AppRunConfig {
     cfg.heap.heap_regions = 96;
     cfg.heap.young_regions = 32;
     cfg.trace = true;
-    cfg.keep_gc_log = true;
     cfg
 }
 
@@ -125,17 +124,20 @@ fn every_logged_cycle_has_a_matching_trace_span() {
             .iter()
             .filter(|e| e.cat == TraceCat::Cycle && e.name == "cycle")
             .collect();
-        let entries = r.gc_log.entries();
-        assert!(!entries.is_empty(), "{label}");
+        assert!(!r.pause_spans.is_empty(), "{label}");
         let recovered: u64 = r.cycles.iter().map(|c| c.recovered_cycles).sum();
         assert_eq!(recovered > 0, label.ends_with("durable"), "{label}");
-        assert_eq!(cycles.len(), entries.len(), "{label}");
-        for (span, entry) in cycles.iter().zip(entries) {
+        assert_eq!(cycles.len(), r.pause_spans.len(), "{label}");
+        for (span, (pause, stats)) in cycles.iter().zip(r.pause_spans.iter().zip(&r.cycles)) {
             assert_eq!(span.track, TRACK_CYCLE, "{label}");
-            assert_eq!(span.ts, entry.start, "{label}: evacuation start must agree");
+            assert_eq!(
+                span.ts,
+                pause.start_ns + stats.mark_ns,
+                "{label}: evacuation start must agree"
+            );
             assert_eq!(
                 span.ts + span.dur,
-                entry.end,
+                pause.end_ns,
                 "{label}: pause end must agree"
             );
 

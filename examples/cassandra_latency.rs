@@ -29,13 +29,7 @@ fn main() {
         // run per configuration, every offered rate swept over it.
         let [opt, van] = [GcConfig::plus_all(threads, 0), GcConfig::vanilla(threads)].map(|gc| {
             let mut cfg = AppRunConfig::standard(server_spec(phase), gc);
-            let hb = cfg.heap_bytes();
-            if cfg.gc.write_cache.enabled {
-                cfg.gc.write_cache.max_bytes = hb / 32;
-            }
-            if cfg.gc.header_map.enabled {
-                cfg.gc.header_map.max_bytes = hb / 32;
-            }
+            cfg.apply_paper_ratios();
             run_app(&cfg).expect("server run succeeds")
         });
         for tput in [10_000.0, 30_000.0, 60_000.0, 100_000.0, 130_000.0] {

@@ -29,12 +29,14 @@ fn main() {
             AppRunConfig::standard(spec.clone(), GcConfig::vanilla(28)),
         ),
         ("+writecache", {
-            let c = AppRunConfig::standard(spec.clone(), GcConfig::plus_writecache(28, 0));
-            with_sized_cache(c)
+            let mut c = AppRunConfig::standard(spec.clone(), GcConfig::plus_writecache(28, 0));
+            c.apply_paper_ratios();
+            c
         }),
         ("+all", {
-            let c = AppRunConfig::standard(spec.clone(), GcConfig::plus_all(28, 0));
-            with_sized_cache(c)
+            let mut c = AppRunConfig::standard(spec.clone(), GcConfig::plus_all(28, 0));
+            c.apply_paper_ratios();
+            c
         }),
         ("vanilla (DRAM)", {
             let mut c = AppRunConfig::standard(spec.clone(), GcConfig::vanilla(28));
@@ -59,17 +61,4 @@ fn main() {
             base_gc / gc_s,
         );
     }
-}
-
-/// Sizes the write cache and header map at 1/32 of the heap, like the
-/// paper's defaults.
-fn with_sized_cache(mut cfg: AppRunConfig) -> AppRunConfig {
-    let heap_bytes = cfg.heap_bytes();
-    if cfg.gc.write_cache.enabled {
-        cfg.gc.write_cache.max_bytes = (heap_bytes / 32).max(1 << 20);
-    }
-    if cfg.gc.header_map.enabled {
-        cfg.gc.header_map.max_bytes = (heap_bytes / 32).max(1 << 20);
-    }
-    cfg
 }

@@ -11,6 +11,7 @@
 //! ```
 
 use nvmgc_core::GcConfig;
+use nvmgc_memsim::{mbps, traffic_in};
 use nvmgc_workloads::{app, run_app, AppRunConfig};
 
 fn main() {
@@ -23,13 +24,7 @@ fn main() {
         ("+all", GcConfig::plus_all(threads, 0)),
     ] {
         let mut cfg = AppRunConfig::standard(spec.clone(), gc);
-        let heap_bytes = cfg.heap_bytes();
-        if cfg.gc.write_cache.enabled {
-            cfg.gc.write_cache.max_bytes = heap_bytes / 32;
-        }
-        if cfg.gc.header_map.enabled {
-            cfg.gc.header_map.max_bytes = heap_bytes / 32;
-        }
+        cfg.apply_paper_ratios();
         cfg.sample_series = true;
         let r = run_app(&cfg).expect("run succeeds");
 
@@ -41,9 +36,11 @@ fn main() {
             r.gc.cycles(),
             r.gc_share() * 100.0
         );
+        let (rd, wr, dur) = traffic_in(&r.nvm_series, r.bin_ns, r.pauses());
         println!(
             "in-GC NVM bandwidth: read {:.0} MB/s, write {:.0} MB/s",
-            r.gc_nvm_bandwidth.0, r.gc_nvm_bandwidth.1
+            mbps(rd, dur),
+            mbps(wr, dur)
         );
         // Per-cycle detail for the first few collections.
         println!(

@@ -16,9 +16,7 @@ use nvmgc_workloads::{app, run_app, AppRunConfig, AppRunResult};
 
 fn run(mutate: impl Fn(&mut AppRunConfig)) -> AppRunResult {
     let mut cfg = AppRunConfig::standard(app("page-rank"), GcConfig::plus_all(28, 0));
-    let hb = cfg.heap_bytes();
-    cfg.gc.write_cache.max_bytes = hb / 32;
-    cfg.gc.header_map.max_bytes = hb / 32;
+    cfg.apply_paper_ratios();
     mutate(&mut cfg);
     run_app(&cfg).expect("run succeeds")
 }

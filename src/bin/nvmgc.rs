@@ -10,8 +10,9 @@
 //! Argument parsing is hand-rolled (no CLI dependency): flags are
 //! `--key value` pairs after the subcommand.
 
-use nvmgc_core::GcConfig;
+use nvmgc_core::{gclog, GcConfig};
 use nvmgc_heap::DevicePlacement;
+use nvmgc_memsim::{mbps, traffic_in};
 use nvmgc_workloads::prefetch_micro::{MicroConfig, MicroTable};
 use nvmgc_workloads::runner::GcTrigger;
 use nvmgc_workloads::{all_apps, app, run_app, AppRunConfig};
@@ -58,7 +59,8 @@ USAGE:
       Run the §4.3 software-prefetch microbenchmark.
 
 FLAGS:
-  --config     vanilla | writecache | all | ps-vanilla | ps-all  (default: all)
+  --config     vanilla | writecache | all | ps-vanilla | ps-all |
+               semispace | semispace-all                          (default: all)
   --threads    GC worker threads                                  (default: 28)
   --placement  nvm | dram | young-dram                            (default: nvm)
   --seed       workload seed                                      (default: 0x5EED)
@@ -118,18 +120,14 @@ fn build_config(flags: &HashMap<String, String>) -> Result<AppRunConfig, String>
         "all" => GcConfig::plus_all(threads, 0),
         "ps-vanilla" => GcConfig::ps_vanilla(threads),
         "ps-all" => GcConfig::ps_plus_all(threads, 0),
+        "semispace" => GcConfig::semispace(threads),
+        "semispace-all" => GcConfig::semispace_plus_all(threads, 0),
         other => return Err(format!("unknown --config '{other}'")),
     };
     let spec =
         std::panic::catch_unwind(|| app(name)).map_err(|_| format!("unknown app '{name}'"))?;
     let mut cfg = AppRunConfig::standard(spec, gc);
-    let heap_bytes = cfg.heap_bytes();
-    if cfg.gc.write_cache.enabled {
-        cfg.gc.write_cache.max_bytes = heap_bytes / 32;
-    }
-    if cfg.gc.header_map.enabled {
-        cfg.gc.header_map.max_bytes = heap_bytes / 32;
-    }
+    cfg.apply_paper_ratios();
     match flags.get("placement").map(String::as_str) {
         Some("dram") => cfg.heap.placement = DevicePlacement::all_dram(),
         Some("young-dram") => cfg.heap.placement = DevicePlacement::young_dram(),
@@ -162,10 +160,8 @@ fn run(flags: &HashMap<String, String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Detailed reports include phase bandwidth, which needs sampling.
+    // Detailed reports include in-pause bandwidth, which needs sampling.
     cfg.sample_series = true;
-    let want_log = flags.get("log").map(String::as_str) == Some("true");
-    cfg.keep_gc_log = want_log;
     let r = match run_app(&cfg) {
         Ok(r) => r,
         Err(e) => {
@@ -181,7 +177,7 @@ fn run(flags: &HashMap<String, String>) -> ExitCode {
         r.gc_seconds() * 1e3,
         r.gc.cycles(),
         r.gc_share() * 100.0,
-        r.mixed_cycles
+        r.mixed_cycles()
     );
     println!(
         "pauses:       max {:.2} ms, copied {:.1} MiB, promoted {:.1} MiB",
@@ -189,9 +185,11 @@ fn run(flags: &HashMap<String, String>) -> ExitCode {
         r.gc.copied_bytes as f64 / (1 << 20) as f64,
         r.gc.promoted_bytes as f64 / (1 << 20) as f64
     );
+    let (rd, wr, dur) = traffic_in(&r.nvm_series, r.bin_ns, r.pauses());
     println!(
         "in-GC NVM bw: read {:.0} MB/s, write {:.0} MB/s",
-        r.gc_nvm_bandwidth.0, r.gc_nvm_bandwidth.1
+        mbps(rd, dur),
+        mbps(wr, dur)
     );
     println!("peak old:     {} regions", r.peak_old_regions);
     let hm_hits: u64 = r.cycles.iter().map(|c| c.hm_hits).sum();
@@ -200,9 +198,9 @@ fn run(flags: &HashMap<String, String>) -> ExitCode {
     if hm_hits > 0 || overflow > 0 || failures > 0 {
         println!("details:      header-map hits {hm_hits}, cache overflows {overflow}, evac failures {failures}");
     }
-    if want_log {
+    if flags.get("log").map(String::as_str) == Some("true") {
         println!();
-        print!("{}", r.gc_log.render());
+        print!("{}", gclog::render(&r.cycles, &r.pause_spans));
     }
     ExitCode::SUCCESS
 }

@@ -158,8 +158,8 @@ fn mem_stats_and_series_are_consistent() {
     let mut cfg = small("als", GcConfig::vanilla(8));
     cfg.sample_series = true;
     let r = run_app(&cfg).unwrap();
-    let series_read: u64 = r.nvm_series.iter().map(|&(rd, _)| rd).sum();
-    let series_write: u64 = r.nvm_series.iter().map(|&(_, wr)| wr).sum();
+    let series_read: u64 = r.nvm_series.iter().map(|b| b.read_bytes).sum();
+    let series_write: u64 = r.nvm_series.iter().map(|b| b.write_bytes).sum();
     let nvm = DeviceId::Nvm.index();
     assert_eq!(series_read, r.mem_stats.read_bytes[nvm]);
     assert_eq!(series_write, r.mem_stats.write_bytes[nvm]);

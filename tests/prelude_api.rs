@@ -34,8 +34,8 @@ fn adaptive_trigger_bounds_old_space_through_the_prelude() {
         GcTrigger::Adaptive { ihop: 0.15 },
     ))
     .unwrap();
-    assert_eq!(young_only.mixed_cycles, 0);
-    assert!(adaptive.mixed_cycles > 0);
+    assert_eq!(young_only.mixed_cycles(), 0);
+    assert!(adaptive.mixed_cycles() > 0);
     assert!(
         adaptive.peak_old_regions < young_only.peak_old_regions,
         "mixed GCs must bound the old generation: {} vs {}",
