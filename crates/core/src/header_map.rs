@@ -216,6 +216,21 @@ impl HeaderMap {
         }
     }
 
+    /// Hints the host to load the first entry a [`get`](Self::get) of
+    /// `old` probes, key and value. Reads and changes nothing; a null key
+    /// is a no-op.
+    #[inline]
+    pub fn host_prefetch(&self, old: Addr) {
+        if old.is_null() {
+            return;
+        }
+        let idx = ((self.hash(old.raw()) + 1) & self.mask) as usize;
+        if let (Some(key), Some(value)) = (self.keys.get(idx), self.values.get(idx)) {
+            nvmgc_memsim::host_prefetch(key);
+            nvmgc_memsim::host_prefetch(value);
+        }
+    }
+
     fn spin_value(&self, idx: usize) -> u64 {
         loop {
             let v = self.values[idx].load(Ordering::Acquire);
@@ -298,6 +313,25 @@ mod tests {
         let r = m.put(addr(1), addr(1)).expect("self-forward is legal");
         assert_eq!(r.outcome, PutOutcome::Installed);
         assert_eq!(m.get(addr(1)).0, Some(addr(1)));
+    }
+
+    #[test]
+    fn host_prefetch_never_panics_and_changes_nothing() {
+        let m = HeaderMap::new(1 << 12, 16);
+        m.put(addr(1), addr(2)).unwrap();
+        let before = m.snapshot_indexed();
+        let region_size = 1u64 << 12;
+        for key in [
+            Addr::NULL,
+            Addr(u64::MAX),            // past any heap
+            Addr(region_size * 9 - 8), // a region's last word
+            addr(1),
+            addr(99),
+        ] {
+            m.host_prefetch(key);
+        }
+        assert_eq!(m.snapshot_indexed(), before);
+        assert_eq!(m.get(addr(1)).0, Some(addr(2)));
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub(crate) fn step_scan(w: &mut Worker, sh: &mut CycleShared<'_>) {
         Traversal::Bfs => sh.pool.pop_front(w.id),
     };
     if let Some(task) = task {
+        host_lookahead(sh, w.id);
         w.slots_since_flush_check += 1;
         process_task(w, sh, task);
         return;
@@ -79,6 +80,30 @@ pub(crate) fn step_scan(w: &mut Worker, sh: &mut CycleShared<'_>) {
         return;
     }
     w.clock += IDLE_STEP_NS;
+}
+
+/// Host-prefetches what the tasks `worker` pops next will load: the next
+/// task's referent header and first header-map probe entry, and the slot
+/// lines of the two after it. This is the simulated collector's own
+/// lookahead (`cfg.prefetch`, paper §4.3) given to the host running it;
+/// unlike that one it is charged nothing and feeds no simulated quantity.
+fn host_lookahead(sh: &CycleShared<'_>, worker: usize) {
+    let traversal = sh.cfg.traversal;
+    let referent = match sh.pool.peek(worker, traversal, 0) {
+        Some(Task::Slot(a)) => sh.heap.read_ref(a),
+        Some(Task::Root(i)) => sh.roots.get(i as usize).copied().unwrap_or(Addr::NULL),
+        Some(Task::CardRegion(_)) => Addr::NULL,
+        None => return,
+    };
+    sh.heap.prefetch_header(referent);
+    if let Some(map) = sh.hmap {
+        map.host_prefetch(referent);
+    }
+    for k in 1..=2 {
+        if let Some(Task::Slot(a)) = sh.pool.peek(worker, traversal, k) {
+            sh.heap.prefetch_header(a);
+        }
+    }
 }
 
 /// Applies injected worker faults (pauses, slowdowns, crash points) to
@@ -243,6 +268,11 @@ fn copy_and_forward(
     let from_old = sh.heap.region(obj.region(sh.heap.shift())).kind() == RegionKind::Old;
     let promote = age >= sh.cfg.tenure_age || from_old;
     w.clock += CPU_COPY_NS;
+    // Host hint: the children's headers load while the copy runs.
+    for i in 0..sh.heap.classes().get(class).num_refs {
+        sh.heap
+            .prefetch_header(sh.heap.read_ref(sh.heap.ref_slot(obj, i)));
+    }
 
     let (copy, cached) = match copy_into_dest(w, sh, obj, size, promote) {
         Ok(pair) => pair,

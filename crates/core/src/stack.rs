@@ -11,6 +11,7 @@
 //! (tagged with bit 63), or a card-scan region id (tagged with bit 62,
 //! card-table remembered-set mode).
 
+use crate::config::Traversal;
 use nvmgc_heap::Addr;
 use std::collections::VecDeque;
 
@@ -112,6 +113,19 @@ impl WorkPool {
         Some(Task::decode(v))
     }
 
+    /// The task `worker` would pop `k + 1`-th under `traversal` — `k = 0`
+    /// is the next one — without popping it: counted from the back under
+    /// DFS ([`pop`](Self::pop)), from the front under BFS
+    /// ([`pop_front`](Self::pop_front)). `None` past the end of the stack.
+    pub fn peek(&self, worker: usize, traversal: Traversal, k: usize) -> Option<Task> {
+        let stack = &self.stacks[worker];
+        let at = match traversal {
+            Traversal::Dfs => stack.len().checked_sub(k)?.checked_sub(1)?,
+            Traversal::Bfs => k,
+        };
+        stack.get(at).copied().map(Task::decode)
+    }
+
     /// Attempts to steal one task for `thief`, scanning victims round-robin
     /// starting after the thief. Returns the task and the victim id.
     pub fn steal(&mut self, thief: usize) -> Option<(Task, usize)> {
@@ -159,6 +173,60 @@ mod tests {
         p.push(0, Task::Root(2));
         assert_eq!(p.pop_front(0), Some(Task::Root(1)));
         assert_eq!(p.pop_front(0), Some(Task::Root(2)));
+    }
+
+    #[test]
+    fn peek_on_an_empty_stack_is_none() {
+        let p = WorkPool::new(2);
+        for traversal in [Traversal::Dfs, Traversal::Bfs] {
+            assert_eq!(p.peek(0, traversal, 0), None);
+            assert_eq!(p.peek(1, traversal, 2), None);
+        }
+    }
+
+    #[test]
+    fn peek_at_depth_one_sees_the_only_task_and_nothing_past_it() {
+        let mut p = WorkPool::new(1);
+        p.push(0, Task::Slot(Addr(0x4_0008)));
+        for traversal in [Traversal::Dfs, Traversal::Bfs] {
+            assert_eq!(p.peek(0, traversal, 0), Some(Task::Slot(Addr(0x4_0008))));
+            assert_eq!(p.peek(0, traversal, 1), None, "k past the bottom");
+            assert_eq!(p.peek(0, traversal, usize::MAX), None);
+        }
+        assert_eq!((p.depth(0), p.outstanding()), (1, 1), "peek pops nothing");
+    }
+
+    #[test]
+    fn peek_counts_from_the_end_each_traversal_pops() {
+        let filled = || {
+            let mut p = WorkPool::new(2);
+            for i in 1..=4 {
+                p.push(1, Task::Root(i));
+            }
+            p
+        };
+        let p = filled();
+        assert_eq!(
+            p.peek(1, Traversal::Dfs, 0),
+            Some(Task::Root(4)),
+            "DFS: the back"
+        );
+        assert_eq!(
+            p.peek(1, Traversal::Bfs, 0),
+            Some(Task::Root(1)),
+            "BFS: the front"
+        );
+        for traversal in [Traversal::Dfs, Traversal::Bfs] {
+            let peeked: Vec<_> = (0..5).map(|k| p.peek(1, traversal, k)).collect();
+            let mut q = filled();
+            let popped: Vec<_> = (0..5)
+                .map(|_| match traversal {
+                    Traversal::Dfs => q.pop(1),
+                    Traversal::Bfs => q.pop_front(1),
+                })
+                .collect();
+            assert_eq!(peeked, popped, "{traversal:?}: peek sees the pop order");
+        }
     }
 
     #[test]

@@ -1,0 +1,172 @@
+//! One first collection from a fixed heap image, the shape of the
+//! benchmark's `gc_cycle` op, pinned to the numbers it produced before the
+//! collector gave the host prefetch hints. A hint reads the heap and the
+//! work stacks but must never feed a simulated quantity: if one ever did —
+//! a clock, a counter, a byte of the graph — a row here would move.
+
+use nvmgc_core::{G1Collector, GcConfig, Traversal};
+use nvmgc_heap::verify::verify_heap;
+use nvmgc_heap::{Addr, ClassTable, DevicePlacement, Heap, HeapConfig, RegionKind};
+use nvmgc_memsim::{MemConfig, MemorySystem};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+
+const CLS_PAIR: u32 = 0;
+const CLS_LEAF: u32 = 1;
+const CLS_WIDE: u32 = 2;
+const CLS_ARRAY: u32 = 3;
+
+fn classes() -> ClassTable {
+    let mut t = ClassTable::new();
+    t.register("pair", 2, 16);
+    t.register("leaf", 0, 24);
+    t.register("wide", 6, 8);
+    t.register("array1k", 0, 1024);
+    t
+}
+
+fn alloc(heap: &mut Heap, region: &mut u32, kind: RegionKind, class: u32) -> Addr {
+    loop {
+        match heap.alloc_object(*region, class) {
+            Some(obj) => return obj,
+            None => *region = heap.take_region(kind).unwrap(),
+        }
+    }
+}
+
+/// 12 000 eden objects on an all-NVM heap, 4 436 of them reachable through
+/// roots and old-to-young remembered-set slots (some of them stale), with
+/// shared and cyclic links.
+fn image() -> (Heap, Vec<Addr>) {
+    let mut heap = Heap::new(
+        HeapConfig {
+            region_size: 16 << 10,
+            heap_regions: 512,
+            young_regions: 256,
+            placement: DevicePlacement::all_nvm(),
+            card_table: false,
+        },
+        classes(),
+    );
+    let mut rng = StdRng::seed_from_u64(0x6C_C1E);
+    let mut old_region = heap.take_region(RegionKind::Old).unwrap();
+    let old: Vec<Addr> = (0..300)
+        .map(|_| alloc(&mut heap, &mut old_region, RegionKind::Old, CLS_WIDE))
+        .collect();
+    let mut eden = heap.take_region(RegionKind::Eden).unwrap();
+    let mut live: Vec<Addr> = Vec::new();
+    let mut roots = Vec::new();
+    for i in 0..12_000u64 {
+        let class = match rng.random_range(0..10) {
+            0..=4 => CLS_PAIR,
+            5..=7 => CLS_LEAF,
+            8 => CLS_WIDE,
+            _ => CLS_ARRAY,
+        };
+        let obj = alloc(&mut heap, &mut eden, RegionKind::Eden, class);
+        heap.write_data(obj, 0, i + 1);
+        if rng.random_bool(0.6) {
+            let parent = (!live.is_empty() && rng.random_bool(0.8))
+                .then(|| live[rng.random_range(0..live.len())])
+                .filter(|&p| heap.num_refs(p) > 0);
+            match parent {
+                Some(p) => {
+                    let slot = heap.ref_slot(p, rng.random_range(0..heap.num_refs(p)));
+                    heap.write_ref_with_barrier(slot, obj);
+                }
+                None if rng.random_bool(0.5) => roots.push(obj),
+                None => {
+                    let o = old[rng.random_range(0..old.len())];
+                    heap.write_ref_with_barrier(heap.ref_slot(o, rng.random_range(0..6)), obj);
+                }
+            }
+            live.push(obj);
+        }
+        if !live.is_empty() && rng.random_bool(0.1) {
+            let a = live[rng.random_range(0..live.len())];
+            let b = live[rng.random_range(0..live.len())];
+            if heap.num_refs(a) > 0 {
+                let slot = heap.ref_slot(a, rng.random_range(0..heap.num_refs(a)));
+                heap.write_ref_with_barrier(slot, b);
+            }
+        }
+    }
+    // Stale remembered-set entries: old slots cleared after recording.
+    for &o in old.iter().step_by(7) {
+        heap.write_ref(heap.ref_slot(o, 0), Addr::NULL);
+    }
+    (heap, roots)
+}
+
+fn presets(threads: usize) -> [(&'static str, GcConfig); 5] {
+    let mut bfs = GcConfig::plus_all(threads, 0);
+    bfs.traversal = Traversal::Bfs;
+    [
+        ("vanilla", GcConfig::vanilla(threads)),
+        ("+all", GcConfig::plus_all(threads, 0)),
+        ("+all bfs", bfs),
+        ("ps/+all", GcConfig::ps_plus_all(threads, 0)),
+        ("semispace", GcConfig::semispace(threads)),
+    ]
+}
+
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// `(cell, copied objects, pause ns, FNV-1a of the Debug text of GcStats,
+/// MemStats and the post-collection graph digest)`, captured before the
+/// host hints landed.
+const PINNED: [(&str, u64, u64, u64); 10] = [
+    ("vanilla t4", 4436, 929049, 0x80ef50ab42e37059),
+    ("+all t4", 4436, 893415, 0x11ad6a6925030107),
+    ("+all bfs t4", 4436, 929786, 0x4cf2f520f6d3db27),
+    ("ps/+all t4", 4436, 902232, 0xb4c5e37f0d65aabd),
+    ("semispace t4", 4436, 1022453, 0x77f3141cc5f3f3d7),
+    ("vanilla t28", 4436, 784647, 0x39c1b8349e467c6d),
+    ("+all t28", 4436, 459435, 0xb495fea0d497f255),
+    ("+all bfs t28", 4436, 462891, 0xc90de9a17e62e92d),
+    ("ps/+all t28", 4436, 517258, 0xed46f704056ba0a9),
+    ("semispace t28", 4436, 784282, 0x02e4e956290fe447),
+];
+
+#[test]
+fn first_collection_is_pinned_at_4_and_28_workers() {
+    let mut got = Vec::new();
+    for threads in [4, 28] {
+        for (name, cfg) in presets(threads) {
+            let (mut heap, mut roots) = image();
+            let before = verify_heap(&heap, &roots).expect("the image is well-formed");
+            let mut mem = MemorySystem::new(MemConfig {
+                llc_bytes: 256 << 10,
+                ..MemConfig::default()
+            });
+            mem.set_threads(threads + 1);
+            let outcome = G1Collector::new(cfg)
+                .collect(&mut heap, &mut mem, &mut roots, 0)
+                .expect("the collection succeeds");
+            let after = verify_heap(&heap, &roots).expect("the collected heap is well-formed");
+            assert_eq!(before, after, "{name} t{threads}: the graph survives");
+            let text = format!("{:?} {:?} {:?}", outcome.stats, mem.stats(), after);
+            got.push((
+                format!("{name} t{threads}"),
+                outcome.stats.copied_objects,
+                outcome.stats.pause_ns(),
+                fnv(&text),
+            ));
+        }
+    }
+    let pinned: Vec<_> = PINNED
+        .iter()
+        .map(|&(cell, copied, pause, hash)| (cell.to_owned(), copied, pause, hash))
+        .collect();
+    let rows: String = got
+        .iter()
+        .map(|(cell, copied, pause, hash)| {
+            format!("    (\"{cell}\", {copied}, {pause}, {hash:#018x}),\n")
+        })
+        .collect();
+    assert_eq!(got, pinned, "simulated results moved; now:\n{rows}");
+}

@@ -443,6 +443,16 @@ impl Heap {
         Header(self.regions[r as usize].read_u64(obj.offset(self.shift)))
     }
 
+    /// Hints the host to load the line holding the word at `obj` — an
+    /// object's header, or a reference slot — ahead of a later read. A
+    /// null or out-of-heap address is a no-op; nothing is read or changed.
+    #[inline]
+    pub fn prefetch_header(&self, obj: Addr) {
+        if let Ok(r) = self.region_of(obj) {
+            self.regions[r as usize].host_prefetch(obj.offset(self.shift));
+        }
+    }
+
     /// Overwrites an object's header.
     #[inline]
     pub fn set_header(&mut self, obj: Addr, h: Header) {
@@ -699,6 +709,28 @@ mod tests {
         h.release_region(e).unwrap();
         assert_eq!(h.eden().len(), 0);
         assert_eq!(h.free_count(), 8);
+    }
+
+    #[test]
+    fn prefetch_header_never_panics_and_changes_nothing() {
+        let mut h = test_heap();
+        let e = h.take_region(RegionKind::Eden).unwrap();
+        let obj = h.alloc_object(e, 0).unwrap();
+        let before = format!("{h:?}");
+        let size = h.config().region_size;
+        let last = h.region_count() as RegionId - 1;
+        for addr in [
+            Addr::NULL,
+            Addr(8),                   // below the first region
+            h.addr_of(last + 1, 0),    // past the last region
+            Addr(u64::MAX),            // far past it
+            h.addr_of(last, size - 8), // a region's last word
+            h.addr_of(e, size - 8),
+            obj,
+        ] {
+            h.prefetch_header(addr);
+        }
+        assert_eq!(format!("{h:?}"), before);
     }
 
     #[test]

@@ -167,6 +167,15 @@ impl Region {
         u64::from_le_bytes(self.data[o..o + 8].try_into().expect("aligned read"))
     }
 
+    /// Hints the host to load the line holding byte `offset`; a no-op past
+    /// the region's end. Reads and changes nothing.
+    #[inline]
+    pub fn host_prefetch(&self, offset: u32) {
+        if let Some(byte) = self.data.get(offset as usize) {
+            nvmgc_memsim::host_prefetch(byte);
+        }
+    }
+
     /// Writes the 64-bit word at `offset`.
     #[inline]
     pub fn write_u64(&mut self, offset: u32, value: u64) {

@@ -77,14 +77,36 @@ impl LlcModel {
     /// whether it was resident. On a miss the least recently used slot —
     /// the last one, whether it holds a line or an invalidated `EMPTY` —
     /// is dropped.
+    ///
+    /// A hit in way 0, the common case (a slot written right after it was
+    /// read), changes nothing, and a miss shifts the whole set. Everything
+    /// else runs the full `WAYS`, so it unrolls into compares and
+    /// conditional moves, not a branch on the way hit and a call to
+    /// `memmove`. A line is in its set at most once, so the search finds the
+    /// way a first-match scan would.
     #[inline]
     fn touch(&mut self, line: u64) -> bool {
         let set = &mut self.sets[Self::set_index(line, self.set_mask)].0;
-        let found = set.iter().position(|&tag| tag == line);
-        let p = found.unwrap_or(WAYS - 1);
-        set.copy_within(0..p, 1);
+        if set[0] == line {
+            return true;
+        }
+        let mut found = WAYS;
+        for (way, &tag) in set.iter().enumerate() {
+            if tag == line {
+                found = way;
+            }
+        }
+        let old = *set;
+        if found == WAYS {
+            set[1..].copy_from_slice(&old[..WAYS - 1]);
+            set[0] = line;
+            return false;
+        }
+        for way in 1..WAYS {
+            set[way] = if way <= found { old[way - 1] } else { old[way] };
+        }
         set[0] = line;
-        found.is_some()
+        true
     }
 
     /// Records an access to `addr` and reports whether it hit.
@@ -471,6 +493,38 @@ mod tests {
         c.access(100 * CACHE_LINE);
         assert!(c.access(0), "line 0 must survive");
         assert!(!c.access(CACHE_LINE), "line 1 must be evicted");
+    }
+
+    #[test]
+    fn set_update_keeps_recency_order_at_its_edges() {
+        const E: u64 = EMPTY;
+        let mut c = LlcModel::new(512); // one set of 8 ways
+        let order = |c: &LlcModel| c.sets[0].0;
+        for line in 0..WAYS as u64 {
+            assert!(!c.access(line * CACHE_LINE));
+        }
+        assert_eq!(order(&c), [7, 6, 5, 4, 3, 2, 1, 0]);
+        // A hit in way 0 leaves the order as it is.
+        assert!(c.access(7 * CACHE_LINE));
+        assert_eq!(order(&c), [7, 6, 5, 4, 3, 2, 1, 0]);
+        // A hit in way WAYS-1 moves every other way down one.
+        assert!(c.access(0));
+        assert_eq!(order(&c), [0, 7, 6, 5, 4, 3, 2, 1]);
+        // A miss into a full set drops the last way.
+        assert!(!c.access(100 * CACHE_LINE));
+        assert_eq!(order(&c), [100, 0, 7, 6, 5, 4, 3, 2]);
+        // Invalidated lines leave EMPTY slots where they stood; a miss
+        // still drops the last way, and an EMPTY one only once it is last.
+        c.invalidate_range(6 * CACHE_LINE, CACHE_LINE);
+        c.invalidate_range(3 * CACHE_LINE, CACHE_LINE);
+        assert_eq!(order(&c), [100, 0, 7, E, 5, 4, E, 2]);
+        assert!(!c.access(200 * CACHE_LINE));
+        assert_eq!(order(&c), [200, 100, 0, 7, E, 5, 4, E]);
+        assert!(!c.access(201 * CACHE_LINE));
+        assert_eq!(order(&c), [201, 200, 100, 0, 7, E, 5, 4]);
+        // A hit below an EMPTY slot moves it down with the rest.
+        assert!(c.access(4 * CACHE_LINE));
+        assert_eq!(order(&c), [4, 201, 200, 100, 0, 7, E, 5]);
     }
 
     /// One step of a random interleaving, in line units.

@@ -68,3 +68,25 @@ pub type Ns = u64;
 
 /// Size of a CPU cache line in bytes.
 pub const CACHE_LINE: u64 = 64;
+
+/// Asks the *host* CPU to start loading the cache line that holds `r`, so
+/// a later load of it does not stall.
+///
+/// A hint to the machine running the simulator, not a simulated prefetch
+/// (that is [`MemorySystem::prefetch`]): it reads and changes no state, so
+/// no simulated quantity can depend on it. Every host prefetch of the
+/// workspace goes through here; on targets other than x86_64 it does
+/// nothing.
+#[inline(always)]
+pub fn host_prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetcht0` only hints the cache hierarchy. It cannot fault
+    // or change memory, whatever the address; here it is also the address
+    // of a live reference.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((r as *const T).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}

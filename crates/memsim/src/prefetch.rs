@@ -20,14 +20,20 @@ struct Entry {
     ready_at: Ns,
 }
 
+/// Bits in a [`PrefetchTable`]'s presence filter: over ten times the
+/// default 48-line capacity, so a full table sets under a tenth of them.
+/// At 64 bits it set about half, and about half of a GC worker's demand
+/// reads fell through to the scan.
+const FILTER_BITS: u64 = 512;
+
 /// A per-thread table of outstanding software prefetches.
 #[derive(Debug, Clone)]
 pub struct PrefetchTable {
     entries: VecDeque<Entry>,
-    /// Presence filter over `line % 64`: a demand access whose bit is
-    /// clear cannot be covered, so the (hot) miss path skips the linear
-    /// table scan. False positives just fall through to the scan.
-    filter: u64,
+    /// Presence filter over `line % FILTER_BITS`: a demand access whose
+    /// bit is clear cannot be covered, so the (hot) miss path skips the
+    /// linear table scan. False positives just fall through to the scan.
+    filter: [u64; (FILTER_BITS / 64) as usize],
     capacity: usize,
     issued: u64,
     useful: u64,
@@ -39,7 +45,7 @@ impl PrefetchTable {
     pub fn new(capacity: usize) -> Self {
         PrefetchTable {
             entries: VecDeque::with_capacity(capacity),
-            filter: 0,
+            filter: Default::default(),
             capacity,
             issued: 0,
             useful: 0,
@@ -47,18 +53,27 @@ impl PrefetchTable {
         }
     }
 
+    /// The filter word and the bit within it that stand for `line`.
     #[inline]
-    fn filter_bit(line: u64) -> u64 {
-        1u64 << (line & 63)
+    fn filter_slot(line: u64) -> (usize, u64) {
+        let bit = line % FILTER_BITS;
+        ((bit / 64) as usize, 1u64 << (bit % 64))
+    }
+
+    #[inline]
+    fn filter_has(&self, line: u64) -> bool {
+        let (word, mask) = Self::filter_slot(line);
+        self.filter[word] & mask != 0
     }
 
     /// Recomputes the presence filter after an entry left the table (the
     /// departed line may share its bit with a survivor).
     fn rebuild_filter(&mut self) {
-        self.filter = self
-            .entries
-            .iter()
-            .fold(0, |m, e| m | Self::filter_bit(e.line));
+        self.filter = Default::default();
+        for e in &self.entries {
+            let (word, mask) = Self::filter_slot(e.line);
+            self.filter[word] |= mask;
+        }
     }
 
     /// Records a prefetch of the line containing `addr`, completing at
@@ -70,7 +85,7 @@ impl PrefetchTable {
         self.issued += 1;
         let line = addr / CACHE_LINE;
         // Re-issuing for a line already in the table refreshes it.
-        if self.filter & Self::filter_bit(line) != 0 {
+        if self.filter_has(line) {
             if let Some(pos) = self.entries.iter().position(|e| e.line == line) {
                 self.entries.remove(pos);
                 self.entries.push_back(Entry { line, ready_at });
@@ -83,7 +98,8 @@ impl PrefetchTable {
             self.rebuild_filter();
         }
         self.entries.push_back(Entry { line, ready_at });
-        self.filter |= Self::filter_bit(line);
+        let (word, mask) = Self::filter_slot(line);
+        self.filter[word] |= mask;
     }
 
     /// Consumes a prefetch covering `addr`, if present.
@@ -99,7 +115,7 @@ impl PrefetchTable {
     #[inline]
     pub fn consume(&mut self, addr: u64) -> Option<Ns> {
         let line = addr / CACHE_LINE;
-        if self.filter & Self::filter_bit(line) == 0 {
+        if !self.filter_has(line) {
             return None;
         }
         self.consume_line(line)
@@ -117,7 +133,7 @@ impl PrefetchTable {
     /// Discards all outstanding prefetches (e.g. at a phase boundary).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.filter = 0;
+        self.filter = Default::default();
     }
 
     /// Total prefetches issued.
@@ -191,5 +207,113 @@ mod tests {
         t.issue(0x0, 1);
         t.clear();
         assert_eq!(t.consume(0x0), None);
+    }
+
+    /// The table without a filter: a plain `Vec` scanned on every op,
+    /// oldest entry first.
+    struct Model {
+        entries: Vec<(u64, Ns)>,
+        capacity: usize,
+        issued: u64,
+        useful: u64,
+        dropped: u64,
+    }
+
+    impl Model {
+        fn issue(&mut self, line: u64, ready_at: Ns) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.issued += 1;
+            if let Some(pos) = self.entries.iter().position(|e| e.0 == line) {
+                self.entries.remove(pos);
+            } else if self.entries.len() == self.capacity {
+                self.entries.remove(0);
+                self.dropped += 1;
+            }
+            self.entries.push((line, ready_at));
+        }
+
+        fn consume(&mut self, line: u64) -> Option<Ns> {
+            let pos = self.entries.iter().position(|e| e.0 == line)?;
+            self.useful += 1;
+            Some(self.entries.remove(pos).1)
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Issue(u64, Ns),
+        Consume(u64),
+        Clear,
+    }
+
+    use proptest::prelude::*;
+
+    /// 64 lines, `a + 64 b + 512 c`: lines equal in `a` share a bit of
+    /// a 64-bit filter, lines equal in `a` and `b` a bit of the 512-bit one.
+    fn arb_line() -> impl Strategy<Value = u64> {
+        (0u64..4, 0u64..4, 0u64..4).prop_map(|(a, b, c)| a + 64 * b + 512 * c)
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        // Issue and consume three times as often as clear.
+        prop_oneof![
+            (arb_line(), 0u64..1_000).prop_map(|(l, t)| Op::Issue(l, t)),
+            (arb_line(), 0u64..1_000).prop_map(|(l, t)| Op::Issue(l, t)),
+            (arb_line(), 0u64..1_000).prop_map(|(l, t)| Op::Issue(l, t)),
+            arb_line().prop_map(Op::Consume),
+            arb_line().prop_map(Op::Consume),
+            arb_line().prop_map(Op::Consume),
+            Just(Op::Clear),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn filter_never_hides_an_entry_the_model_holds(
+            ops in prop::collection::vec(arb_op(), 1..300),
+            skew in 0u64..CACHE_LINE,
+        ) {
+            for capacity in [0usize, 1, 2, 48] {
+                let mut table = PrefetchTable::new(capacity);
+                let mut model = Model {
+                    entries: Vec::new(),
+                    capacity,
+                    issued: 0,
+                    useful: 0,
+                    dropped: 0,
+                };
+                for (i, &op) in ops.iter().enumerate() {
+                    match op {
+                        Op::Issue(line, ready_at) => {
+                            table.issue(line * CACHE_LINE + skew, ready_at);
+                            model.issue(line, ready_at);
+                        }
+                        Op::Consume(line) => prop_assert_eq!(
+                            table.consume(line * CACHE_LINE + skew),
+                            model.consume(line),
+                            "capacity {}, op {}: {:?}", capacity, i, op
+                        ),
+                        Op::Clear => {
+                            table.clear();
+                            model.entries.clear();
+                        }
+                    }
+                    prop_assert_eq!(
+                        (table.issued(), table.useful(), table.dropped()),
+                        (model.issued, model.useful, model.dropped),
+                        "capacity {}, op {}: {:?}", capacity, i, op
+                    );
+                    let held: Vec<_> = table.entries.iter().map(|e| (e.line, e.ready_at)).collect();
+                    prop_assert_eq!(&held, &model.entries, "capacity {}, op {}", capacity, i);
+                    for e in &table.entries {
+                        prop_assert!(table.filter_has(e.line), "line {} has no filter bit", e.line);
+                    }
+                }
+            }
+        }
     }
 }
