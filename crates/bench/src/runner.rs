@@ -199,7 +199,7 @@ impl WorkCounters {
     pub fn from_run(res: &AppRunResult) -> WorkCounters {
         WorkCounters {
             simulated_ns: res.total_ns,
-            engine_steps: res.gc.engine_steps,
+            engine_steps: res.cycles.iter().map(|c| c.engine_steps).sum(),
             bus_grants: res.mem_stats.bus_grants,
             llc_installs: res.mem_stats.llc_installs,
             bulk_grant_splits: res.mem_stats.bulk_grant_splits,
@@ -359,6 +359,33 @@ mod tests {
             wall_seconds: 2.0,
         };
         assert_eq!(stats.sim_ns_per_wall_second(1_000_000), 500_000.0);
+    }
+
+    #[test]
+    fn run_counters_are_the_sums_of_the_cycles() {
+        use nvmgc_core::{GcConfig, GcStats};
+        use nvmgc_workloads::runner::GcTrigger;
+        use nvmgc_workloads::{app, run_app, AppRunConfig};
+        // A mixed cycle's mark adds engine steps after the collector has
+        // recorded the cycle; the run's counters must still count them.
+        let mut spec = app("kmeans");
+        spec.alloc_young_multiple = 2.0;
+        let mut cfg = AppRunConfig::standard(spec, GcConfig::vanilla(4));
+        cfg.heap.region_size = 32 << 10;
+        cfg.heap.heap_regions = 256;
+        cfg.heap.young_regions = 48;
+        cfg.trigger = GcTrigger::Adaptive { ihop: 0.0 };
+        let r = run_app(&cfg).expect("the run completes");
+        assert!(r.mixed_cycles() > 0, "the trigger runs mixed cycles");
+        let counters = WorkCounters::from_run(&r);
+        let sum = |f: fn(&GcStats) -> u64| r.cycles.iter().map(f).sum::<u64>();
+        assert_eq!(counters.engine_steps, sum(|c| c.engine_steps));
+        assert_eq!(
+            counters.oracle_checks,
+            sum(|c| c.fault_events.power_failure_checks)
+        );
+        assert_eq!(r.gc.cycles(), r.cycles.len());
+        assert_eq!(r.gc.total_pause_ns(), sum(GcStats::pause_ns));
     }
 
     #[test]

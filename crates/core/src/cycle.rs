@@ -80,7 +80,7 @@ impl Seed {
     /// the old regions `extra_old` form the collection set; the initial
     /// work is the `n_roots` roots plus the collection set's drained and
     /// scrubbed remembered sets (or, in card-table mode, one scan task
-    /// per dirty old or humongous region).
+    /// per dirty old region).
     pub(crate) fn fresh(
         cfg: &GcConfig,
         heap: &mut Heap,
@@ -102,9 +102,9 @@ impl Seed {
         let mut tasks: Vec<Task> = (0..n_roots as u32).map(Task::Root).collect();
         let mut remset_bytes = 0u64;
         if heap.card_table().is_some() {
-            // Card-table mode (stock PS design): one scan task per old or
-            // humongous region with dirty cards. Mixed collections need
-            // precise remsets, so extra_old must be empty here.
+            // Card-table mode (stock PS design): one scan task per old
+            // region with dirty cards. Mixed collections need precise
+            // remsets, so extra_old must be empty here.
             assert!(
                 extra_old.is_empty(),
                 "mixed collections require precise remembered sets"
@@ -112,7 +112,6 @@ impl Seed {
             let dirty: Vec<RegionId> = heap
                 .old()
                 .iter()
-                .chain(heap.humongous().iter())
                 .copied()
                 .filter(|&r| heap.card_table().expect("checked").region_dirty(r))
                 .collect();
@@ -141,9 +140,7 @@ impl Seed {
                     // copies' slots are handled by tracing (processing the
                     // doomed slot would also re-record it into a remset,
                     // where it would dangle after the region is freed).
-                    matches!(r.kind(), RegionKind::Old | RegionKind::Humongous)
-                        && !r.in_cset
-                        && slot.offset(shift) + 8 <= r.used()
+                    r.kind() == RegionKind::Old && !r.in_cset && slot.offset(shift) + 8 <= r.used()
                 }
                 _ => true,
             });
@@ -273,9 +270,9 @@ pub(crate) fn run(
     sh.stats.recovery_ns = seed.start - seed.origin;
 
     // Safepoint journal drain: allocator mutations accumulated since
-    // the last safepoint (mutator-phase eden takes, humongous frees)
-    // are journaled in one batch before workers start — fences stay
-    // off the mutator's hot path, paper-style.
+    // the last safepoint (mutator-phase eden takes) are journaled in one
+    // batch before workers start — fences stay off the mutator's hot
+    // path, paper-style.
     let start = drain_journal(&mut sh, seed.start);
 
     // --- Workers. ------------------------------------------------------
@@ -511,12 +508,7 @@ fn free_cset(sh: &mut CycleShared<'_>, cset: &[RegionId]) -> Result<(), GcError>
         .iter()
         .copied()
         .filter(|r| !retained.contains(r))
-        .filter(|&r| {
-            matches!(
-                sh.heap.region(r).kind(),
-                RegionKind::Old | RegionKind::Humongous
-            )
-        })
+        .filter(|&r| sh.heap.region(r).kind() == RegionKind::Old)
         .collect();
     sh.heap.scrub_remset_sources(&freed_old);
     for &r in cset {
@@ -527,7 +519,6 @@ fn free_cset(sh: &mut CycleShared<'_>, cset: &[RegionId]) -> Result<(), GcError>
             if region.kind() == RegionKind::Eden {
                 // Retained eden becomes survivor so the next young
                 // collection re-evacuates it.
-                region.set_kind(RegionKind::Survivor);
                 sh.heap.eden_to_survivor(r).map_err(accounting)?;
             }
             continue;

@@ -385,19 +385,40 @@ impl FaultState {
         clock
     }
 
+    /// Fires the first unfired one-shot event whose trigger instant —
+    /// `trigger` of the event, `None` for other variants — is at or
+    /// before `now`: marks it fired, bumps its `counter` and returns
+    /// `true`.
+    fn take_one_shot(
+        &mut self,
+        now: Ns,
+        trigger: impl Fn(&GcFault) -> Option<Ns>,
+        counter: impl FnOnce(&mut GcFaultObservations) -> &mut u64,
+    ) -> bool {
+        let due = self
+            .events
+            .iter()
+            .zip(&self.fired)
+            .position(|(ev, &fired)| !fired && trigger(ev).is_some_and(|at_ns| now >= at_ns));
+        let Some(i) = due else {
+            return false;
+        };
+        self.fired[i] = true;
+        *counter(&mut self.observations) += 1;
+        true
+    }
+
     /// Whether a one-shot [`GcFault::ForceEarlyDrain`] triggers at `now`
     /// (marks it fired and counts it if so).
     pub fn take_forced_drain(&mut self, now: Ns) -> bool {
-        for (i, ev) in self.events.iter().enumerate() {
-            if let GcFault::ForceEarlyDrain { at_ns } = *ev {
-                if !self.fired[i] && now >= at_ns {
-                    self.fired[i] = true;
-                    self.observations.forced_drains += 1;
-                    return true;
-                }
-            }
-        }
-        false
+        self.take_one_shot(
+            now,
+            |ev| match *ev {
+                GcFault::ForceEarlyDrain { at_ns } => Some(at_ns),
+                _ => None,
+            },
+            |o| &mut o.forced_drains,
+        )
     }
 
     /// Write-cache bytes reserved (made unavailable) at `now` by active
@@ -440,31 +461,27 @@ impl FaultState {
     /// Whether a one-shot [`GcFault::CrashPoint`] triggers at `now`
     /// (marks it fired and counts the check if so).
     pub fn take_crash_point(&mut self, now: Ns) -> bool {
-        for (i, ev) in self.events.iter().enumerate() {
-            if let GcFault::CrashPoint { at_ns } = *ev {
-                if !self.fired[i] && now >= at_ns {
-                    self.fired[i] = true;
-                    self.observations.crash_checks += 1;
-                    return true;
-                }
-            }
-        }
-        false
+        self.take_one_shot(
+            now,
+            |ev| match *ev {
+                GcFault::CrashPoint { at_ns } => Some(at_ns),
+                _ => None,
+            },
+            |o| &mut o.crash_checks,
+        )
     }
 
     /// Whether a one-shot [`GcFault::PowerFailure`] triggers at `now`
     /// (marks it fired and counts the check if so).
     pub fn take_power_failure(&mut self, now: Ns) -> bool {
-        for (i, ev) in self.events.iter().enumerate() {
-            if let GcFault::PowerFailure { at_ns } = *ev {
-                if !self.fired[i] && now >= at_ns {
-                    self.fired[i] = true;
-                    self.observations.power_failure_checks += 1;
-                    return true;
-                }
-            }
-        }
-        false
+        self.take_one_shot(
+            now,
+            |ev| match *ev {
+                GcFault::PowerFailure { at_ns } => Some(at_ns),
+                _ => None,
+            },
+            |o| &mut o.power_failure_checks,
+        )
     }
 }
 

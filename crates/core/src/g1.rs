@@ -1,6 +1,6 @@
 //! The collector front end and what is G1's own: the garbage-first
-//! selection of mixed collections, the full collection, and the
-//! stop-the-world mark both start from.
+//! selection of mixed collections and the stop-the-world mark it starts
+//! from.
 //!
 //! Every entry point here is a thin call into the one evacuation cycle
 //! ([`crate::cycle`]) that every plan ([`crate::plan`]) runs: the PS-like
@@ -9,10 +9,9 @@
 
 use crate::config::GcConfig;
 use crate::cycle::{self, Seed};
-use crate::durable;
 use crate::error::GcError;
 use crate::header_map::HeaderMap;
-use crate::marking::{self, MarkState};
+use crate::marking;
 use crate::recovery::{self, CrashState, MarkPrelude};
 use crate::stats::{GcStats, RunGcStats};
 use nvmgc_heap::{Addr, Heap, RegionId};
@@ -48,7 +47,7 @@ impl G1Collector {
     /// Creates a collector for the given configuration.
     ///
     /// The header map is allocated once here when the configuration
-    /// activates it (enabled and at or above the thread threshold).
+    /// activates it (enabled and above the thread threshold).
     pub fn new(cfg: GcConfig) -> Self {
         let hmap = if cfg.header_map_active() {
             Some(HeaderMap::new(
@@ -136,9 +135,8 @@ impl G1Collector {
     /// Runs a *mixed* collection (paper §2.1): a stop-the-world marking
     /// pass computes per-region liveness, the garbage-first heuristic
     /// selects the old regions with the most reclaimable space (up to a
-    /// quarter of the old generation, liveness below 85 %), dead
-    /// humongous regions are freed whole, and the young collection
-    /// evacuates the combined collection set.
+    /// quarter of the old generation, liveness below 85 %), and the young
+    /// collection evacuates the combined collection set.
     ///
     /// The marking time is reported in `stats.mark_ns` and excluded from
     /// the pause (real G1 marks concurrently with the mutator).
@@ -153,56 +151,6 @@ impl G1Collector {
             heap.card_table().is_none(),
             "mixed collections require precise remembered sets"
         );
-        // Garbage-first selection of old regions.
-        self.collect_marked(heap, mem, roots, start, |heap, state| {
-            let mut candidates: Vec<(RegionId, f64)> = heap
-                .old()
-                .iter()
-                .copied()
-                .map(|r| (r, state.liveness(heap, r)))
-                .filter(|&(_, live)| live < 0.85)
-                .collect();
-            candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN liveness"));
-            let budget = (heap.old().len() / 4).max(1);
-            candidates.iter().take(budget).map(|&(r, _)| r).collect()
-        })
-    }
-
-    /// Runs the bottom-line *full* collection (paper §2.1): a
-    /// stop-the-world mark over the whole heap followed by evacuation of
-    /// every young and old region, compacting all live data into fresh
-    /// regions and freeing everything else. Dead humongous regions are
-    /// reclaimed whole.
-    ///
-    /// Unlike [`G1Collector::collect_mixed`], the marking time *is* part
-    /// of the pause (full GC is fully stop-the-world); it is still
-    /// reported in `stats.mark_ns`, so `pause = mark_ns + stats.pause_ns()`.
-    ///
-    /// If the free space cannot hold all live data, the remainder is
-    /// self-forwarded in place and the affected regions are retained —
-    /// a degraded but safe partial compaction.
-    pub fn collect_full(
-        &mut self,
-        heap: &mut Heap,
-        mem: &mut MemorySystem,
-        roots: &mut [Addr],
-        start: Ns,
-    ) -> Result<GcCycleOutcome, GcError> {
-        self.collect_marked(heap, mem, roots, start, |heap, _| heap.old().to_vec())
-    }
-
-    /// The shared body of the marked collections: a stop-the-world mark,
-    /// eager reclaim of dead humongous regions, then a young collection
-    /// that also evacuates the old regions `select` picks from the
-    /// marking result.
-    fn collect_marked(
-        &mut self,
-        heap: &mut Heap,
-        mem: &mut MemorySystem,
-        roots: &mut [Addr],
-        start: Ns,
-        select: impl FnOnce(&Heap, &MarkState) -> Vec<RegionId>,
-    ) -> Result<GcCycleOutcome, GcError> {
         let threads = self.cfg.threads.max(1);
         let mark = marking::mark_heap(heap, mem, threads, roots, start)?;
         mem.trace_mut().span(
@@ -214,42 +162,36 @@ impl G1Collector {
             self.run_stats.cycles() as u64,
         );
 
-        // Reclaim dead humongous regions immediately (G1's eager reclaim).
-        let mut humongous_freed = 0u64;
-        let dead_humongous: Vec<RegionId> = heap
-            .humongous()
-            .iter()
-            .copied()
-            .filter(|&r| mark.state.live_bytes(r) == 0)
-            .collect();
-        let mut freed: nvmgc_memsim::FxHashSet<RegionId> = nvmgc_memsim::FxHashSet::default();
-        for r in dead_humongous {
-            durable::release_region(heap, mem, r)?;
-            humongous_freed += 1;
-            freed.insert(r);
-        }
-        heap.scrub_remset_sources(&freed);
-
         // Retire the shared promotion region so it is selectable (a fresh
         // one is taken on the first promotion of the evacuation phase).
         self.promo_region = None;
 
-        let old_cset = select(heap, &mark.state);
+        // Garbage-first selection of old regions.
+        let mut candidates: Vec<(RegionId, f64)> = heap
+            .old()
+            .iter()
+            .copied()
+            .map(|r| (r, mark.state.liveness(heap, r)))
+            .filter(|&(_, live)| live < 0.85)
+            .collect();
+        candidates.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN liveness"));
+        let budget = (heap.old().len() / 4).max(1);
+        let old_cset: Vec<RegionId> = candidates.iter().take(budget).map(|&(r, _)| r).collect();
+
         let seed = Seed::fresh(&self.cfg, heap, roots.len(), mark.end_ns, &old_cset);
         let prelude = MarkPrelude {
             mark_ns: mark.end_ns - start,
             steps: mark.steps,
-            humongous_freed,
         };
         stamp_mark(cycle::run(self, heap, mem, roots, seed), prelude)
     }
 }
 
-/// Stamps what the mark before a mixed or full cycle contributes onto the
+/// Stamps what the mark before a mixed cycle contributes onto the
 /// cycle's outcome — or, when the cycle crashed, onto its crash state, so
 /// that the resumed cycle stamps it instead of losing it. All zero for a
-/// young cycle. (The run totals absorbed the cycle before this: they
-/// count evacuation steps only.)
+/// young cycle. (The run totals absorbed the cycle before this; they keep
+/// only its pause, which the mark is not part of.)
 fn stamp_mark(
     cycle: Result<GcCycleOutcome, GcError>,
     mark: MarkPrelude,
@@ -258,7 +200,6 @@ fn stamp_mark(
         Ok(mut out) => {
             out.stats.mark_ns = mark.mark_ns;
             out.stats.engine_steps += mark.steps;
-            out.stats.humongous_freed = mark.humongous_freed;
             Ok(out)
         }
         Err(GcError::PowerCrash(mut crash)) => {

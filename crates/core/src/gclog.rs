@@ -71,9 +71,6 @@ pub fn render(cycles: &[GcStats], pause_spans: &[PauseSpan]) -> String {
         if stats.old_regions_collected > 0 {
             let _ = write!(out, ", {} old regions", stats.old_regions_collected);
         }
-        if stats.humongous_freed > 0 {
-            let _ = write!(out, ", {} humongous freed", stats.humongous_freed);
-        }
         out.push('\n');
     }
     out
@@ -130,7 +127,6 @@ mod tests {
         let mut s = stats();
         s.mark_ns = 1_500_000;
         s.old_regions_collected = 7;
-        s.humongous_freed = 2;
         s.evac_failures = 3;
         let spans = [
             span(0, &s, true, (1 << 20, 1 << 19)),
@@ -140,7 +136,6 @@ mod tests {
         assert!(text.contains("Pause Young (Mixed)"));
         assert!(text.contains("mark 1.50ms"));
         assert!(text.contains("7 old regions"));
-        assert!(text.contains("2 humongous freed"));
         assert!(text.contains("3 evacuation failures"));
         assert!(text.contains("GC(1)"));
     }

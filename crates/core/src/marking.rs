@@ -3,8 +3,8 @@
 //! G1 is "partially concurrent": a marking phase computes per-region
 //! liveness so that *mixed* collections can pick the old regions with the
 //! most garbage (the garbage-first heuristic the collector is named
-//! after), and the bottom-line *full* collection uses the same marking to
-//! identify live objects everywhere (paper §2.1).
+//! after; paper §2.1). G1's bottom-line *full* collection marks the same
+//! way; no workload here ever needs one, and the paper's never did.
 //!
 //! This reproduction runs marking stop-the-world on the simulated GC
 //! workers. Real G1 marks concurrently with the mutator; the paper's

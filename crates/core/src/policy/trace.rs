@@ -21,8 +21,8 @@ use crate::policy::flush::{flush_chunk, FlushTask};
 use crate::policy::install::{charge_map_probes, install_forwarding, map_device, InstallOutcome};
 use crate::stack::Task;
 use crate::write_cache::WriteCachePool;
-use nvmgc_heap::{Addr, Header, Heap, HeapError, RegionKind};
-use nvmgc_memsim::{DeviceId, Pattern, TraceCat};
+use nvmgc_heap::{Addr, Header, HeapError, RegionKind};
+use nvmgc_memsim::{DeviceId, TraceCat};
 
 /// Executes one scan-phase step for `w`: an async-flush chunk, one task,
 /// one steal attempt, or an idle wait.
@@ -386,7 +386,7 @@ fn copy_and_forward(
     Some(public)
 }
 
-/// Scans the dirty cards of an old/humongous region (card-table remset
+/// Scans the dirty cards of an old region (card-table remset
 /// mode): walk the region's objects, and for every reference slot whose
 /// card is dirty and whose target is in the collection set, process the
 /// slot. Cards are cleared first; slots that still point to young objects
@@ -399,15 +399,16 @@ fn scan_card_region(w: &mut Worker, sh: &mut CycleShared<'_>, region: u32) {
     if dirty == 0 {
         return;
     }
+    let cards = u64::from(ct.cards_per_region());
     // Charge: read the region's card bytes + stream over the used part of
     // the region to find reference slots (the card-scanning cost that the
     // precise remset avoids).
     let dev = sh.heap.region(region).device();
     let used = sh.heap.region(region).used() as u64;
-    w.clock = sh.mem.bulk_read(
+    w.clock = sh.mem.read_bulk(
         DeviceId::Dram,
-        Pattern::Seq,
-        ct_cards_bytes(sh.heap, region),
+        0x6000_0000_0000_0000 | (u64::from(region) * cards),
+        cards,
         w.clock,
     );
     let base = sh.heap.addr_of(region, 0).raw();
@@ -441,10 +442,4 @@ fn scan_card_region(w: &mut Worker, sh: &mut CycleShared<'_>, region: u32) {
     for slot in slots {
         process_task(w, sh, Task::Slot(slot));
     }
-}
-
-fn ct_cards_bytes(heap: &Heap, _region: u32) -> u64 {
-    heap.card_table()
-        .map(|ct| ct.cards_per_region() as u64)
-        .unwrap_or(0)
 }

@@ -40,7 +40,7 @@ pub struct CrashState {
     /// are phantoms of workers that had not yet observed the crash.
     pub at_ns: Ns,
     /// When the interrupted cycle started, ns: the `start` its first
-    /// attempt was handed (after the mark of a mixed or full cycle). A
+    /// attempt was handed (after the mark of a mixed cycle). A
     /// second crash inside the resumed cycle keeps the first one's, so
     /// the completing cycle can report every crashed attempt and recovery
     /// pass as [`GcStats::recovery_ns`].
@@ -67,13 +67,13 @@ pub struct CrashState {
     /// Which one-shot fault events had fired, so the resumed cycle does
     /// not re-fire the same power failure.
     pub fired: Vec<bool>,
-    /// What the mark before a mixed or full cycle contributes to the
+    /// What the mark before a mixed cycle contributes to the
     /// cycle's statistics (all zero for a young cycle), carried so the
     /// resumed cycle still reports it.
     pub mark: MarkPrelude,
 }
 
-/// What the stop-the-world mark that precedes a mixed or full cycle adds
+/// What the stop-the-world mark that precedes a mixed cycle adds
 /// to that cycle's statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MarkPrelude {
@@ -81,8 +81,6 @@ pub struct MarkPrelude {
     pub mark_ns: Ns,
     /// Engine scheduler steps of the marking pass.
     pub steps: u64,
-    /// Dead humongous regions reclaimed after the mark.
-    pub humongous_freed: u64,
 }
 
 /// The recovery pass that precedes the resumed cycle: walks the durable

@@ -25,8 +25,8 @@ pub enum Task {
     Slot(Addr),
     /// An index into the mutator root array.
     Root(u32),
-    /// An old/humongous region with dirty cards to scan (card-table
-    /// remembered-set mode).
+    /// An old region with dirty cards to scan (card-table remembered-set
+    /// mode).
     CardRegion(u32),
 }
 

@@ -127,9 +127,7 @@ pub struct GcStats {
     pub evac_failures: u64,
     /// Old regions evacuated by this (mixed) collection.
     pub old_regions_collected: u64,
-    /// Humongous regions reclaimed whole by this (mixed/full) collection.
-    pub humongous_freed: u64,
-    /// Marking time preceding a mixed/full collection, ns. Real G1 marks
+    /// Marking time preceding a mixed collection, ns. Real G1 marks
     /// concurrently; this reproduction runs it stop-the-world but reports
     /// it separately from the evacuation pause.
     pub mark_ns: Ns,
@@ -180,38 +178,25 @@ impl GcStats {
     /// The pause duration: everything between the start of the cycle's
     /// evacuation and the mutators' resumption — the sub-phases, preceded
     /// in a resumed cycle by the crashed attempts and recovery passes.
-    /// The mark before a mixed or full cycle is `mark_ns`, beside it.
+    /// The mark before a mixed cycle is `mark_ns`, beside it.
     pub fn pause_ns(&self) -> Ns {
         self.recovery_ns + self.phases.total()
     }
 }
 
-/// Accumulated statistics across an application run.
+/// The pauses of an application run, as the collector accumulates them.
+/// Per-cycle totals (copied bytes, engine steps, …) are sums over the
+/// run's per-cycle [`GcStats`].
 #[derive(Debug, Clone, Default)]
 pub struct RunGcStats {
     /// Individual pause durations in cycle order.
     pub pauses_ns: Vec<Ns>,
-    /// Sum of per-cycle stats.
-    pub copied_bytes: u64,
-    /// Total promoted bytes.
-    pub promoted_bytes: u64,
-    /// Total slots processed.
-    pub slots_processed: u64,
-    /// Total steals.
-    pub steals: u64,
-    /// Total engine scheduler steps across all cycles.
-    pub engine_steps: u64,
 }
 
 impl RunGcStats {
-    /// Adds one cycle's stats.
+    /// Adds one cycle's pause.
     pub fn absorb(&mut self, s: &GcStats) {
         self.pauses_ns.push(s.pause_ns());
-        self.copied_bytes += s.copied_bytes;
-        self.promoted_bytes += s.promoted_bytes;
-        self.slots_processed += s.slots_processed;
-        self.steals += s.steals;
-        self.engine_steps += s.engine_steps;
     }
 
     /// Number of GC cycles.
@@ -249,15 +234,13 @@ mod tests {
         let mut run = RunGcStats::default();
         let mut s = GcStats::default();
         s.phases.scan_ns = 100;
-        s.copied_bytes = 64;
         run.absorb(&s);
         s.phases.scan_ns = 50;
-        s.copied_bytes = 32;
         run.absorb(&s);
         assert_eq!(run.cycles(), 2);
         assert_eq!(run.total_pause_ns(), 150);
         assert_eq!(run.max_pause_ns(), 100);
-        assert_eq!(run.copied_bytes, 96);
+        assert_eq!(run.pauses_ns, [100, 50]);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Mixed collections, humongous reclamation and evacuation-failure
-//! (self-forwarding) handling.
+//! Mixed collections and evacuation-failure (self-forwarding) handling.
 
 use nvmgc_core::{G1Collector, GcConfig};
 use nvmgc_heap::verify::verify_heap;
@@ -8,13 +7,11 @@ use nvmgc_memsim::{MemConfig, MemorySystem};
 
 const CLS_PAIR: u32 = 0;
 const CLS_LEAF: u32 = 1;
-const CLS_HUGE: u32 = 2; // bigger than half a region
 
 fn classes() -> ClassTable {
     let mut t = ClassTable::new();
     t.register("pair", 2, 16);
     t.register("leaf", 0, 24);
-    t.register("huge", 1, 5000);
     t
 }
 
@@ -133,46 +130,6 @@ fn repeated_mixed_gcs_bound_old_space() {
         h.old().len(),
         peak_old
     );
-}
-
-#[test]
-fn dead_humongous_regions_are_reclaimed_whole() {
-    let mut h = heap(128);
-    let mut m = mem(4);
-    let mut gc = G1Collector::new(GcConfig::vanilla(4));
-    let live_h = h.alloc_humongous(CLS_HUGE).unwrap();
-    let _dead_h = h.alloc_humongous(CLS_HUGE).unwrap();
-    assert_eq!(h.humongous().len(), 2);
-    let mut roots = vec![live_h];
-    let out = gc.collect_mixed(&mut h, &mut m, &mut roots, 0).unwrap();
-    assert_eq!(out.stats.humongous_freed, 1);
-    assert_eq!(h.humongous().len(), 1);
-    // The survivor is untouched (humongous objects are never copied).
-    assert_eq!(roots[0], live_h);
-    verify_heap(&h, &roots).unwrap();
-}
-
-#[test]
-fn humongous_objects_survive_young_gc_and_keep_referents_alive() {
-    let mut h = heap(64);
-    let mut m = mem(2);
-    let mut gc = G1Collector::new(GcConfig::vanilla(2));
-    let big = h.alloc_humongous(CLS_HUGE).unwrap();
-    let eden = h.take_region(RegionKind::Eden).unwrap();
-    let young = h.alloc_object(eden, CLS_LEAF).unwrap();
-    h.write_data(young, 0, 99);
-    // The young object is reachable only through the humongous one; the
-    // store goes through the write barrier (humongous is old-like).
-    let slot = h.ref_slot(big, 0);
-    assert!(
-        h.write_ref_with_barrier(slot, young),
-        "humongous->young ref must be remembered"
-    );
-    let mut roots = vec![big];
-    gc.collect(&mut h, &mut m, &mut roots, 0).unwrap();
-    let moved = h.read_ref(slot);
-    assert_ne!(moved, young);
-    assert_eq!(h.read_data(moved, 0), 99);
 }
 
 #[test]

@@ -2,7 +2,9 @@
 //! benchmark's `gc_cycle` op, pinned to the numbers it produced before the
 //! collector gave the host prefetch hints. A hint reads the heap and the
 //! work stacks but must never feed a simulated quantity: if one ever did —
-//! a clock, a counter, a byte of the graph — a row here would move.
+//! a clock, a counter, a byte of the graph — a row here would move. A
+//! mixed collection of the same image pins the mark and the garbage-first
+//! selection in front of the cycle.
 
 use nvmgc_core::{G1Collector, GcConfig, Traversal};
 use nvmgc_heap::verify::verify_heap;
@@ -110,6 +112,15 @@ fn presets(threads: usize) -> [(&'static str, GcConfig); 5] {
     ]
 }
 
+fn memory(threads: usize) -> MemorySystem {
+    let mut mem = MemorySystem::new(MemConfig {
+        llc_bytes: 256 << 10,
+        ..MemConfig::default()
+    });
+    mem.set_threads(threads + 1);
+    mem
+}
+
 fn fnv(text: &str) -> u64 {
     text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
@@ -118,18 +129,20 @@ fn fnv(text: &str) -> u64 {
 
 /// `(cell, copied objects, pause ns, FNV-1a of the Debug text of GcStats,
 /// MemStats and the post-collection graph digest)`, captured before the
-/// host hints landed.
+/// host hints landed. (The hashes were re-taken when `GcStats` lost its
+/// always-zero `humongous_freed` field: each is the hash of the earlier
+/// text without `humongous_freed: 0, `.)
 const PINNED: [(&str, u64, u64, u64); 10] = [
-    ("vanilla t4", 4436, 929049, 0x80ef50ab42e37059),
-    ("+all t4", 4436, 893415, 0x11ad6a6925030107),
-    ("+all bfs t4", 4436, 929786, 0x4cf2f520f6d3db27),
-    ("ps/+all t4", 4436, 902232, 0xb4c5e37f0d65aabd),
-    ("semispace t4", 4436, 1022453, 0x77f3141cc5f3f3d7),
-    ("vanilla t28", 4436, 784647, 0x39c1b8349e467c6d),
-    ("+all t28", 4436, 459435, 0xb495fea0d497f255),
-    ("+all bfs t28", 4436, 462891, 0xc90de9a17e62e92d),
-    ("ps/+all t28", 4436, 517258, 0xed46f704056ba0a9),
-    ("semispace t28", 4436, 784282, 0x02e4e956290fe447),
+    ("vanilla t4", 4436, 929049, 0x2a8a77fcdca46cbb),
+    ("+all t4", 4436, 893415, 0xbe8c87f4120cd1e1),
+    ("+all bfs t4", 4436, 929786, 0x1eb7006360e90229),
+    ("ps/+all t4", 4436, 902232, 0x8d46db2af38deab3),
+    ("semispace t4", 4436, 1022453, 0x979620311fda1eb9),
+    ("vanilla t28", 4436, 784647, 0x880f8ea366378b37),
+    ("+all t28", 4436, 459435, 0xa7765a54015b24e7),
+    ("+all bfs t28", 4436, 462891, 0x15d18bee6e2e32db),
+    ("ps/+all t28", 4436, 517258, 0x1d8aa41132fb53f7),
+    ("semispace t28", 4436, 784282, 0x5172e2c27f6ffb21),
 ];
 
 #[test]
@@ -139,11 +152,7 @@ fn first_collection_is_pinned_at_4_and_28_workers() {
         for (name, cfg) in presets(threads) {
             let (mut heap, mut roots) = image();
             let before = verify_heap(&heap, &roots).expect("the image is well-formed");
-            let mut mem = MemorySystem::new(MemConfig {
-                llc_bytes: 256 << 10,
-                ..MemConfig::default()
-            });
-            mem.set_threads(threads + 1);
+            let mut mem = memory(threads);
             let outcome = G1Collector::new(cfg)
                 .collect(&mut heap, &mut mem, &mut roots, 0)
                 .expect("the collection succeeds");
@@ -166,6 +175,56 @@ fn first_collection_is_pinned_at_4_and_28_workers() {
         .iter()
         .map(|(cell, copied, pause, hash)| {
             format!("    (\"{cell}\", {copied}, {pause}, {hash:#018x}),\n")
+        })
+        .collect();
+    assert_eq!(got, pinned, "simulated results moved; now:\n{rows}");
+}
+
+/// `(cell, copied objects, mark ns, pause ns, old regions collected)` of a
+/// mixed collection of the image, captured before the mark and the
+/// garbage-first selection were folded into `collect_mixed`.
+const PINNED_MIXED: [(&str, u64, u64, u64, u64); 4] = [
+    ("vanilla t4", 3107, 262928, 675416, 1),
+    ("+all t4", 3107, 262928, 653259, 1),
+    ("vanilla t28", 3107, 37904, 599437, 1),
+    ("+all t28", 3107, 37904, 383354, 1),
+];
+
+#[test]
+fn mixed_collection_is_pinned_at_4_and_28_workers() {
+    let mut got = Vec::new();
+    for threads in [4, 28] {
+        let cfgs = [
+            ("vanilla", GcConfig::vanilla(threads)),
+            ("+all", GcConfig::plus_all(threads, 0)),
+        ];
+        for (name, cfg) in cfgs {
+            let (mut heap, mut roots) = image();
+            let before = verify_heap(&heap, &roots).expect("the image is well-formed");
+            let mut mem = memory(threads);
+            let outcome = G1Collector::new(cfg)
+                .collect_mixed(&mut heap, &mut mem, &mut roots, 0)
+                .expect("the collection succeeds");
+            let after = verify_heap(&heap, &roots).expect("the collected heap is well-formed");
+            assert_eq!(before, after, "{name} t{threads}: the graph survives");
+            let s = &outcome.stats;
+            got.push((
+                format!("{name} t{threads}"),
+                s.copied_objects,
+                s.mark_ns,
+                s.pause_ns(),
+                s.old_regions_collected,
+            ));
+        }
+    }
+    let pinned: Vec<_> = PINNED_MIXED
+        .iter()
+        .map(|&(cell, copied, mark, pause, old)| (cell.to_owned(), copied, mark, pause, old))
+        .collect();
+    let rows: String = got
+        .iter()
+        .map(|(cell, copied, mark, pause, old)| {
+            format!("    (\"{cell}\", {copied}, {mark}, {pause}, {old}),\n")
         })
         .collect();
     assert_eq!(got, pinned, "simulated results moved; now:\n{rows}");

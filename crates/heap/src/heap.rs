@@ -106,7 +106,6 @@ pub struct Heap {
     eden: Vec<RegionId>,
     survivor: Vec<RegionId>,
     old: Vec<RegionId>,
-    humongous: Vec<RegionId>,
     card_table: Option<CardTable>,
 }
 
@@ -142,7 +141,6 @@ impl Heap {
             eden: Vec::new(),
             survivor: Vec::new(),
             old: Vec::new(),
-            humongous: Vec::new(),
             card_table,
         }
     }
@@ -240,10 +238,7 @@ impl Heap {
 
     /// Takes a free region for the given role, placing it per policy.
     pub fn take_region(&mut self, kind: RegionKind) -> Result<RegionId, HeapError> {
-        if matches!(
-            kind,
-            RegionKind::Free | RegionKind::Cache | RegionKind::Humongous
-        ) {
+        if matches!(kind, RegionKind::Free | RegionKind::Cache) {
             return Err(HeapError::BadTakeKind(kind));
         }
         let id = self.alloc.take(kind).ok_or(HeapError::OutOfRegions)?;
@@ -260,44 +255,9 @@ impl Heap {
             RegionKind::Survivor => self.survivor.push(id),
             RegionKind::Old => self.old.push(id),
             // Rejected above; repeated here so the match stays total.
-            RegionKind::Free | RegionKind::Cache | RegionKind::Humongous => {
-                return Err(HeapError::BadTakeKind(kind))
-            }
+            RegionKind::Free | RegionKind::Cache => return Err(HeapError::BadTakeKind(kind)),
         }
         Ok(id)
-    }
-
-    /// Allocates a humongous object: a whole region dedicated to one
-    /// object of `class` (intended for objects larger than half a
-    /// region). Humongous regions live outside the young generation and
-    /// are reclaimed whole by mixed/full collections.
-    pub fn alloc_humongous(&mut self, class: ClassId) -> Result<Addr, HeapError> {
-        let size = self.classes.get(class).size();
-        if size > self.cfg.region_size {
-            return Err(HeapError::ObjectTooLarge {
-                size: size as usize,
-            });
-        }
-        let id = self
-            .alloc
-            .take(RegionKind::Humongous)
-            .ok_or(HeapError::OutOfRegions)?;
-        let device = self.cfg.placement.heap;
-        let r = &mut self.regions[id as usize];
-        r.set_device(device);
-        r.reset(RegionKind::Humongous);
-        self.humongous.push(id);
-        // invariant: the region was just reset, and `size <= region_size`
-        // was checked above, so a fresh bump allocation cannot fail.
-        let obj = self
-            .alloc_object(id, class)
-            .expect("fresh region fits the object");
-        Ok(obj)
-    }
-
-    /// The ids of the current humongous regions.
-    pub fn humongous(&self) -> &[RegionId] {
-        &self.humongous
     }
 
     /// Returns a region to the free list.
@@ -316,7 +276,6 @@ impl Heap {
                 self.free_aux.push(id);
                 return Ok(());
             }
-            RegionKind::Humongous => self.humongous.retain(|&r| r != id),
             RegionKind::Free => return Err(HeapError::DoubleRelease(id)),
         }
         let watermark = self.regions[id as usize].used();
@@ -362,17 +321,18 @@ impl Heap {
         Ok(())
     }
 
-    /// Moves a region from the eden list to the survivor list after its
-    /// kind was changed (evacuation-failure retention).
+    /// Turns an eden region into a survivor region, moving it from the
+    /// eden list to the survivor list (evacuation-failure retention).
     pub fn eden_to_survivor(&mut self, id: RegionId) -> Result<(), HeapError> {
         let found = self.regions[id as usize].kind();
-        if found != RegionKind::Survivor {
+        if found != RegionKind::Eden {
             return Err(HeapError::KindMismatch {
                 region: id,
-                expected: RegionKind::Survivor,
+                expected: RegionKind::Eden,
                 found,
             });
         }
+        self.regions[id as usize].set_kind(RegionKind::Survivor);
         self.alloc.reclassify(id, RegionKind::Survivor);
         self.eden.retain(|&r| r != id);
         if !self.survivor.contains(&id) {
@@ -519,13 +479,10 @@ impl Heap {
         if src_region == dst_region {
             return false;
         }
-        let src_old = matches!(
-            self.regions[src_region as usize].kind(),
-            RegionKind::Old | RegionKind::Humongous
-        );
+        let src_old = self.regions[src_region as usize].kind() == RegionKind::Old;
         let dst_tracked = matches!(
             self.regions[dst_region as usize].kind(),
-            RegionKind::Eden | RegionKind::Survivor | RegionKind::Old | RegionKind::Humongous
+            RegionKind::Eden | RegionKind::Survivor | RegionKind::Old
         );
         if !(src_old && dst_tracked) {
             return false;
@@ -748,7 +705,7 @@ mod tests {
     #[test]
     fn take_region_rejects_unservable_roles() {
         let mut h = test_heap();
-        for kind in [RegionKind::Free, RegionKind::Cache, RegionKind::Humongous] {
+        for kind in [RegionKind::Free, RegionKind::Cache] {
             assert_eq!(h.take_region(kind), Err(HeapError::BadTakeKind(kind)));
         }
         assert_eq!(h.free_count(), 8, "rejected takes must not consume regions");
@@ -758,13 +715,27 @@ mod tests {
     fn kind_transitions_are_typed_errors() {
         let mut h = test_heap();
         let e = h.take_region(RegionKind::Eden).unwrap();
-        // eden_to_survivor requires the kind to already be Survivor.
+        let o = h.take_region(RegionKind::Old).unwrap();
+        // eden_to_survivor accepts an eden region only.
+        assert_eq!(
+            h.eden_to_survivor(o),
+            Err(HeapError::KindMismatch {
+                region: o,
+                expected: RegionKind::Eden,
+                found: RegionKind::Old,
+            })
+        );
+        h.eden_to_survivor(e).unwrap();
+        assert_eq!(h.region(e).kind(), RegionKind::Survivor);
+        assert_eq!(h.allocator().lower(e).kind, RegionKind::Survivor);
+        assert_eq!((h.eden(), h.survivor()), (&[][..], &[e][..]));
+        // A second transition finds a survivor, not an eden region.
         assert_eq!(
             h.eden_to_survivor(e),
             Err(HeapError::KindMismatch {
                 region: e,
-                expected: RegionKind::Survivor,
-                found: RegionKind::Eden,
+                expected: RegionKind::Eden,
+                found: RegionKind::Survivor,
             })
         );
     }

@@ -17,14 +17,17 @@
 //!   count + payload size), including array-like classes.
 //! - [`object`] — header encoding: class id, GC age, forwarding pointers.
 //! - [`region`] — fixed-size regions with a bump pointer, a kind
-//!   (eden/survivor/old/free) and flush-tracking state used by the
-//!   asynchronous region flushing optimization.
+//!   (free/eden/survivor/old, or cache for the write cache's DRAM
+//!   regions) and flush-tracking state used by the asynchronous region
+//!   flushing optimization.
 //! - [`heap`] — the region table, allocation entry points and space
 //!   management (young/old generations, device placement policy).
 //! - [`remset`] — per-region remembered sets populated by the mutator
 //!   write barrier.
-//! - [`verify`] — a tracing verifier used by tests to check heap
-//!   integrity after collections.
+//! - [`verify`] — a tracing verifier that checks heap integrity and
+//!   digests the reachable graph: the runner digests every run's final
+//!   graph, and in a faulted run the graph before and after every
+//!   collection.
 
 #![warn(missing_docs)]
 
@@ -64,7 +67,7 @@ pub enum HeapError {
     /// signal; the collector surfaces it as an oracle violation.
     DoubleRelease(RegionId),
     /// [`Heap::take_region`] was asked for a role the free-list
-    /// allocator cannot serve (free, cache, or humongous).
+    /// allocator cannot serve (free or cache).
     BadTakeKind(RegionKind),
     /// A region-kind transition found the region in an unexpected state.
     KindMismatch {
@@ -74,13 +77,6 @@ pub enum HeapError {
         expected: RegionKind,
         /// The kind actually found.
         found: RegionKind,
-    },
-    /// A header accessor needed a normal header but found a forwarding
-    /// pointer — reading class/age bits out of a forwarded header yields
-    /// garbage, so the checked accessors reject it.
-    ForwardedHeader {
-        /// The raw header word.
-        raw: u64,
     },
     /// A forwarding install found the header already forwarded.
     /// Overwriting it would silently drop the original forwardee —
@@ -123,9 +119,6 @@ impl std::fmt::Display for HeapError {
                 f,
                 "region {region} kind transition expected {expected:?}, found {found:?}"
             ),
-            HeapError::ForwardedHeader { raw } => {
-                write!(f, "forwarded header {raw:#x} has no class/age bits")
-            }
             HeapError::AlreadyForwarded { raw } => {
                 write!(
                     f,

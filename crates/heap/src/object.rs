@@ -56,25 +56,15 @@ impl Header {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds when called on a forwarding header. Hot
-    /// paths that have already checked [`Header::is_forwarded`] use
-    /// this; anything handed a header of unknown state (crash-recovery
-    /// scans, verification walks) must use [`Header::try_class_id`],
-    /// which rejects forwarded headers in release builds too.
+    /// Panics in debug builds when called on a forwarding header; in
+    /// release builds a forwarded header decodes to garbage class bits.
+    /// Callers that may meet a forwarding header (verification walks, the
+    /// collector's copy path) test [`Header::is_forwarded`] first; crash
+    /// recovery decodes the saved pre-forwarding header instead.
     #[inline]
     pub fn class_id(self) -> u32 {
         debug_assert!(!self.is_forwarded());
         (self.0 >> 32) as u32
-    }
-
-    /// Checked variant of [`Header::class_id`]: a forwarding header is a
-    /// typed error instead of garbage class bits.
-    #[inline]
-    pub fn try_class_id(self) -> Result<u32, HeapError> {
-        if self.is_forwarded() {
-            return Err(HeapError::ForwardedHeader { raw: self.0 });
-        }
-        Ok((self.0 >> 32) as u32)
     }
 
     /// The GC age of a non-forwarded header.
@@ -82,15 +72,6 @@ impl Header {
     pub fn age(self) -> u8 {
         debug_assert!(!self.is_forwarded());
         (self.0 >> 8) as u8
-    }
-
-    /// Checked variant of [`Header::age`].
-    #[inline]
-    pub fn try_age(self) -> Result<u8, HeapError> {
-        if self.is_forwarded() {
-            return Err(HeapError::ForwardedHeader { raw: self.0 });
-        }
-        Ok((self.0 >> 8) as u8)
     }
 
     /// Checked forwarding install: the forwarding header replacing this
@@ -131,20 +112,6 @@ mod tests {
         let h = Header::forwarding(a);
         assert!(h.is_forwarded());
         assert_eq!(h.forwardee(), Some(a));
-    }
-
-    #[test]
-    fn checked_accessors_reject_forwarded_headers() {
-        // Pinned regression: the unchecked accessors only debug_assert,
-        // so in release builds a forwarded header silently decoded to
-        // garbage class/age bits. The try_* variants are typed errors.
-        let fwd = Header::forwarding(Addr(0x10_0040));
-        let err = HeapError::ForwardedHeader { raw: fwd.raw() };
-        assert_eq!(fwd.try_class_id(), Err(err.clone()));
-        assert_eq!(fwd.try_age(), Err(err));
-        let normal = Header::new(7, 3);
-        assert_eq!(normal.try_class_id(), Ok(7));
-        assert_eq!(normal.try_age(), Ok(3));
     }
 
     #[test]

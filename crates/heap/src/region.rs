@@ -26,10 +26,6 @@ pub enum RegionKind {
     Old,
     /// A DRAM write-cache region (not part of the Java heap proper).
     Cache,
-    /// A region holding a single humongous object (size > region/2).
-    /// Humongous objects are never copied; they are reclaimed whole by
-    /// mixed/full collections when marking finds them dead.
-    Humongous,
 }
 
 impl RegionKind {

@@ -168,10 +168,7 @@ pub fn verify_remsets(heap: &Heap, roots: &[Addr]) -> Result<u64, VerifyError> {
         }
         let info = heap.classes().get(h.class_id());
         let src_region = obj.region(shift);
-        let src_old = matches!(
-            heap.region(src_region).kind(),
-            RegionKind::Old | RegionKind::Humongous
-        );
+        let src_old = heap.region(src_region).kind() == RegionKind::Old;
         for i in 0..info.num_refs {
             let slot = heap.ref_slot(obj, i);
             let target = heap.read_ref(slot);

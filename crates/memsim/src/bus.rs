@@ -450,20 +450,6 @@ impl Ledger {
             self.base_epoch = self.base_epoch.max(floor);
         }
     }
-
-    /// Resets all accounting (used between independent experiment runs).
-    /// Installed fault windows are kept; their counters restart from zero.
-    pub fn reset(&mut self) {
-        self.base_epoch = 0;
-        self.epochs.clear();
-        self.last_epoch = 0;
-        self.last_epoch_start = 0;
-        self.stall_deferrals = 0;
-        self.stall_retry_aborts = 0;
-        self.collapsed_grants = 0;
-        self.stale_epoch_grants = 0;
-        self.grants = 0;
-    }
 }
 
 #[cfg(test)]
@@ -558,15 +544,6 @@ mod tests {
             let done = l.grant(now, AccessKind::Write, Pattern::Rand, 64);
             assert!(done >= now);
         }
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut l = nvm_ledger();
-        l.grant(0, AccessKind::Read, Pattern::Seq, 8 << 20);
-        l.reset();
-        let done = l.grant(0, AccessKind::Read, Pattern::Seq, 64);
-        assert!(done < l.epoch_ns());
     }
 
     #[test]
@@ -806,16 +783,13 @@ mod tests {
             req: (u8, bool, u64),
         },
         /// `retire_before(clock + ahead - 2 * EPOCH)`.
-        Retire {
-            ahead: Ns,
-        },
+        Retire { ahead: Ns },
         /// `set_faults` with stall windows `(offset, length)` and collapse
         /// windows `(offset, length, factor)`.
         Faults {
             stalls: Vec<(Ns, Ns)>,
             collapses: Vec<(Ns, Ns, u8)>,
         },
-        Reset,
     }
 
     fn arb_op() -> impl Strategy<Value = Op> {
@@ -853,11 +827,7 @@ mod tests {
             }),
             (0..4 * EPOCH).prop_map(|ahead| Op::Retire { ahead }),
             (stalls, collapses).prop_map(|(stalls, collapses)| Op::Faults { stalls, collapses }),
-            (0..8u8).prop_map(|n| if n == 0 {
-                Op::Reset
-            } else {
-                Op::Retire { ahead: 0 }
-            }),
+            Just(Op::Retire { ahead: 0 }),
         ]
     }
 
@@ -917,11 +887,6 @@ mod tests {
                         edges = all.flat_map(|w| [w.start, w.end]).collect();
                         new.set_faults(stalls.clone(), collapses.clone());
                         old.set_faults(stalls, collapses);
-                        None
-                    }
-                    Op::Reset => {
-                        new.reset();
-                        old.reset();
                         None
                     }
                 };

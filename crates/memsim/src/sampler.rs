@@ -137,11 +137,6 @@ impl TraceLog {
         self.events.clear();
         sorted
     }
-
-    /// Clears the log without changing the enabled flag.
-    pub fn reset(&mut self) {
-        self.events.clear();
-    }
 }
 
 /// One bin of the sampled bandwidth series.
@@ -279,13 +274,6 @@ impl TrafficSampler {
             .iter()
             .fold((0, 0), |(r, w), s| (r + s.read_bytes, w + s.write_bytes))
     }
-
-    /// Clears all samples.
-    pub fn reset(&mut self) {
-        self.bins = [Vec::new(), Vec::new()];
-        self.last_bin = 0;
-        self.last_bin_start = 0;
-    }
 }
 
 #[cfg(test)]
@@ -339,14 +327,6 @@ mod tests {
         s.record(DeviceId::Nvm, AccessKind::Read, 100, 0);
         s.record(DeviceId::Nvm, AccessKind::Write, 7, 99_000);
         assert_eq!(s.totals(DeviceId::Nvm), (100, 7));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut s = TrafficSampler::new(1000);
-        s.record(DeviceId::Nvm, AccessKind::Read, 100, 0);
-        s.reset();
-        assert!(s.series(DeviceId::Nvm).is_empty());
     }
 
     #[test]

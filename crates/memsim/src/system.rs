@@ -522,18 +522,6 @@ impl MemorySystem {
         }
     }
 
-    /// Streams `bytes` of reads with the given pattern, bypassing the LLC.
-    pub fn bulk_read(&mut self, dev: DeviceId, pattern: Pattern, bytes: u64, now: Ns) -> Ns {
-        self.charge_bulk(
-            dev,
-            AccessKind::Read,
-            pattern,
-            BulkPersist::None,
-            bytes,
-            now,
-        )
-    }
-
     /// Reads the contiguous sequential run `[addr, addr + len)`: one
     /// ledger grant, one sampler record, one stats update.
     ///
@@ -542,8 +530,7 @@ impl MemorySystem {
     /// root-array shares — walk data far larger than a few lines) nor
     /// pollutes the cache (hardware streaming loads mostly bypass it),
     /// so the run is charged at the device's sequential-read rate
-    /// without touching cache state. Timing is identical to
-    /// [`bulk_read`](Self::bulk_read) with `Pattern::Seq`.
+    /// without touching cache state.
     pub fn read_bulk(&mut self, dev: DeviceId, addr: u64, len: u64, now: Ns) -> Ns {
         let _ = addr;
         self.charge_bulk(
@@ -809,7 +796,7 @@ mod tests {
             let mut m = sys();
             let mut worst: Ns = 0;
             for _ in 0..16 {
-                let done = m.bulk_read(dev, Pattern::Seq, 1 << 20, 0);
+                let done = m.read_bulk(dev, 0, 1 << 20, 0);
                 worst = worst.max(done);
             }
             worst
@@ -823,7 +810,7 @@ mod tests {
     #[test]
     fn stats_track_traffic() {
         let mut m = sys();
-        m.bulk_read(DeviceId::Nvm, Pattern::Seq, 1000, 0);
+        m.read_bulk(DeviceId::Nvm, 0, 1000, 0);
         m.nt_write_bulk(DeviceId::Nvm, 0, 500, 0);
         let s = m.stats();
         assert_eq!(s.read_bytes[DeviceId::Nvm.index()], 1000);
@@ -833,7 +820,7 @@ mod tests {
     #[test]
     fn sampler_sees_phase_traffic() {
         let mut m = sys();
-        m.bulk_read(DeviceId::Nvm, Pattern::Seq, 1 << 16, 0);
+        m.read_bulk(DeviceId::Nvm, 0, 1 << 16, 0);
         let gc = [(0, 1_000_000)].into_iter();
         let (read, _, dur) = traffic_in(m.sampler().series(DeviceId::Nvm), SAMPLE_BIN_NS, gc);
         assert!(mbps(read, dur) > 0.0);
@@ -881,10 +868,10 @@ mod tests {
             }],
         });
         // DRAM unaffected.
-        let d = m.bulk_read(DeviceId::Dram, Pattern::Seq, 64, 0);
+        let d = m.read_bulk(DeviceId::Dram, 0, 64, 0);
         assert!(d < 50_000);
         // NVM defers past the stall.
-        let n = m.bulk_read(DeviceId::Nvm, Pattern::Seq, 64, 0);
+        let n = m.read_bulk(DeviceId::Nvm, 0, 64, 0);
         assert!(n >= 50_000);
         assert_eq!(m.fault_observations().stall_deferrals, 1);
     }

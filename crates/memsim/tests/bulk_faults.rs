@@ -8,9 +8,7 @@
 //! behavior: the window now fires, the splits are counted, and the
 //! fault-free fast path stays byte-identical to the unsplit model.
 
-use nvmgc_memsim::{
-    DeviceFault, DeviceId, FaultWindow, MemConfig, MemFaultPlan, MemorySystem, Ns, Pattern,
-};
+use nvmgc_memsim::{DeviceFault, DeviceId, FaultWindow, MemConfig, MemFaultPlan, MemorySystem, Ns};
 
 fn sys() -> MemorySystem {
     let mut m = MemorySystem::new(MemConfig::default());
@@ -142,7 +140,7 @@ fn fault_free_runs_are_never_segmented() {
     let t1 = m.read_bulk(DeviceId::Nvm, 0x1000, 1 << 20, 0);
     let t2 = m.write_bulk(DeviceId::Nvm, 0x100_000, 1 << 20, t1);
     let t3 = m.nt_write_bulk(DeviceId::Nvm, 0x200_000, 1 << 20, t2);
-    let _ = m.bulk_read(DeviceId::Nvm, Pattern::Seq, 1 << 20, t3);
+    let _ = m.read_bulk(DeviceId::Nvm, 0x300_000, 1 << 20, t3);
     let obs = m.fault_observations();
     assert_eq!(obs.bulk_grant_splits, 0);
     assert_eq!(obs.total(), 0);

@@ -123,13 +123,12 @@ proptest! {
     fn nvm_never_beats_dram_bulk(
         bytes in 64u64..8_000_000,
         kind in arb_kind(),
-        pat in arb_pattern(),
     ) {
         let run = |dev: DeviceId| {
             let mut m = MemorySystem::new(MemConfig::default());
             m.set_threads(1);
             match kind {
-                AccessKind::Read => m.bulk_read(dev, pat, bytes, 0),
+                AccessKind::Read => m.read_bulk(dev, 0, bytes, 0),
                 AccessKind::Write => m.write_bulk(dev, 0, bytes, 0),
                 AccessKind::NtWrite => m.nt_write_bulk(dev, 0, bytes, 0),
             }

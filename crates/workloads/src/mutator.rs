@@ -55,7 +55,7 @@ pub struct Mutator {
     chain_tail: Option<u32>,
     chain_started_gc: u32,
     /// Root-array indices of the long-lived anchor objects. Anchors are
-    /// real GC roots: mixed/full collections may move or (if unrooted)
+    /// real GC roots: mixed collections may move or (if unrooted)
     /// reclaim old objects, so the mutator must hold them through the
     /// root array like any managed reference.
     old_anchor_roots: Vec<u32>,

@@ -599,8 +599,7 @@ fn finish_run(cfg: &AppRunConfig, snap: SimSnapshot) -> Result<AppRunResult, Run
             futile_cycles = 0;
             bytes_at_last_gc = mutator.allocated_bytes();
         }
-        let old_frac =
-            (heap.old().len() + heap.humongous().len()) as f64 / cfg.heap.heap_regions as f64;
+        let old_frac = heap.old().len() as f64 / cfg.heap.heap_regions as f64;
         let mixed = matches!(cfg.trigger, GcTrigger::Adaptive { ihop } if old_frac > ihop);
         let occupied = |h: &Heap| -> u64 {
             (h.eden().len() + h.survivor().len() + h.old().len()) as u64

@@ -179,11 +179,13 @@ fn run(flags: &HashMap<String, String>) -> ExitCode {
         r.gc_share() * 100.0,
         r.mixed_cycles()
     );
+    let copied: u64 = r.cycles.iter().map(|c| c.copied_bytes).sum();
+    let promoted: u64 = r.cycles.iter().map(|c| c.promoted_bytes).sum();
     println!(
         "pauses:       max {:.2} ms, copied {:.1} MiB, promoted {:.1} MiB",
         r.gc.max_pause_ns() as f64 / 1e6,
-        r.gc.copied_bytes as f64 / (1 << 20) as f64,
-        r.gc.promoted_bytes as f64 / (1 << 20) as f64
+        copied as f64 / (1 << 20) as f64,
+        promoted as f64 / (1 << 20) as f64
     );
     let (rd, wr, dur) = traffic_in(&r.nvm_series, r.bin_ns, r.pauses());
     println!(
