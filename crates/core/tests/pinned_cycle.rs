@@ -4,7 +4,8 @@
 //! work stacks but must never feed a simulated quantity: if one ever did —
 //! a clock, a counter, a byte of the graph — a row here would move. A
 //! mixed collection of the same image pins the mark and the garbage-first
-//! selection in front of the cycle.
+//! selection in front of the cycle, and four more presets pin the copy
+//! and flush paths the first five never reach.
 
 use nvmgc_core::{G1Collector, GcConfig, Traversal};
 use nvmgc_heap::verify::verify_heap;
@@ -112,11 +113,13 @@ fn presets(threads: usize) -> [(&'static str, GcConfig); 5] {
     ]
 }
 
-fn memory(threads: usize) -> MemorySystem {
-    let mut mem = MemorySystem::new(MemConfig {
+fn memory(threads: usize, persist: bool) -> MemorySystem {
+    let mut cfg = MemConfig {
         llc_bytes: 256 << 10,
         ..MemConfig::default()
-    });
+    };
+    cfg.persist.enabled = persist;
+    let mut mem = MemorySystem::new(cfg);
     mem.set_threads(threads + 1);
     mem
 }
@@ -145,29 +148,29 @@ const PINNED: [(&str, u64, u64, u64); 10] = [
     ("semispace t28", 4436, 784282, 0x5172e2c27f6ffb21),
 ];
 
-#[test]
-fn first_collection_is_pinned_at_4_and_28_workers() {
-    let mut got = Vec::new();
-    for threads in [4, 28] {
-        for (name, cfg) in presets(threads) {
-            let (mut heap, mut roots) = image();
-            let before = verify_heap(&heap, &roots).expect("the image is well-formed");
-            let mut mem = memory(threads);
-            let outcome = G1Collector::new(cfg)
-                .collect(&mut heap, &mut mem, &mut roots, 0)
-                .expect("the collection succeeds");
-            let after = verify_heap(&heap, &roots).expect("the collected heap is well-formed");
-            assert_eq!(before, after, "{name} t{threads}: the graph survives");
-            let text = format!("{:?} {:?} {:?}", outcome.stats, mem.stats(), after);
-            got.push((
-                format!("{name} t{threads}"),
-                outcome.stats.copied_objects,
-                outcome.stats.pause_ns(),
-                fnv(&text),
-            ));
-        }
-    }
-    let pinned: Vec<_> = PINNED
+/// `(cell, copied objects, pause ns, FNV hash)` of a first collection of
+/// the image under `cfg`, with the durability ledger on when `persist`.
+fn first_collection(cell: String, cfg: GcConfig, persist: bool) -> (String, u64, u64, u64) {
+    let threads = cfg.threads;
+    let (mut heap, mut roots) = image();
+    let before = verify_heap(&heap, &roots).expect("the image is well-formed");
+    let mut mem = memory(threads, persist);
+    let outcome = G1Collector::new(cfg)
+        .collect(&mut heap, &mut mem, &mut roots, 0)
+        .expect("the collection succeeds");
+    let after = verify_heap(&heap, &roots).expect("the collected heap is well-formed");
+    assert_eq!(before, after, "{cell}: the graph survives");
+    let text = format!("{:?} {:?} {:?}", outcome.stats, mem.stats(), after);
+    (
+        cell,
+        outcome.stats.copied_objects,
+        outcome.stats.pause_ns(),
+        fnv(&text),
+    )
+}
+
+fn assert_pinned(got: Vec<(String, u64, u64, u64)>, pinned: &[(&str, u64, u64, u64)]) {
+    let pinned: Vec<_> = pinned
         .iter()
         .map(|&(cell, copied, pause, hash)| (cell.to_owned(), copied, pause, hash))
         .collect();
@@ -178,6 +181,65 @@ fn first_collection_is_pinned_at_4_and_28_workers() {
         })
         .collect();
     assert_eq!(got, pinned, "simulated results moved; now:\n{rows}");
+}
+
+#[test]
+fn first_collection_is_pinned_at_4_and_28_workers() {
+    let mut got = Vec::new();
+    for threads in [4, 28] {
+        for (name, cfg) in presets(threads) {
+            got.push(first_collection(format!("{name} t{threads}"), cfg, false));
+        }
+    }
+    assert_pinned(got, &PINNED);
+}
+
+/// The policy paths none of [`presets`] reaches: PS's uncached LABs and
+/// direct copies (`ps/vanilla`), the semispace plan's cached shared bump
+/// (`semispace/+all`), the durable region publish with the ledger on
+/// (`+all/durable`; the map, and so durability, is active at t28 only)
+/// and the async-flush readiness queue (`+all/async`).
+fn path_presets(threads: usize) -> [(&'static str, GcConfig, bool); 4] {
+    let mut durable = GcConfig::plus_all(threads, 0);
+    durable.header_map.durable = true;
+    let mut async_flush = GcConfig::plus_all(threads, 0);
+    async_flush.write_cache.async_flush = true;
+    [
+        ("ps/vanilla", GcConfig::ps_vanilla(threads), false),
+        (
+            "semispace/+all",
+            GcConfig::semispace_plus_all(threads, 0),
+            false,
+        ),
+        ("+all/durable", durable, true),
+        ("+all/async", async_flush, false),
+    ]
+}
+
+/// `(cell, copied objects, pause ns, FNV-1a as in [`PINNED`])` of the
+/// [`path_presets`], captured before the copy policies' region take,
+/// cache-pair refill, shared bump and copy charge became one function
+/// each.
+const PINNED_PATHS: [(&str, u64, u64, u64); 8] = [
+    ("ps/vanilla t4", 4436, 956974, 0xfa17cd0b2a80a1d5),
+    ("semispace/+all t4", 4436, 957955, 0x7ddb7ebe9a0e7a2c),
+    ("+all/durable t4", 4436, 893415, 0xbe8c87f4120cd1e1),
+    ("+all/async t4", 4436, 832413, 0x09323dbb5cd15af0),
+    ("ps/vanilla t28", 4436, 783980, 0x5a733b99c8cf7925),
+    ("semispace/+all t28", 4436, 462482, 0x6037dd7c4892e933),
+    ("+all/durable t28", 4436, 976535, 0x4bfa179545535b21),
+    ("+all/async t28", 4436, 440878, 0x4d5c72d13831a84f),
+];
+
+#[test]
+fn policy_paths_are_pinned_at_4_and_28_workers() {
+    let mut got = Vec::new();
+    for threads in [4, 28] {
+        for (name, cfg, persist) in path_presets(threads) {
+            got.push(first_collection(format!("{name} t{threads}"), cfg, persist));
+        }
+    }
+    assert_pinned(got, &PINNED_PATHS);
 }
 
 /// `(cell, copied objects, mark ns, pause ns, old regions collected)` of a
@@ -201,7 +263,7 @@ fn mixed_collection_is_pinned_at_4_and_28_workers() {
         for (name, cfg) in cfgs {
             let (mut heap, mut roots) = image();
             let before = verify_heap(&heap, &roots).expect("the image is well-formed");
-            let mut mem = memory(threads);
+            let mut mem = memory(threads, false);
             let outcome = G1Collector::new(cfg)
                 .collect_mixed(&mut heap, &mut mem, &mut roots, 0)
                 .expect("the collection succeeds");
