@@ -40,6 +40,10 @@ use std::collections::VecDeque;
 /// Synthetic DRAM address base for the mutator root array.
 pub const ROOT_ARRAY_BASE: u64 = 0x5000_0000_0000_0000;
 
+/// Synthetic DRAM address base for the remembered-set metadata (remset
+/// inserts, card bytes, the per-worker remset scan).
+pub(crate) const REMSET_META_BASE: u64 = 0x6000_0000_0000_0000;
+
 /// Extra latency of an atomic RMW beyond a plain store, ns.
 pub(crate) const CAS_EXTRA_NS: u64 = 15;
 
@@ -222,5 +226,11 @@ impl CycleShared<'_> {
             heap: self.heap,
             mem: self.mem,
         }
+    }
+
+    /// Records the cycle's fatal error and stops `w`.
+    pub(crate) fn fail(&mut self, w: &mut Worker, e: impl Into<GcError>) {
+        self.error = Some(e.into());
+        w.done = true;
     }
 }

@@ -27,7 +27,7 @@
 //! A power failure injected in durable-map mode aborts the cycle from
 //! inside any packet into a [`CrashState`] ([`crash_abort`]).
 
-use crate::collector::{CycleShared, Worker, SAFEPOINT_NS};
+use crate::collector::{CycleShared, Worker, REMSET_META_BASE, SAFEPOINT_NS};
 use crate::config::GcConfig;
 use crate::durable;
 use crate::engine;
@@ -283,7 +283,7 @@ pub(crate) fn run(
     // Charge the remembered-set scan (DRAM metadata) split over workers.
     let share = seed.remset_bytes / threads as u64;
     for w in workers.iter_mut() {
-        let base = 0x6000_0000_0000_0000 | (w.id as u64 * share);
+        let base = REMSET_META_BASE | (w.id as u64 * share);
         w.clock = sh.mem.read_bulk(DeviceId::Dram, base, share, w.clock);
     }
     let abort = |sh: CycleShared<'_>, workers: &mut [Worker]| {

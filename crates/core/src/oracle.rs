@@ -239,9 +239,7 @@ pub fn check_crash_point(
     }
 
     // 2. Drain ordering.
-    cache
-        .check_drain_order(heap)
-        .map_err(|(region, reason)| OracleViolation::DrainOrder { region, reason })?;
+    cache.check_drain_order(heap)?;
 
     // 3. Evacuation-failure accounting.
     for &(obj, _) in self_forwarded {
@@ -401,9 +399,7 @@ pub fn check_power_failure(
     }
 
     // 3. Drain ordering, as at crash points.
-    cache
-        .check_drain_order(heap)
-        .map_err(|(region, reason)| OracleViolation::DrainOrder { region, reason })?;
+    cache.check_drain_order(heap)?;
 
     Ok(Some(report))
 }
@@ -703,7 +699,11 @@ mod tests {
         assert!(pool.check_drain_order(&h).is_ok());
         // Corrupt the state: a pending slot appears while queued.
         h.region_mut(c).pending_slots = 1;
-        let (region, reason) = pool.check_drain_order(&h).unwrap_err();
+        let OracleViolation::DrainOrder { region, reason } =
+            pool.check_drain_order(&h).unwrap_err()
+        else {
+            unreachable!("a drain-order violation")
+        };
         assert_eq!(region, c);
         assert!(reason.contains("pending"), "{reason}");
     }

@@ -13,21 +13,22 @@
 //!   control that isolates what the per-worker/LAB structure itself
 //!   contributes on NVM.
 //!
-//! All destination-region acquisition goes through the same race-explored
-//! allocator sites and the same durable-mode region-metadata fences, so a
+//! Each rule the policies share is one function here: a destination
+//! region is taken only by [`take_dest`] (the race-explored allocator site
+//! and the durable-mode region-metadata fence), a write-cache pair comes
+//! only from [`next_cache_pair`] (the injected-pressure hook), and a
+//! shared survivor region is bumped only by [`shared_survivor_copy`]. A
 //! new policy inherits the fault plane and crash recovery for free.
 
-use crate::access::Gx;
 use crate::collector::{
     race_sync, CycleShared, Worker, DIRECT_COPY_BYTES, LAB_BYTES, RACE_SITE_ALLOC_TAKE,
     REGION_SYNC_NS,
 };
 use crate::durable::{self, RecordKey};
 use crate::error::GcError;
-use crate::oracle;
 use crate::plan::CopyPolicyKind;
 use nvmgc_heap::{Addr, HeapError, RegionId, RegionKind};
-use nvmgc_memsim::DeviceId;
+use nvmgc_memsim::{DeviceId, Ns};
 
 /// A PS local allocation buffer carved out of a shared region.
 #[derive(Debug, Clone, Copy)]
@@ -38,14 +39,41 @@ pub(crate) struct Lab {
     cached: bool,
 }
 
-/// Durable-map mode: persists a fresh GC destination region's allocation
-/// metadata before any payload lands in it, so recovery never has to
-/// classify payload for a region the persistence order has no record of.
-/// Free in volatile mode.
-pub(crate) fn note_fresh_gc_region(w: &mut Worker, sh: &mut CycleShared<'_>, region: RegionId) {
+/// Takes a fresh GC destination region of `kind`: the race-explored
+/// allocator site, the take, `sync` ns of synchronization, and — in
+/// durable-map mode — the region's allocation metadata persisted before
+/// any payload lands in it, so recovery never has to classify payload for
+/// a region the persistence order has no record of.
+fn take_dest(
+    w: &mut Worker,
+    sh: &mut CycleShared<'_>,
+    kind: RegionKind,
+    sync: Ns,
+) -> Result<RegionId, HeapError> {
+    race_sync(w, sh, RACE_SITE_ALLOC_TAKE);
+    let region = sh.heap.take_region(kind)?;
+    w.clock += sync;
     if sh.cfg.durable_map_active() {
         w.clock = durable::publish(sh.mem, DeviceId::Nvm, RecordKey::Region(region), w.clock);
     }
+    Ok(region)
+}
+
+/// The next write-cache (cache, nvm) pair, with the injected cache
+/// pressure read at the worker's clock. `None` when the budget is
+/// exhausted or squeezed: the caller falls back to an uncached copy,
+/// counted as a cache-overflow copy (and a pressure denial when pressure
+/// was on).
+fn next_cache_pair(w: &Worker, sh: &mut CycleShared<'_>) -> Option<(RegionId, RegionId)> {
+    let reserve = sh.fault.cache_reserve(w.clock);
+    let pair = sh.cache.alloc_pair_pressured(sh.heap, reserve);
+    if pair.is_none() {
+        if reserve > 0 {
+            sh.fault.note_pressure_denial();
+        }
+        sh.stats.cache_overflow_copies += 1;
+    }
+    pair
 }
 
 /// Copies `obj` into an appropriate destination, returning the physical
@@ -58,39 +86,28 @@ pub(crate) fn copy_into_dest(
     size: u32,
     promote: bool,
 ) -> Result<(Addr, bool), GcError> {
-    if promote {
-        let region = promo_region(w, sh)?;
-        if let Some(copy) = do_copy(w, sh, obj, region) {
-            return Ok((copy, false));
-        }
-        // Shared promotion region full: take a fresh one and retry.
-        race_sync(w, sh, RACE_SITE_ALLOC_TAKE);
-        *sh.promo_region = Some(sh.heap.take_region(RegionKind::Old)?);
-        w.clock += REGION_SYNC_NS;
-        let region = sh.promo_region.expect("just set");
-        note_fresh_gc_region(w, sh, region);
-        let copy = do_copy(w, sh, obj, region).ok_or(HeapError::ObjectTooLarge {
+    // No region, fresh or not, holds an object larger than a region.
+    if size > sh.heap.config().region_size {
+        return Err(GcError::Heap(HeapError::ObjectTooLarge {
             size: size as usize,
-        })?;
-        return Ok((copy, false));
+        }));
+    }
+    if promote {
+        // The shared promotion region: bumped free, taken synchronized.
+        loop {
+            if let Some(region) = *sh.promo_region {
+                if let Some(copy) = do_copy(w, sh, obj, region) {
+                    return Ok((copy, false));
+                }
+            }
+            *sh.promo_region = Some(take_dest(w, sh, RegionKind::Old, REGION_SYNC_NS)?);
+        }
     }
     match crate::plan::plan_of(sh.cfg.collector).copy {
-        CopyPolicyKind::G1Survivor => g1_survivor_copy(w, sh, obj, size),
+        CopyPolicyKind::G1Survivor => g1_survivor_copy(w, sh, obj),
         CopyPolicyKind::PsLab => ps_survivor_copy(w, sh, obj, size),
-        CopyPolicyKind::SharedBump => shared_bump_copy(w, sh, obj, size),
+        CopyPolicyKind::SharedBump => shared_bump_copy(w, sh, obj),
     }
-}
-
-fn promo_region(w: &mut Worker, sh: &mut CycleShared<'_>) -> Result<RegionId, HeapError> {
-    if let Some(r) = *sh.promo_region {
-        return Ok(r);
-    }
-    race_sync(w, sh, RACE_SITE_ALLOC_TAKE);
-    let r = sh.heap.take_region(RegionKind::Old)?;
-    *sh.promo_region = Some(r);
-    w.clock += REGION_SYNC_NS;
-    note_fresh_gc_region(w, sh, r);
-    Ok(r)
 }
 
 /// Bump-copies `obj` into `region`, charging the streaming traffic.
@@ -103,12 +120,31 @@ fn do_copy(w: &mut Worker, sh: &mut CycleShared<'_>, obj: Addr, region: RegionId
     copy
 }
 
-/// G1: per-worker survivor region, cache-backed when enabled.
+/// Bump-copies `obj` into the shared survivor region, taking a fresh one
+/// when it is absent or full. Every bump of a shared region is
+/// synchronized, so the take itself adds no sync.
+fn shared_survivor_copy(
+    w: &mut Worker,
+    sh: &mut CycleShared<'_>,
+    obj: Addr,
+) -> Result<(Addr, bool), GcError> {
+    loop {
+        if let Some(region) = sh.shared_survivor {
+            w.clock += REGION_SYNC_NS; // shared bump is synchronized
+            if let Some(copy) = do_copy(w, sh, obj, region) {
+                return Ok((copy, false));
+            }
+        }
+        sh.shared_survivor = Some(take_dest(w, sh, RegionKind::Survivor, 0)?);
+    }
+}
+
+/// G1: per-worker survivor region, cache-backed when enabled. A region
+/// one worker owns is bumped free; taking it is synchronized.
 fn g1_survivor_copy(
     w: &mut Worker,
     sh: &mut CycleShared<'_>,
     obj: Addr,
-    size: u32,
 ) -> Result<(Addr, bool), GcError> {
     // Try the worker's cache region first.
     if sh.cache.enabled() {
@@ -121,22 +157,11 @@ fn g1_survivor_copy(
                 sh.cache.note_retired(sh.heap, cache);
                 w.cache_pair = None;
             }
-            let reserve = sh.fault.cache_reserve(w.clock);
-            match sh.cache.alloc_pair_pressured(sh.heap, reserve) {
-                Some(pair) => {
-                    w.cache_pair = Some(pair);
-                    w.clock += REGION_SYNC_NS;
-                }
-                None => {
-                    // Budget exhausted (or squeezed by injected pressure):
-                    // fall back to a direct NVM copy.
-                    if reserve > 0 {
-                        sh.fault.note_pressure_denial();
-                    }
-                    sh.stats.cache_overflow_copies += 1;
-                    break;
-                }
-            }
+            let Some(pair) = next_cache_pair(w, sh) else {
+                break; // direct NVM copy below
+            };
+            w.cache_pair = Some(pair);
+            w.clock += REGION_SYNC_NS;
         }
     }
     // Direct copy into a per-worker NVM survivor region (vanilla path).
@@ -146,15 +171,7 @@ fn g1_survivor_copy(
                 return Ok((copy, false));
             }
         }
-        race_sync(w, sh, RACE_SITE_ALLOC_TAKE);
-        w.survivor = Some(sh.heap.take_region(RegionKind::Survivor)?);
-        w.clock += REGION_SYNC_NS;
-        note_fresh_gc_region(w, sh, w.survivor.expect("just set"));
-        if sh.heap.region(w.survivor.expect("just set")).capacity() < size {
-            return Err(GcError::Heap(HeapError::ObjectTooLarge {
-                size: size as usize,
-            }));
-        }
+        w.survivor = Some(take_dest(w, sh, RegionKind::Survivor, REGION_SYNC_NS)?);
     }
 }
 
@@ -171,56 +188,23 @@ fn ps_survivor_copy(
     // that cannot fit a LAB must also go direct, whatever the threshold.
     let lab_bytes = LAB_BYTES.min(sh.heap.config().region_size);
     if size >= DIRECT_COPY_BYTES || size > lab_bytes {
-        if size > sh.heap.config().region_size {
-            return Err(GcError::Heap(HeapError::ObjectTooLarge {
-                size: size as usize,
-            }));
-        }
-        loop {
-            if let Some(region) = sh.shared_survivor {
-                w.clock += REGION_SYNC_NS; // shared bump is synchronized
-                if let Some(copy) = do_copy(w, sh, obj, region) {
-                    return Ok((copy, false));
-                }
-            }
-            race_sync(w, sh, RACE_SITE_ALLOC_TAKE);
-            let fresh = sh.heap.take_region(RegionKind::Survivor)?;
-            sh.shared_survivor = Some(fresh);
-            note_fresh_gc_region(w, sh, fresh);
-        }
+        return shared_survivor_copy(w, sh, obj);
     }
     // LAB allocation.
     loop {
         if let Some(lab) = &mut w.lab {
             if lab.cursor + size <= lab.end {
-                let off = lab.cursor;
+                let (region, offset, cached) = (lab.region, lab.cursor, lab.cached);
                 lab.cursor += size;
-                let region = lab.region;
-                let cached = lab.cached;
-                let id = w.id;
                 let clock = w.clock;
-                let gx = Gx {
-                    heap: sh.heap,
-                    mem: sh.mem,
-                };
-                let copy = gx.heap.copy_object_to_offset(obj, region, off);
-                let src_dev = gx.heap.device_of(obj);
-                let dst_dev = gx.heap.region(region).device();
-                let tr = gx.mem.read_bulk(src_dev, obj.raw(), size as u64, clock);
-                let tw = gx.mem.write_bulk(dst_dev, copy.raw(), size as u64, clock);
-                let _ = id;
-                w.clock = tr.max(tw);
+                let (copy, t) = sh.gx().copy_object_at(obj, region, offset, clock);
+                w.clock = t;
                 return Ok((copy, cached));
             }
             let closed = *lab;
             w.lab = None;
             if closed.cached {
-                if let Err((region, reason)) = sh.cache.note_lab_closed(sh.heap, closed.region) {
-                    return Err(GcError::Oracle(oracle::OracleViolation::DrainOrder {
-                        region,
-                        reason,
-                    }));
-                }
+                sh.cache.note_lab_closed(sh.heap, closed.region)?;
             }
         }
         // Carve a new LAB from a shared (cache or survivor) region.
@@ -240,15 +224,10 @@ fn ps_survivor_copy(
                 sh.cache.note_retired(sh.heap, cache);
                 sh.shared_cache = None;
             }
-            let reserve = sh.fault.cache_reserve(w.clock);
-            if let Some(pair) = sh.cache.alloc_pair_pressured(sh.heap, reserve) {
+            if let Some(pair) = next_cache_pair(w, sh) {
                 sh.shared_cache = Some(pair);
                 continue;
             }
-            if reserve > 0 {
-                sh.fault.note_pressure_denial();
-            }
-            sh.stats.cache_overflow_copies += 1;
         }
         // Uncached LAB from the shared survivor region.
         loop {
@@ -263,10 +242,7 @@ fn ps_survivor_copy(
                     break;
                 }
             }
-            race_sync(w, sh, RACE_SITE_ALLOC_TAKE);
-            let fresh = sh.heap.take_region(RegionKind::Survivor)?;
-            sh.shared_survivor = Some(fresh);
-            note_fresh_gc_region(w, sh, fresh);
+            sh.shared_survivor = Some(take_dest(w, sh, RegionKind::Survivor, 0)?);
         }
     }
 }
@@ -275,20 +251,13 @@ fn ps_survivor_copy(
 /// region — no per-worker regions, no LABs. Cache-enabled configurations
 /// stage the shared region in DRAM exactly like the other plans (same
 /// pressure faults, same retire/flush lifecycle), and every fresh region
-/// passes through the same race-explored allocator site and durable-mode
-/// metadata fence, so the baseline inherits the fault plane and crash
-/// recovery with no persistence code of its own.
+/// comes from [`take_dest`], so the baseline inherits the fault plane and
+/// crash recovery with no persistence code of its own.
 fn shared_bump_copy(
     w: &mut Worker,
     sh: &mut CycleShared<'_>,
     obj: Addr,
-    size: u32,
 ) -> Result<(Addr, bool), GcError> {
-    if size > sh.heap.config().region_size {
-        return Err(GcError::Heap(HeapError::ObjectTooLarge {
-            size: size as usize,
-        }));
-    }
     if sh.cache.enabled() {
         loop {
             if let Some((cache, _nvm)) = sh.shared_cache {
@@ -299,32 +268,11 @@ fn shared_bump_copy(
                 sh.cache.note_retired(sh.heap, cache);
                 sh.shared_cache = None;
             }
-            let reserve = sh.fault.cache_reserve(w.clock);
-            match sh.cache.alloc_pair_pressured(sh.heap, reserve) {
-                Some(pair) => {
-                    sh.shared_cache = Some(pair);
-                }
-                None => {
-                    if reserve > 0 {
-                        sh.fault.note_pressure_denial();
-                    }
-                    sh.stats.cache_overflow_copies += 1;
-                    break;
-                }
-            }
+            let Some(pair) = next_cache_pair(w, sh) else {
+                break; // uncached copy below
+            };
+            sh.shared_cache = Some(pair);
         }
     }
-    // Uncached copy into the shared survivor region.
-    loop {
-        if let Some(region) = sh.shared_survivor {
-            w.clock += REGION_SYNC_NS; // shared bump is synchronized
-            if let Some(copy) = do_copy(w, sh, obj, region) {
-                return Ok((copy, false));
-            }
-        }
-        race_sync(w, sh, RACE_SITE_ALLOC_TAKE);
-        let fresh = sh.heap.take_region(RegionKind::Survivor)?;
-        sh.shared_survivor = Some(fresh);
-        note_fresh_gc_region(w, sh, fresh);
-    }
+    shared_survivor_copy(w, sh, obj)
 }

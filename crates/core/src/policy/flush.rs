@@ -10,7 +10,6 @@
 use crate::collector::{race_sync, CycleShared, Worker, RACE_SITE_ALLOC_RELEASE};
 use crate::durable::{self, RecordKey};
 use crate::header_map::{HeaderMap, ENTRY_BYTES};
-use crate::oracle;
 use crate::policy::install::map_device;
 use nvmgc_heap::RegionId;
 use nvmgc_memsim::{DeviceId, TraceCat};
@@ -86,21 +85,17 @@ pub(crate) fn flush_chunk(w: &mut Worker, sh: &mut CycleShared<'_>, during_scan:
     // Chunk done: materialize the bytes in the NVM region and release the
     // DRAM cache region.
     sh.heap.blit_region(region, nvm_region);
-    if let Err((r, reason)) = sh.cache.note_flushed(sh.heap, region, during_scan) {
-        sh.error = Some(crate::error::GcError::Oracle(
-            oracle::OracleViolation::DrainOrder { region: r, reason },
-        ));
+    if let Err(v) = sh.cache.note_flushed(sh.heap, region, during_scan) {
+        sh.fail(w, v);
         w.flush = None;
-        w.done = true;
         return;
     }
     race_sync(w, sh, RACE_SITE_ALLOC_RELEASE);
     if let Err(e) = durable::release_region(sh.heap, sh.mem, region) {
         // A cache region vanishing from under its own flush means the
         // free-count bookkeeping is already corrupt; surface it instead
-        // of silently double-freeing (pre-PR-8 behavior).
-        sh.error = Some(e);
-        w.done = true;
+        // of silently double-freeing.
+        sh.fail(w, e);
     }
     w.flush = None;
 }

@@ -20,7 +20,6 @@ use crate::collector::{
     race_sync, CycleShared, Worker, CAS_EXTRA_NS, RACE_SITE_DURABLE_FENCE, RACE_SITE_MAP_INSTALL,
 };
 use crate::durable::{self, RecordKey};
-use crate::error::GcError;
 use crate::header_map::{HeaderMap, Put, PutOutcome};
 use crate::oracle;
 use nvmgc_heap::Addr;
@@ -63,11 +62,8 @@ pub(crate) fn install_forwarding(
                     // A null key or value reaching the install path would
                     // silently corrupt the probe chain; surface it as a
                     // typed oracle violation in release builds too.
-                    sh.error = Some(GcError::Oracle(oracle::OracleViolation::HeaderMapInstall {
-                        old: e.old,
-                        new: e.new,
-                    }));
-                    w.done = true;
+                    let (old, new) = (e.old, e.new);
+                    sh.fail(w, oracle::OracleViolation::HeaderMapInstall { old, new });
                     return None;
                 }
             }
@@ -117,8 +113,7 @@ fn header_install(w: &mut Worker, sh: &mut CycleShared<'_>, obj: Addr, public: A
     match sh.gx().install_forward(w.id, obj, public, w.clock) {
         Ok(t) => w.clock = t + CAS_EXTRA_NS,
         Err(e) => {
-            sh.error = Some(crate::error::accounting(e));
-            w.done = true;
+            sh.fail(w, crate::error::accounting(e));
             return None;
         }
     }

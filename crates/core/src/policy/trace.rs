@@ -9,8 +9,8 @@
 //! every plan.
 
 use crate::collector::{
-    CycleShared, Worker, CPU_COPY_NS, CPU_SLOT_NS, FLUSH_INTERLEAVE, IDLE_STEP_NS, ROOT_ARRAY_BASE,
-    STEAL_NS,
+    CycleShared, Worker, CPU_COPY_NS, CPU_SLOT_NS, FLUSH_INTERLEAVE, IDLE_STEP_NS,
+    REMSET_META_BASE, ROOT_ARRAY_BASE, STEAL_NS,
 };
 use crate::config::Traversal;
 use crate::error::GcError;
@@ -123,8 +123,7 @@ pub(crate) fn apply_worker_faults(w: &mut Worker, sh: &mut CycleShared<'_>) -> b
             &sh.self_forwarded,
             &sh.retained,
         ) {
-            sh.error = Some(GcError::Oracle(v));
-            w.done = true;
+            sh.fail(w, v);
             return true;
         }
     }
@@ -144,8 +143,7 @@ pub(crate) fn apply_worker_faults(w: &mut Worker, sh: &mut CycleShared<'_>) -> b
             }
             Ok(None) => {}
             Err(v) => {
-                sh.error = Some(GcError::Oracle(v));
-                w.done = true;
+                sh.fail(w, v);
                 return true;
             }
         }
@@ -180,12 +178,8 @@ fn process_task(w: &mut Worker, sh: &mut CycleShared<'_>, task: Task) {
             let (v, t) = sh.gx().read_ref(id, a, clock);
             w.clock = t;
             if is_cache {
-                if let Err((region, reason)) = sh.cache.note_slot_done(sh.heap, rid) {
-                    sh.error = Some(GcError::Oracle(oracle::OracleViolation::DrainOrder {
-                        region,
-                        reason,
-                    }));
-                    w.done = true;
+                if let Err(e) = sh.cache.note_slot_done(sh.heap, rid) {
+                    sh.fail(w, e);
                     return;
                 }
             }
@@ -288,8 +282,7 @@ fn copy_and_forward(
             (obj, false)
         }
         Err(e) => {
-            sh.error = Some(e);
-            w.done = true;
+            sh.fail(w, e);
             return None;
         }
     };
@@ -357,7 +350,7 @@ fn copy_and_forward(
                         w.clock = sh.mem.write_word(
                             w.id,
                             DeviceId::Dram,
-                            0x6000_0000_0000_0000 | child_slot.raw(),
+                            REMSET_META_BASE | child_slot.raw(),
                             w.clock,
                         );
                     }
@@ -407,7 +400,7 @@ fn scan_card_region(w: &mut Worker, sh: &mut CycleShared<'_>, region: u32) {
     let used = sh.heap.region(region).used() as u64;
     w.clock = sh.mem.read_bulk(
         DeviceId::Dram,
-        0x6000_0000_0000_0000 | (u64::from(region) * cards),
+        REMSET_META_BASE | (u64::from(region) * cards),
         cards,
         w.clock,
     );

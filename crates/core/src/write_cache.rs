@@ -16,6 +16,7 @@
 //! for the final write-back phase.
 
 use crate::config::WriteCacheConfig;
+use crate::oracle::OracleViolation;
 use nvmgc_heap::{Addr, Heap, HeapError, RegionId, RegionKind};
 use nvmgc_memsim::DeviceId;
 use std::collections::VecDeque;
@@ -131,32 +132,15 @@ impl WriteCachePool {
         heap.addr_of(nvm, cache_addr.offset(shift))
     }
 
-    /// Reports that a pending slot in `region` was processed; enqueues the
-    /// region for async flushing when it has become ready (retired, no
-    /// pending slots, never stolen).
-    ///
-    /// A decrement with no pending slot outstanding is rejected as a typed
-    /// error rather than debug-asserted: in release builds the old
-    /// assertion was silent and the `u32` counter wrapped to `u32::MAX`,
-    /// so the region's readiness condition (`pending_slots == 0`) could
-    /// never hold again — the region was never flushed and its DRAM
-    /// budget silently leaked for the rest of the run. The error carries
-    /// the offending region and the violated condition in the
-    /// [`check_drain_order`](Self::check_drain_order) format so callers
-    /// can surface it as an oracle violation.
-    pub fn note_slot_done(
-        &mut self,
-        heap: &mut Heap,
-        region: RegionId,
-    ) -> Result<(), (RegionId, &'static str)> {
-        let retired = self.retired.contains(&region);
-        let r = heap.region_mut(region);
-        if r.pending_slots == 0 {
-            return Err((region, "it has no pending reference slots to retire"));
-        }
-        r.pending_slots -= 1;
+    /// Async flushing only: queues `region` for flushing once it is
+    /// ready — retired from allocation, no pending slots, no open LABs,
+    /// never stolen, not yet flushed and still mapped to its NVM twin.
+    /// [`check_drain_order`](Self::check_drain_order) re-checks the queue
+    /// against its own copy of these conditions.
+    fn enqueue_if_ready(&mut self, heap: &Heap, region: RegionId) {
+        let r = heap.region(region);
         if self.cfg.async_flush
-            && retired
+            && self.retired.contains(&region)
             && r.pending_slots == 0
             && r.open_labs == 0
             && !r.stolen
@@ -165,6 +149,31 @@ impl WriteCachePool {
         {
             self.ready.push_back(region);
         }
+    }
+
+    /// Reports that a pending slot in `region` was processed; enqueues the
+    /// region for async flushing when it has become ready.
+    ///
+    /// A decrement with no pending slot outstanding is rejected as a typed
+    /// error rather than debug-asserted: in release builds the old
+    /// assertion was silent and the `u32` counter wrapped to `u32::MAX`,
+    /// so the region's readiness condition (`pending_slots == 0`) could
+    /// never hold again — the region was never flushed and its DRAM
+    /// budget silently leaked for the rest of the run.
+    pub fn note_slot_done(
+        &mut self,
+        heap: &mut Heap,
+        region: RegionId,
+    ) -> Result<(), OracleViolation> {
+        let r = heap.region_mut(region);
+        if r.pending_slots == 0 {
+            return Err(drain_order(
+                region,
+                "it has no pending reference slots to retire",
+            ));
+        }
+        r.pending_slots -= 1;
+        self.enqueue_if_ready(heap, region);
         Ok(())
     }
 
@@ -179,23 +188,13 @@ impl WriteCachePool {
         &mut self,
         heap: &mut Heap,
         region: RegionId,
-    ) -> Result<(), (RegionId, &'static str)> {
-        let retired = self.retired.contains(&region);
+    ) -> Result<(), OracleViolation> {
         let r = heap.region_mut(region);
         if r.open_labs == 0 {
-            return Err((region, "it has no open LABs to close"));
+            return Err(drain_order(region, "it has no open LABs to close"));
         }
         r.open_labs -= 1;
-        if self.cfg.async_flush
-            && retired
-            && r.pending_slots == 0
-            && r.open_labs == 0
-            && !r.stolen
-            && !r.flushed
-            && r.mapped_to.is_some()
-        {
-            self.ready.push_back(region);
-        }
+        self.enqueue_if_ready(heap, region);
         Ok(())
     }
 
@@ -203,15 +202,7 @@ impl WriteCachePool {
     /// flushable immediately if it has no pending slots.
     pub fn note_retired(&mut self, heap: &Heap, region: RegionId) {
         self.retired.insert(region);
-        let r = heap.region(region);
-        if self.cfg.async_flush
-            && r.pending_slots == 0
-            && r.open_labs == 0
-            && !r.stolen
-            && !r.flushed
-        {
-            self.ready.push_back(region);
-        }
+        self.enqueue_if_ready(heap, region);
     }
 
     /// Takes the next region ready for asynchronous flushing.
@@ -231,22 +222,19 @@ impl WriteCachePool {
     /// asserted: in release builds the old assertion was silent and a
     /// second flush of the same region would release its DRAM budget
     /// twice, letting the pool over-allocate for the rest of the run.
-    /// The error carries the offending region and the violated condition
-    /// in the [`check_drain_order`](Self::check_drain_order) format so
-    /// callers can surface it as an oracle violation.
     pub fn note_flushed(
         &mut self,
         heap: &mut Heap,
         region: RegionId,
         during_scan: bool,
-    ) -> Result<(), (RegionId, &'static str)> {
+    ) -> Result<(), OracleViolation> {
         let rsize = heap.config().region_size as u64;
         let r = heap.region_mut(region);
         if r.flushed {
-            return Err((region, "it was already flushed"));
+            return Err(drain_order(region, "it was already flushed"));
         }
         if !self.active.contains(&region) {
-            return Err((region, "it is not an active cache region"));
+            return Err(drain_order(region, "it is not an active cache region"));
         }
         r.flushed = true;
         self.bytes_in_use = self.bytes_in_use.saturating_sub(rsize);
@@ -290,37 +278,44 @@ impl WriteCachePool {
 
     /// Crash-point oracle hook: verifies that every region queued for
     /// asynchronous flushing is actually drainable, and that the DRAM
-    /// budget accounting matches the active set. Returns the offending
-    /// region and the violated condition on failure.
-    pub fn check_drain_order(&self, heap: &Heap) -> Result<(), (RegionId, &'static str)> {
+    /// budget accounting matches the active set. It keeps its own copy of
+    /// the readiness conditions rather than calling the rule that queued
+    /// the region: a region can go stale after it was queued, and the
+    /// oracle must not share the rule it checks.
+    pub fn check_drain_order(&self, heap: &Heap) -> Result<(), OracleViolation> {
         for &region in &self.ready {
             let r = heap.region(region);
-            if !self.retired.contains(&region) {
-                return Err((region, "it was never retired from allocation"));
-            }
-            if r.pending_slots > 0 {
-                return Err((region, "it still has pending reference slots"));
-            }
-            if r.open_labs > 0 {
-                return Err((region, "it still has open LABs"));
-            }
-            if r.stolen {
-                return Err((region, "a reference in it was stolen"));
-            }
-            if r.flushed {
-                return Err((region, "it was already flushed"));
-            }
-            if r.mapped_to.is_none() {
-                return Err((region, "it is no longer mapped to an NVM region"));
-            }
+            let reason = if !self.retired.contains(&region) {
+                "it was never retired from allocation"
+            } else if r.pending_slots > 0 {
+                "it still has pending reference slots"
+            } else if r.open_labs > 0 {
+                "it still has open LABs"
+            } else if r.stolen {
+                "a reference in it was stolen"
+            } else if r.flushed {
+                "it was already flushed"
+            } else if r.mapped_to.is_none() {
+                "it is no longer mapped to an NVM region"
+            } else {
+                continue;
+            };
+            return Err(drain_order(region, reason));
         }
         let rsize = heap.config().region_size as u64;
         if self.bytes_in_use != self.active.len() as u64 * rsize {
             let witness = self.active.first().copied().unwrap_or(0);
-            return Err((witness, "budget accounting diverged from the active set"));
+            return Err(drain_order(
+                witness,
+                "budget accounting diverged from the active set",
+            ));
         }
         Ok(())
     }
+}
+
+fn drain_order(region: RegionId, reason: &'static str) -> OracleViolation {
+    OracleViolation::DrainOrder { region, reason }
 }
 
 #[cfg(test)]
@@ -440,7 +435,11 @@ mod tests {
         let (c, _) = p.alloc_pair(&mut h).unwrap();
         p.note_flushed(&mut h, c, false).unwrap();
         assert_eq!(p.bytes_in_use(), 0);
-        let (region, reason) = p.note_flushed(&mut h, c, false).unwrap_err();
+        let OracleViolation::DrainOrder { region, reason } =
+            p.note_flushed(&mut h, c, false).unwrap_err()
+        else {
+            unreachable!("a drain-order violation")
+        };
         assert_eq!(region, c);
         assert!(reason.contains("already flushed"), "{reason}");
         // The budget did not underflow or release twice.
@@ -456,7 +455,11 @@ mod tests {
         let _ = c;
         // A region id the pool never allocated (and not flushed either).
         let bogus = h.take_region(nvmgc_heap::RegionKind::Eden).unwrap();
-        let (region, reason) = p.note_flushed(&mut h, bogus, false).unwrap_err();
+        let OracleViolation::DrainOrder { region, reason } =
+            p.note_flushed(&mut h, bogus, false).unwrap_err()
+        else {
+            unreachable!("a drain-order violation")
+        };
         assert_eq!(region, bogus);
         assert!(reason.contains("not an active"), "{reason}");
     }
@@ -498,7 +501,11 @@ mod tests {
         let (c, _) = p.alloc_pair(&mut h).unwrap();
         // No slot was ever registered: retiring one must not wrap to
         // u32::MAX (which would make the region permanently unflushable).
-        let (region, reason) = p.note_slot_done(&mut h, c).unwrap_err();
+        let OracleViolation::DrainOrder { region, reason } =
+            p.note_slot_done(&mut h, c).unwrap_err()
+        else {
+            unreachable!("a drain-order violation")
+        };
         assert_eq!(region, c);
         assert!(reason.contains("pending"), "{reason}");
         assert_eq!(h.region(c).pending_slots, 0, "counter untouched");
@@ -509,7 +516,11 @@ mod tests {
         let mut h = heap();
         let mut p = WriteCachePool::new(cfg(1 << 20, true));
         let (c, _) = p.alloc_pair(&mut h).unwrap();
-        let (region, reason) = p.note_lab_closed(&mut h, c).unwrap_err();
+        let OracleViolation::DrainOrder { region, reason } =
+            p.note_lab_closed(&mut h, c).unwrap_err()
+        else {
+            unreachable!("a drain-order violation")
+        };
         assert_eq!(region, c);
         assert!(reason.contains("LAB"), "{reason}");
         assert_eq!(h.region(c).open_labs, 0, "counter untouched");

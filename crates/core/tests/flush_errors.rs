@@ -45,10 +45,13 @@ fn double_flush_returns_a_typed_error() {
         .expect("first flush is fine");
     assert_eq!(p.bytes_in_use(), 0);
 
-    let err = p
+    let OracleViolation::DrainOrder { region, .. } = p
         .note_flushed(&mut h, c, false)
-        .expect_err("second flush rejected");
-    assert_eq!(err.0, c);
+        .expect_err("second flush rejected")
+    else {
+        unreachable!("a drain-order violation")
+    };
+    assert_eq!(region, c);
     assert_eq!(
         p.bytes_in_use(),
         0,
@@ -69,7 +72,11 @@ fn flushing_a_foreign_region_is_rejected() {
     let _pair = p.alloc_pair(&mut h).expect("pair");
     let bogus = h.take_region(RegionKind::Eden).expect("eden");
 
-    let (region, reason) = p.note_flushed(&mut h, bogus, true).expect_err("rejected");
+    let OracleViolation::DrainOrder { region, reason } =
+        p.note_flushed(&mut h, bogus, true).expect_err("rejected")
+    else {
+        unreachable!("a drain-order violation")
+    };
     assert_eq!(region, bogus);
     assert!(
         !h.region(bogus).flushed,
@@ -88,7 +95,11 @@ fn slot_counter_underflow_returns_a_typed_error() {
     let mut p = pool(1 << 20);
     let (c, _) = p.alloc_pair(&mut h).expect("pair");
 
-    let (region, reason) = p.note_slot_done(&mut h, c).expect_err("underflow rejected");
+    let OracleViolation::DrainOrder { region, reason } =
+        p.note_slot_done(&mut h, c).expect_err("underflow rejected")
+    else {
+        unreachable!("a drain-order violation")
+    };
     assert_eq!(region, c);
     assert!(reason.contains("pending"), "{reason}");
     assert_eq!(h.region(c).pending_slots, 0, "counter must not wrap");
@@ -112,9 +123,12 @@ fn lab_counter_underflow_returns_a_typed_error() {
     let mut p = pool(1 << 20);
     let (c, _) = p.alloc_pair(&mut h).expect("pair");
 
-    let (region, reason) = p
+    let OracleViolation::DrainOrder { region, reason } = p
         .note_lab_closed(&mut h, c)
-        .expect_err("underflow rejected");
+        .expect_err("underflow rejected")
+    else {
+        unreachable!("a drain-order violation")
+    };
     assert_eq!(region, c);
     assert!(reason.contains("LAB"), "{reason}");
     assert_eq!(h.region(c).open_labs, 0, "counter must not wrap");
@@ -132,7 +146,11 @@ fn underflow_violation_renders_like_a_drain_order_error() {
     let mut h = heap();
     let mut p = pool(1 << 20);
     let (c, _) = p.alloc_pair(&mut h).expect("pair");
-    let (region, reason) = p.note_slot_done(&mut h, c).expect_err("underflow");
+    let OracleViolation::DrainOrder { region, reason } =
+        p.note_slot_done(&mut h, c).expect_err("underflow")
+    else {
+        unreachable!("a drain-order violation")
+    };
     let text = GcError::Oracle(OracleViolation::DrainOrder { region, reason }).to_string();
     assert!(text.contains("oracle violation"), "{text}");
     assert!(text.contains(&format!("cache region {region}")), "{text}");
@@ -146,7 +164,11 @@ fn drain_order_violation_renders_the_region_and_reason() {
     let mut p = pool(1 << 12);
     let (c, _) = p.alloc_pair(&mut h).expect("pair");
     p.note_flushed(&mut h, c, false).expect("first flush");
-    let (region, reason) = p.note_flushed(&mut h, c, false).expect_err("double flush");
+    let OracleViolation::DrainOrder { region, reason } =
+        p.note_flushed(&mut h, c, false).expect_err("double flush")
+    else {
+        unreachable!("a drain-order violation")
+    };
 
     let gc_err = GcError::Oracle(OracleViolation::DrainOrder { region, reason });
     let text = gc_err.to_string();
