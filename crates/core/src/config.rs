@@ -76,6 +76,12 @@ pub struct HeaderMapConfig {
     /// well-defined durable prefix of forwarding pointers that
     /// [`recover_from_crash`](crate::g1::G1Collector::recover_from_crash)
     /// replays to resume an interrupted evacuation.
+    ///
+    /// All of this holds only while the map is active, that is with more
+    /// than [`min_threads`](Self::min_threads) GC threads. At or below the
+    /// threshold the map is off and the setting does nothing: the run is
+    /// volatile, with no durable publish and no crash recovery (see
+    /// [`GcConfig::durable_map_active`]).
     pub durable: bool,
 }
 
@@ -251,7 +257,9 @@ impl GcConfig {
     }
 
     /// Whether the active header map is the durable (NVM-resident,
-    /// persistence-fenced) variant.
+    /// persistence-fenced) variant. False whenever the map itself is off,
+    /// so a durable request at `threads <= header_map.min_threads` runs
+    /// volatile: no durable publish, no crash recovery.
     pub fn durable_map_active(&self) -> bool {
         self.header_map_active() && self.header_map.durable
     }

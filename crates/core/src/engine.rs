@@ -17,10 +17,9 @@
 //!   worker counts, where scanning a few cache-resident clocks beats any
 //!   queue maintenance.
 //! - [`run_phase_heap`]: O(log n) binary-heap event queue keyed on
-//!   `(clock, worker index, sequence)`. Entries are lazily invalidated: a
-//!   popped entry whose sequence number no longer matches the worker's is
-//!   stale and skipped, so a step that re-queues a worker never needs to
-//!   search the heap for its old entry.
+//!   `(clock, worker index)`. A worker's entry is popped before it steps
+//!   and pushed back only when it yields, so the queue holds exactly one
+//!   entry per waiting worker and never a stale one.
 //!
 //! Both schedulers micro-batch: after a step, if the worker's new clock
 //! still precedes every other unfinished worker (ties break to the lower
@@ -147,32 +146,25 @@ where
 
 /// [`run_phase`] with the O(log n)-per-step event-queue scheduler.
 ///
-/// The queue holds at most one *valid* entry per worker; each step pops
-/// the globally minimum `(clock, index)` pair, runs the worker, and (if
-/// the worker is still not done) pushes a fresh entry with a bumped
-/// sequence number. Stale entries — possible if a future `step` mutation
-/// path re-queues a worker whose old entry is still buried in the heap —
-/// are detected by sequence mismatch on pop and discarded, which is the
-/// standard lazy-invalidation alternative to O(n) heap surgery.
+/// The queue holds one entry per unfinished worker that is not being
+/// stepped: each round pops the globally minimum `(clock, index)` pair,
+/// runs that worker, and pushes it back with its new clock once another
+/// worker precedes it (never if it is done). Indices are distinct, so no
+/// two entries tie and the order is the scan's.
 pub fn run_phase_heap<F>(workers: &mut [Worker], mut step: F) -> Result<Ns, EngineError>
 where
     F: FnMut(&mut Worker),
 {
-    let mut seq = vec![0u64; workers.len()];
-    let mut queue: BinaryHeap<Reverse<(Ns, usize, u64)>> =
-        BinaryHeap::with_capacity(workers.len() + 1);
-    for (i, w) in workers.iter().enumerate() {
-        if !w.done {
-            queue.push(Reverse((w.clock, i, 0)));
-        }
-    }
+    let mut queue: BinaryHeap<Reverse<(Ns, usize)>> = workers
+        .iter()
+        .enumerate()
+        .filter(|(_, w)| !w.done)
+        .map(|(i, w)| Reverse((w.clock, i)))
+        .collect();
     let mut steps = 0u64;
-    while let Some(Reverse((clock, i, s))) = queue.pop() {
-        if s != seq[i] {
-            continue; // lazily-invalidated stale entry
-        }
+    while let Some(Reverse((clock, i))) = queue.pop() {
         debug_assert_eq!(workers[i].clock, clock, "queue entry out of sync");
-        debug_assert!(!workers[i].done, "done worker left a valid entry");
+        debug_assert!(!workers[i].done, "a done worker was queued");
         // Micro-batch: while this worker still precedes the queue head in
         // (clock, id) order it would be popped right back out, so step it
         // again without the push/pop round trip. Its own entry is already
@@ -187,28 +179,15 @@ where
                 return Err(stuck_worker(workers, i));
             }
             if workers[i].done {
-                seq[i] += 1;
                 break;
             }
-            let first = loop {
-                match queue.peek() {
-                    None => break true,
-                    Some(&Reverse((c2, i2, s2))) => {
-                        if s2 != seq[i2] {
-                            queue.pop(); // drop stale entries at the head
-                            continue;
-                        }
-                        // Tie on clocks goes to the lower worker index.
-                        break (workers[i].clock, i) < (c2, i2);
-                    }
-                }
-            };
-            if first {
-                continue;
+            // Requeue once another worker precedes this one in (clock,
+            // index) order; `Reverse` flips the comparison.
+            let next = Reverse((workers[i].clock, i));
+            if queue.peek().is_some_and(|head| *head > next) {
+                queue.push(next);
+                break;
             }
-            seq[i] += 1;
-            queue.push(Reverse((workers[i].clock, i, seq[i])));
-            break;
         }
     }
     Ok(workers.iter().map(|w| w.clock).max().unwrap_or(0))

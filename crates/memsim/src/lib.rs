@@ -55,7 +55,7 @@ pub use cache::LlcModel;
 pub use device::{AccessKind, DeviceId, DeviceParams, Pattern};
 pub use fault::{DeviceFault, FaultObservations, FaultWindow, MemFaultPlan};
 pub use hashfast::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use persist::{CrashImage, DurabilityLedger, LineRec, PersistConfig, PersistStats};
+pub use persist::{CrashImage, DurabilityLedger, LineRec, PersistConfig};
 pub use prefetch::PrefetchTable;
 pub use sampler::{
     device_track, mbps, traffic_in, TraceCat, TraceEvent, TraceLog, TrafficSample, TrafficSampler,

@@ -36,7 +36,7 @@
 //! # Data layout
 //!
 //! "Which state is this line in" is one fact, kept in one place: a
-//! `Page` per 32 KiB of address space holds six bit planes of one shape
+//! `Page` per 32 KiB of address space holds five bit planes of one shape
 //! — one bit per 64 B line, 512 bits a plane — and the per-line
 //! first-drain time.
 //!
@@ -47,7 +47,6 @@
 //! | `buffered_nt` | …and an NT store put it there (sticky until its XPLine drains or is forgotten) |
 //! | `durable` | has drained to media at least once |
 //! | `durable_nt` | …and that first drain came from an NT store |
-//! | `ever` | was ever accepted by the buffer |
 //!
 //! An XPLine is four consecutive lines at a 256 B boundary, so in every
 //! plane it is one *aligned nibble* of a word and never straddles a word
@@ -59,10 +58,6 @@
 //! counts its losses as `popcount(volatile & !durable) +
 //! popcount(buffered & !durable)` over the plane words.
 //!
-//! The `ever` plane feeds no model decision. It exists for the provenance
-//! property of `tests/prop_persist.rs` (durable ⊆ ever accepted ⊆
-//! written) and costs one bit a line.
-//!
 //! Pages live in *windows* of 2^20 pages (32 GiB of address space): a
 //! short `Vec` of the windows that hold any page, ascending, each a `Vec`
 //! of boxed pages indexed by page number from the lowest page the window
@@ -72,7 +67,7 @@
 //! indexing and a bit operation, wherever it lands.
 //!
 //! A page has one owner. Cloning a ledger (the fork of a warm simulation
-//! image) copies every page: 4 480 B per 32 KiB written, at most 14 % of
+//! image) copies every page: 4 416 B per 32 KiB written, at most 13.5 % of
 //! what the heap's own clone copies beside it (1.7 MiB more peak memory on
 //! the benchmark's `durable_crash`, a restore that stays at 1.5 ms). The
 //! alternative, reference-counted pages copied on first write, puts an
@@ -102,8 +97,6 @@ const PAGE_WORDS: usize = PAGE_LINES / 64;
 /// Shift from a page index to its window: 2^20 pages, 32 GiB of address
 /// space.
 const WINDOW_SHIFT: u32 = 20;
-/// The inclusive line-index range of the whole address space.
-const ALL_LINES: (u64, u64) = (0, u64::MAX >> 6);
 
 /// Configuration of the persistence-order model.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,24 +137,6 @@ pub struct LineRec {
     pub via_nt: bool,
 }
 
-/// Counters describing ledger activity (reported with fault results).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistStats {
-    /// Lines recorded through the volatile store path.
-    pub stores: u64,
-    /// Lines recorded as non-temporal stores.
-    pub nt_stores: u64,
-    /// Lines moved volatile → accepted by capacity eviction.
-    pub evictions: u64,
-    /// XPLines drained to media.
-    pub drained_xplines: u64,
-    /// Lines made durable.
-    pub drained_lines: u64,
-    /// Capacity drains skipped because an injected write-combining
-    /// drain stall was open (the buffer grows past its capacity).
-    pub wc_drain_stalls: u64,
-}
-
 /// One bit per line of a page.
 type Plane = [u64; PAGE_WORDS];
 
@@ -174,7 +149,6 @@ struct Page {
     buffered_nt: Plane,
     durable: Plane,
     durable_nt: Plane,
-    ever: Plane,
     /// Watermark of each durable line's first drain (lines of one XPLine
     /// can drain in different capacity drains, so it is per line). Stale
     /// where `durable` is clear.
@@ -189,7 +163,6 @@ impl Default for Page {
             buffered_nt: [0; PAGE_WORDS],
             durable: [0; PAGE_WORDS],
             durable_nt: [0; PAGE_WORDS],
-            ever: [0; PAGE_WORDS],
             first_at: [0; PAGE_LINES],
         }
     }
@@ -413,12 +386,6 @@ pub struct CrashImage<'a> {
 }
 
 impl CrashImage<'_> {
-    /// Whether the line containing `addr` is durable in the image.
-    pub fn line_durable(&self, addr: u64) -> bool {
-        let line = addr & !(CACHE_LINE - 1);
-        self.ledger.durable_contains(line) || self.kept.iter().any(|&(l, _)| l == line)
-    }
-
     /// Number of durable lines in the image.
     pub fn durable_lines(&self) -> u64 {
         self.ledger.durable_len + self.kept.len() as u64
@@ -481,11 +448,10 @@ pub struct DurabilityLedger {
     /// clocks are not globally monotone, so this is a max-watermark.
     watermark: Ns,
     pages: Pages,
-    /// Set bits of the `volatile`, `durable` and `ever` planes, and
-    /// XPLines with any `buffered` bit, over all pages.
+    /// Set bits of the `volatile` and `durable` planes, and XPLines with
+    /// any `buffered` bit, over all pages.
     volatile_len: u64,
     durable_len: u64,
-    ever_len: u64,
     buffered_xps: usize,
     /// Volatile dirty lines, FIFO for eviction. A line written back and
     /// stored again sits here twice and is evicted at its older position;
@@ -501,7 +467,10 @@ pub struct DurabilityLedger {
     /// Injected write-combining drain-stall windows.
     stall_windows: Vec<FaultWindow>,
     drain_rng: u64,
-    stats: PersistStats,
+    /// XPLines drained to media (it seeds the torn-prefix draw).
+    drained_xplines: u64,
+    /// Capacity drains skipped because an injected drain stall was open.
+    wc_drain_stalls: u64,
     /// Scratch for drain candidate collection (reused across drains).
     drain_scratch: Vec<(usize, u64)>,
 }
@@ -516,21 +485,22 @@ impl DurabilityLedger {
             pages: Pages::default(),
             volatile_len: 0,
             durable_len: 0,
-            ever_len: 0,
             buffered_xps: 0,
             volatile_queue: VecDeque::new(),
             accept_queue: VecDeque::new(),
             meta: FxHashMap::default(),
             stall_windows: Vec::new(),
             drain_rng,
-            stats: PersistStats::default(),
+            drained_xplines: 0,
+            wc_drain_stalls: 0,
             drain_scratch: Vec::new(),
         }
     }
 
-    /// Activity counters.
-    pub fn stats(&self) -> PersistStats {
-        self.stats
+    /// Capacity drains skipped because an injected write-combining drain
+    /// stall was open (the buffer grows past its capacity meanwhile).
+    pub fn wc_drain_stalls(&self) -> u64 {
+        self.wc_drain_stalls
     }
 
     /// Installs injected write-combining drain-stall windows (replaces
@@ -570,7 +540,6 @@ impl DurabilityLedger {
     pub fn record_store(&mut self, addr: u64, len: u64, now: Ns) {
         self.advance(now);
         for line in lines_of(addr, len) {
-            self.stats.stores += 1;
             let (pi, w, bit) = locate(line);
             let p = self.pages.get_or_insert(pi);
             if p.volatile[w] >> bit & 1 == 0 {
@@ -587,7 +556,6 @@ impl DurabilityLedger {
     pub fn record_nt_store(&mut self, addr: u64, len: u64, now: Ns) {
         self.advance(now);
         for line in lines_of(addr, len) {
-            self.stats.nt_stores += 1;
             self.accept(line, true);
         }
     }
@@ -637,7 +605,6 @@ impl DurabilityLedger {
             for_each_word(idx, pi, |w, m| {
                 self.volatile_len -= count(p.volatile[w] & m);
                 self.durable_len -= count(p.durable[w] & m);
-                self.ever_len -= count(p.ever[w] & m);
                 self.buffered_xps -= live_nibbles(p.buffered[w]) - live_nibbles(p.buffered[w] & !m);
                 for plane in [
                     &mut p.volatile,
@@ -645,7 +612,6 @@ impl DurabilityLedger {
                     &mut p.buffered_nt,
                     &mut p.durable,
                     &mut p.durable_nt,
-                    &mut p.ever,
                 ] {
                     plane[w] &= !m;
                 }
@@ -653,63 +619,12 @@ impl DurabilityLedger {
         }
     }
 
-    /// Number of durable (ever-drained) lines. O(1): the ledger keeps a
-    /// running count, so oracles can poll this every check without
-    /// materializing a set.
-    pub fn durable_len(&self) -> u64 {
-        self.durable_len
-    }
-
-    /// Whether the line containing `addr` has ever drained to media.
-    fn durable_contains(&self, addr: u64) -> bool {
-        self.pages.peek(addr, |p| &p.durable) & 1 != 0
-    }
-
-    /// Calls `f` for every durable line (ascending by address) with its
-    /// first-drain record. Iteration walks the plane words in place.
-    pub fn for_each_durable(&self, mut f: impl FnMut(u64, LineRec)) {
-        self.pages.for_each_set(
-            ALL_LINES,
-            |p| &p.durable,
-            |line, p, w, bit| f(line, p.rec(w, bit)),
-        );
-    }
-
-    /// Number of lines ever accepted by the device buffer.
-    pub fn ever_accepted_len(&self) -> u64 {
-        self.ever_len
-    }
-
-    /// Whether the line containing `addr` was ever accepted by the
-    /// device buffer.
-    pub fn ever_accepted_contains(&self, addr: u64) -> bool {
-        self.pages.peek(addr, |p| &p.ever) & 1 != 0
-    }
-
-    /// Calls `f` for every ever-accepted line, ascending by address.
-    pub fn for_each_ever_accepted(&self, mut f: impl FnMut(u64)) {
-        self.pages
-            .for_each_set(ALL_LINES, |p| &p.ever, |line, _, _, _| f(line));
-    }
-
-    /// Lines currently volatile or buffered, i.e. written but not yet
-    /// durable.
-    #[cfg(test)]
-    fn pending_lines(&self) -> u64 {
-        let mut buffered = 0;
-        self.pages
-            .for_each_set(ALL_LINES, |p| &p.buffered, |_, _, _, _| buffered += 1);
-        self.volatile_len + buffered
-    }
-
     fn evict_volatile_overflow(&mut self) {
         while self.volatile_len > self.cfg.volatile_lines as u64 {
             let Some(line) = self.volatile_queue.pop_front() else {
                 break;
             };
-            if self.accept(line, false) {
-                self.stats.evictions += 1;
-            }
+            self.accept(line, false);
         }
     }
 
@@ -717,8 +632,8 @@ impl DurabilityLedger {
     /// superseded, its XPLine joins the acceptance queue if it was not
     /// buffered, and the buffer drains back down to its capacity. Without
     /// `via_nt` it is the volatile copy that is handed over, and a line
-    /// that has none is left alone (the answer is false).
-    fn accept(&mut self, line: u64, via_nt: bool) -> bool {
+    /// that has none is left alone.
+    fn accept(&mut self, line: u64, via_nt: bool) {
         let (pi, w, bit) = locate(line);
         let m = 1u64 << bit;
         let p = if via_nt {
@@ -726,13 +641,11 @@ impl DurabilityLedger {
         } else {
             match self.pages.get_mut(pi) {
                 Some(p) if p.volatile[w] & m != 0 => p,
-                _ => return false,
+                _ => return,
             }
         };
         self.volatile_len -= p.volatile[w] >> bit & 1;
         p.volatile[w] &= !m;
-        self.ever_len += !p.ever[w] >> bit & 1;
-        p.ever[w] |= m;
         let newly_buffered = p.buffered[w] & nibble(bit) == 0;
         p.buffered[w] |= m;
         if via_nt {
@@ -747,7 +660,6 @@ impl DurabilityLedger {
                 break;
             }
         }
-        true
     }
 
     /// Drains one XPLine chosen among the `reorder_window` oldest live
@@ -759,7 +671,7 @@ impl DurabilityLedger {
             .iter()
             .any(|w| w.contains(self.watermark))
         {
-            self.stats.wc_drain_stalls += 1;
+            self.wc_drain_stalls += 1;
             return false;
         }
         // Collect up to `reorder_window` live (still-buffered) XPLines
@@ -807,8 +719,7 @@ impl DurabilityLedger {
         p.buffered_nt[w] &= !mask;
         self.buffered_xps -= 1;
         self.durable_len += u64::from(fresh.count_ones());
-        self.stats.drained_xplines += 1;
-        self.stats.drained_lines += u64::from(mask.count_ones());
+        self.drained_xplines += 1;
     }
 
     /// Snapshots what the medium would hold if power failed now.
@@ -843,7 +754,7 @@ impl DurabilityLedger {
                 let mut rng = self.cfg.seed
                     ^ self.watermark.rotate_left(17)
                     ^ xp
-                    ^ (self.stats.drained_xplines << 32);
+                    ^ (self.drained_xplines << 32);
                 let keep = splitmix64(&mut rng) % u64::from(fresh.count_ones());
                 for b in bits(fresh).take(keep as usize) {
                     let rec = LineRec {
@@ -880,33 +791,83 @@ mod tests {
         })
     }
 
+    /// The inclusive line-index range of the whole address space.
+    const ALL_LINES: (u64, u64) = (0, u64::MAX >> 6);
+
+    /// Every plane of a page.
+    const PLANES: [fn(&Page) -> &Plane; 5] = [
+        |p| &p.volatile,
+        |p| &p.buffered,
+        |p| &p.buffered_nt,
+        |p| &p.durable,
+        |p| &p.durable_nt,
+    ];
+
+    impl DurabilityLedger {
+        /// The lines whose bit is set in `plane`, ascending.
+        fn lines(&self, plane: fn(&Page) -> &Plane) -> Vec<u64> {
+            let mut out = Vec::new();
+            self.pages
+                .for_each_set(ALL_LINES, plane, |line, _, _, _| out.push(line));
+            out
+        }
+
+        fn is_volatile(&self, addr: u64) -> bool {
+            self.pages.peek(addr, |p| &p.volatile) & 1 != 0
+        }
+
+        /// Whether the line containing `addr` has ever drained to media.
+        fn durable_contains(&self, addr: u64) -> bool {
+            self.pages.peek(addr, |p| &p.durable) & 1 != 0
+        }
+
+        fn durable_len(&self) -> u64 {
+            self.durable_len
+        }
+
+        /// Lines currently volatile or buffered, i.e. written but not yet
+        /// durable.
+        fn pending_lines(&self) -> u64 {
+            self.volatile_len + self.lines(|p| &p.buffered).len() as u64
+        }
+    }
+
+    impl CrashImage<'_> {
+        /// Whether the line containing `addr` is durable in the image.
+        fn holds(&self, addr: u64) -> bool {
+            let line = addr & !(CACHE_LINE - 1);
+            !self.durable_lines_in(line, CACHE_LINE).is_empty()
+        }
+    }
+
     #[test]
     fn stores_stay_volatile_until_evicted() {
         let mut l = small();
         l.record_store(0x1000, 64, 10);
         assert_eq!(l.pending_lines(), 1);
         assert_eq!(l.durable_len(), 0);
-        assert_eq!(l.ever_accepted_len(), 0);
-        // Fill past the volatile capacity: the oldest line is accepted.
+        assert_eq!(l.buffered_xps, 0);
+        // Fill past the volatile capacity: the oldest line, and only it,
+        // is evicted to the device buffer.
         for i in 1..=4u64 {
             l.record_store(0x1000 + i * 0x1000, 64, 10 + i);
         }
-        assert_eq!(l.stats().evictions, 1);
-        assert!(l.ever_accepted_contains(0x1000));
+        assert!(!l.is_volatile(0x1000) && l.is_buffered(0x1000));
+        assert_eq!((l.volatile_len, l.buffered_xps), (4, 1));
     }
 
     #[test]
     fn nt_stores_bypass_the_volatile_path() {
         let mut l = small();
         l.record_nt_store(0x2000, 256, 5);
-        assert_eq!(l.ever_accepted_len(), 4);
-        assert_eq!(l.stats().evictions, 0);
+        assert_eq!(l.lines(|p| &p.buffered_nt).len(), 4);
+        assert_eq!(l.volatile_len, 0);
         // One XPLine buffered, capacity 2: nothing drained yet.
         assert_eq!(l.durable_len(), 0);
         l.record_nt_store(0x3000, 256, 6);
         l.record_nt_store(0x4000, 256, 7);
         // Third XPLine exceeds capacity: one drains.
-        assert_eq!(l.stats().drained_xplines, 1);
+        assert_eq!(l.drained_xplines, 1);
         assert_eq!(l.durable_len(), 4);
     }
 
@@ -915,15 +876,16 @@ mod tests {
         let mut l = small();
         l.record_store(0x1000, 128, 1);
         l.write_back(0x1000, 64, 2);
-        assert!(l.ever_accepted_contains(0x1000));
-        assert!(!l.ever_accepted_contains(0x1040));
+        let buffered = |l: &DurabilityLedger| l.lines(|p| &p.buffered);
+        assert_eq!(buffered(&l), [0x1000]);
+        assert!(l.is_volatile(0x1040));
         // Write-back of an unwritten range is a no-op.
         l.write_back(0x9000, 4096, 3);
-        assert_eq!(l.ever_accepted_len(), 1);
+        assert_eq!(buffered(&l), [0x1000]);
     }
 
     #[test]
-    fn drain_all_makes_every_accepted_line_durable() {
+    fn drain_all_drains_every_accepted_line() {
         let mut l = small();
         l.record_nt_store(0x2000, 512, 5);
         l.record_store(0x8000, 64, 6);
@@ -942,7 +904,7 @@ mod tests {
         // medium still holds the old version.
         l.record_store(0x2000, 64, 3);
         let img = l.crash_image();
-        assert!(img.line_durable(0x2000));
+        assert!(img.holds(0x2000));
         // The re-stored volatile copy is not counted discarded (a stale
         // durable version exists).
         assert_eq!(img.discarded_lines, 0);
@@ -954,7 +916,7 @@ mod tests {
         l.record_store(0x1000, 64, 1);
         let img = l.crash_image();
         assert_eq!(img.discarded_lines, 1);
-        assert!(!img.line_durable(0x1000));
+        assert!(!img.holds(0x1000));
     }
 
     #[test]
@@ -977,7 +939,7 @@ mod tests {
         let mut l = small();
         l.record_nt_store(0x2000, 512, 5);
         let img = l.crash_image();
-        let front_durable = (0..4).filter(|i| img.line_durable(0x2000 + i * 64)).count();
+        let front_durable = (0..4).filter(|i| img.holds(0x2000 + i * 64)).count();
         assert!(front_durable < 4, "torn line must lose something");
         assert!(img.discarded_lines >= 1);
     }
@@ -990,11 +952,11 @@ mod tests {
         l.record_store(0x2000, 64, 3);
         l.forget_range(0x2000, 256);
         assert_eq!(l.durable_len(), 0);
-        assert_eq!(l.ever_accepted_len(), 0);
         assert_eq!(l.pending_lines(), 0);
+        assert!(PLANES.iter().all(|&plane| l.lines(plane).is_empty()));
         let img = l.crash_image();
         assert_eq!(img.discarded_lines, 0);
-        assert!(!img.line_durable(0x2000));
+        assert!(!img.holds(0x2000));
     }
 
     #[test]
@@ -1002,11 +964,11 @@ mod tests {
         let mut l = small();
         l.set_stall_windows(vec![FaultWindow { start: 0, end: 100 }]);
         l.record_nt_store(0x2000, 1024, 5); // 4 XPLines > capacity 2
-        assert!(l.stats().wc_drain_stalls > 0);
+        assert!(l.wc_drain_stalls() > 0);
         assert_eq!(l.durable_len(), 0, "stall blocked every drain");
         // Past the window, the next accept drains the backlog.
         l.record_nt_store(0x8000, 256, 200);
-        assert!(l.stats().drained_xplines > 0);
+        assert!(l.drained_xplines > 0);
     }
 
     #[test]
@@ -1021,15 +983,15 @@ mod tests {
     }
 
     #[test]
-    fn line_durable_resolves_interior_addresses() {
+    fn crash_image_resolves_interior_addresses() {
         let mut l = small();
         l.record_nt_store(0x2000, 256, 1);
         l.drain_all(2);
         let img = l.crash_image();
-        assert!(img.line_durable(0x2000));
-        assert!(img.line_durable(0x2010), "mid-line address maps to line");
-        assert!(img.line_durable(0x20c0));
-        assert!(!img.line_durable(0x2100));
+        assert!(img.holds(0x2000));
+        assert!(img.holds(0x2010), "mid-line address maps to line");
+        assert!(img.holds(0x20c0));
+        assert!(!img.holds(0x2100));
     }
 
     #[test]
@@ -1052,10 +1014,10 @@ mod tests {
         l.drain_all(2);
         assert!(l.durable_contains(far));
         let img = l.crash_image();
-        assert!(img.line_durable(far));
+        assert!(img.holds(far));
         l.forget_range(far, 256);
         assert_eq!(l.durable_len(), 0);
-        assert_eq!(l.ever_accepted_len(), 0);
+        assert!(PLANES.iter().all(|&plane| l.lines(plane).is_empty()));
     }
 
     // ---- The reference model ------------------------------------------
@@ -1065,22 +1027,18 @@ mod tests {
     // every count recomputed by walking the tree.
 
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Pages per window.
     const WINDOW_PAGES: u64 = 1 << WINDOW_SHIFT;
-
-    impl DurabilityLedger {
-        fn is_volatile(&self, line: u64) -> bool {
-            self.pages.peek(line, |p| &p.volatile) & 1 != 0
-        }
-    }
 
     #[derive(Debug, Clone, Copy, Default)]
     struct RefLine {
         volatile: bool,
         buffered: bool,
         buffered_nt: bool,
+        /// Was ever accepted by the device buffer (the ledger keeps no
+        /// such plane: nothing it simulates reads it).
         ever: bool,
         durable: Option<LineRec>,
     }
@@ -1095,7 +1053,11 @@ mod tests {
         meta: BTreeMap<u64, Ns>,
         stalls: Vec<FaultWindow>,
         rng: u64,
-        stats: PersistStats,
+        drained_xplines: u64,
+        wc_drain_stalls: u64,
+        /// Lines a store or an NT store wrote, less the forgotten ones:
+        /// kept apart from `lines` for the provenance check.
+        written: BTreeSet<u64>,
     }
 
     /// The reference's own line walk: it shares none of the ledger's
@@ -1119,7 +1081,6 @@ mod tests {
 
         fn store(&mut self, addr: u64, len: u64) {
             for line in lines_of(addr, len) {
-                self.stats.stores += 1;
                 if !std::mem::replace(&mut self.lines.entry(line).or_default().volatile, true) {
                     self.volatile_queue.push_back(line);
                 }
@@ -1130,7 +1091,6 @@ mod tests {
                     .pop_front()
                     .expect("volatile lines are queued");
                 if self.line(line).volatile {
-                    self.stats.evictions += 1;
                     self.accept(line, false);
                 }
             }
@@ -1157,7 +1117,7 @@ mod tests {
                     break;
                 }
                 if self.stalls.iter().any(|w| w.contains(self.watermark)) {
-                    self.stats.wc_drain_stalls += 1;
+                    self.wc_drain_stalls += 1;
                     break;
                 }
                 // A drain drops the dead entries at the queue front; dead
@@ -1179,13 +1139,12 @@ mod tests {
         }
 
         fn drain(&mut self, xp: u64) {
-            self.stats.drained_xplines += 1;
+            self.drained_xplines += 1;
             for (line, l) in self
                 .xp_lines(xp)
                 .filter(|(_, l)| l.buffered)
                 .collect::<Vec<_>>()
             {
-                self.stats.drained_lines += 1;
                 let first = LineRec {
                     first_at: self.watermark,
                     via_nt: l.buffered_nt,
@@ -1209,11 +1168,13 @@ mod tests {
             if !matches!(op, Op::Forget(..)) {
                 self.watermark = self.watermark.max(now);
             }
+            if let Op::Store(addr, len) | Op::NtStore(addr, len) = op {
+                self.written.extend(lines_of(addr, len));
+            }
             match op {
                 Op::Store(addr, len) => self.store(addr, len),
                 Op::NtStore(addr, len) => {
                     for line in lines_of(addr, len) {
-                        self.stats.nt_stores += 1;
                         self.accept(line, true);
                     }
                 }
@@ -1237,7 +1198,19 @@ mod tests {
                 Op::Forget(start, len) => {
                     let end = start.saturating_add(len);
                     self.lines.retain(|&l, _| l < start || l >= end);
+                    self.written.retain(|&l| l < start || l >= end);
                 }
+            }
+        }
+
+        /// Provenance — durable ⊆ ever accepted ⊆ written — and, right
+        /// after a fence, completeness: every accepted line is durable.
+        fn check(&self, fenced: bool) {
+            for (&a, l) in &self.lines {
+                let (durable, written) = (l.durable.is_some(), self.written.contains(&a));
+                assert!(l.ever || !durable, "{a:#x} durable, never accepted");
+                assert!(written || !l.ever, "{a:#x} accepted, never written");
+                assert!(durable || !(fenced && l.ever), "{a:#x} fenced, not durable");
             }
         }
 
@@ -1258,7 +1231,7 @@ mod tests {
                     let mut rng = self.cfg.seed
                         ^ self.watermark.rotate_left(17)
                         ^ xp
-                        ^ (self.stats.drained_xplines << 32);
+                        ^ (self.drained_xplines << 32);
                     let keep = (splitmix64(&mut rng) % fresh.len() as u64) as usize;
                     for &(line, l) in &fresh[..keep] {
                         let rec = LineRec {
@@ -1274,7 +1247,6 @@ mod tests {
             }
             let end = window.0.saturating_add(window.1);
             let in_window = lines.iter().filter(|&&(a, _)| a >= window.0 && a < end);
-            let ever = self.lines.iter().filter(|(_, l)| l.ever);
             View {
                 windowed: in_window.copied().collect(),
                 // What `CrashImage`'s `Debug` prints.
@@ -1283,8 +1255,8 @@ mod tests {
                      discarded_lines: {discarded}, torn_lines: {torn} }}",
                     self.meta
                 ),
-                stats: self.stats,
-                ever: ever.map(|(&a, _)| a).collect(),
+                drained_xplines: self.drained_xplines,
+                wc_drain_stalls: self.wc_drain_stalls,
                 durable,
             }
         }
@@ -1301,25 +1273,29 @@ mod tests {
         Forget(u64, u64),
     }
 
-    /// What the public API shows of a ledger: the crash image (`Debug`
-    /// text and one `durable_lines_in` window), the counters, and both
-    /// iterations with the running counts they must agree with.
+    /// What a ledger shows: the crash image (`Debug` text and one
+    /// `durable_lines_in` window), the two counters, and the durable
+    /// plane with the running count it must agree with.
     #[derive(Debug, PartialEq)]
     struct View {
         image: String,
         windowed: Vec<(u64, LineRec)>,
-        stats: PersistStats,
+        drained_xplines: u64,
+        wc_drain_stalls: u64,
         durable: Vec<(u64, LineRec)>,
-        ever: Vec<u64>,
     }
 
     fn view(l: &DurabilityLedger, window: (u64, u64)) -> View {
         let img = l.crash_image();
-        let (mut durable, mut ever) = (Vec::new(), Vec::new());
-        l.for_each_durable(|a, rec| durable.push((a, rec)));
-        l.for_each_ever_accepted(|a| ever.push(a));
+        let mut durable = Vec::new();
+        l.pages.for_each_set(
+            ALL_LINES,
+            |p| &p.durable,
+            |a, p, w, bit| durable.push((a, p.rec(w, bit))),
+        );
         assert_eq!(durable.len() as u64, l.durable_len());
-        assert_eq!(ever.len() as u64, l.ever_accepted_len());
+        let all = img.durable_lines_in(0, u64::MAX).len() as u64;
+        assert_eq!(img.durable_lines(), all);
         let words = |plane: fn(&Page) -> &Plane| {
             let pages = l.pages.range(0, u64::MAX);
             pages
@@ -1338,9 +1314,9 @@ mod tests {
         View {
             image: format!("{img:?}"),
             windowed: img.durable_lines_in(window.0, window.1),
-            stats: l.stats(),
+            drained_xplines: l.drained_xplines,
+            wc_drain_stalls: l.wc_drain_stalls(),
             durable,
-            ever,
         }
     }
 
@@ -1368,17 +1344,21 @@ mod tests {
             meta: BTreeMap::new(),
             stalls: stall.into_iter().collect(),
             rng: cfg.seed ^ 0xD01A_B1E5,
-            stats: PersistStats::default(),
+            drained_xplines: 0,
+            wc_drain_stalls: 0,
+            written: BTreeSet::new(),
         };
         (l, r)
     }
 
-    /// Runs `ops` through a ledger and its reference, comparing their
-    /// views after every operation.
+    /// Runs `ops` through a ledger and its reference, checking the
+    /// reference's provenance and comparing their views after every
+    /// operation.
     fn drive(l: &mut DurabilityLedger, r: &mut Reference, ops: &[(Op, Ns)], window: (u64, u64)) {
         for (i, &(op, now)) in ops.iter().enumerate() {
             apply(l, op, now);
             r.apply(op, now);
+            r.check(matches!(op, Op::DrainAll));
             assert_eq!(
                 view(l, window),
                 r.view(window),
@@ -1474,7 +1454,7 @@ mod tests {
             Store(c, 8),
         ];
         let l = run(&cfg(8, 1, 2), None, &ops.map(|op| (op, 0)), all);
-        assert!(!l.is_volatile(a) && l.is_volatile(b) && l.stats().evictions == 1);
+        assert!(!l.is_volatile(a) && l.is_volatile(b) && l.is_volatile(c));
 
         // An XPLine emptied by `forget_range` and accepted again sits
         // twice in the acceptance queue and drains at its older position.
@@ -1495,8 +1475,9 @@ mod tests {
         assert_eq!(l.crash_image().discarded_lines, 2);
 
         // The buffered-by-NT bit survives a later plain acceptance of the
-        // line; the first drain's record survives later drains, which
-        // `drained_lines` counts again; a forgotten line starts over.
+        // line; the first drain's record survives a later drain of its
+        // XPLine, which does not count the line durable again; a
+        // forgotten line starts over.
         let ops = [
             (NtStore(a, 8), 10),
             (Store(a, 8), 11),
@@ -1513,7 +1494,7 @@ mod tests {
         let rec = |first_at, via_nt| vec![(a, LineRec { first_at, via_nt })];
         let l = run(&cfg(8, 1, 8), None, &ops[..6], all);
         assert_eq!(l.crash_image().durable_lines_in(a, 64), rec(20, true));
-        assert_eq!((l.stats().drained_lines, l.durable_len()), (2, 1));
+        assert_eq!((l.drained_xplines, l.durable_len()), (2, 1));
         let l = run(&cfg(8, 1, 8), None, &ops[..7], all);
         assert_eq!(
             l.durable_len(),
@@ -1531,7 +1512,7 @@ mod tests {
         ops.iter()
             .for_each(|&(op, now)| apply(&mut unseen, op, now));
         assert_eq!(view(&seen, all), view(&unseen, all));
-        assert!(seen.stats().drained_xplines > 20);
+        assert!(seen.drained_xplines > 20);
 
         // Far pages iterate after every page of the first window, and a
         // range may span a window edge.
@@ -1632,8 +1613,7 @@ mod tests {
         let ops = ops.map(|op| (op, 0));
         let l = run(&cfg, None, &ops[..7], (edge - 0x140, 0x200));
         assert_eq!(l.pages.windows.len(), 3);
-        let mut durable = Vec::new();
-        l.for_each_durable(|line, _| durable.push(line));
+        let durable = l.lines(|p| &p.durable);
         assert!(durable.windows(2).all(|w| w[0] < w[1]), "ascending");
         assert_eq!(
             (durable.len(), durable[0], durable[4], durable[15]),
@@ -1642,7 +1622,7 @@ mod tests {
         assert_eq!(l.crash_image().discarded_lines, 4);
         // Two lines on each side of the edge go.
         let l = run(&cfg, None, &ops, (edge - 0x140, 0x200));
-        assert_eq!((l.durable_len(), l.ever_accepted_len()), (12, 13));
+        assert_eq!((l.durable_len(), l.pending_lines()), (12, 4));
         assert_eq!(l.crash_image().discarded_lines, 4);
     }
 }

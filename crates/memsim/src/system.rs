@@ -231,7 +231,7 @@ impl MemorySystem {
             obs.stale_epoch_grants += stale;
         }
         for p in self.persist.iter().flatten() {
-            obs.wc_drain_stalls += p.stats().wc_drain_stalls;
+            obs.wc_drain_stalls += p.wc_drain_stalls();
         }
         obs
     }
