@@ -93,27 +93,27 @@ impl<'a> Gx<'a> {
         let size = self.heap.object_size(from);
         match self.heap.region_mut(to_region).bump(size) {
             Some(offset) => {
-                let (copy, t) = self.copy_object_at(from, to_region, offset, now);
+                let (copy, t) = self.copy_object_at(from, to_region, offset, size, now);
                 (Some(copy), t)
             }
             None => (None, now),
         }
     }
 
-    /// Copies the object at `from` to `offset` of `region` (space the
-    /// caller already bumped, e.g. a PS local allocation buffer),
-    /// charging a streaming read from the source device and a streaming
-    /// write to the target device (overlapped). The copy's lines are
-    /// installed in the LLC — a regular-store memcpy leaves the
-    /// destination cache-hot.
+    /// Copies the `size`-byte object at `from` to `offset` of `region`
+    /// (space the caller already bumped for that size, e.g. a PS local
+    /// allocation buffer), charging a streaming read from the source
+    /// device and a streaming write to the target device (overlapped).
+    /// The copy's lines are installed in the LLC — a regular-store memcpy
+    /// leaves the destination cache-hot.
     pub fn copy_object_at(
         &mut self,
         from: Addr,
         region: RegionId,
         offset: u32,
+        size: u32,
         now: Ns,
     ) -> (Addr, Ns) {
-        let size = self.heap.object_size(from);
         let src_dev = self.heap.device_of(from);
         let dst_dev = self.heap.region(region).device();
         let copy = self.heap.copy_object_to_offset(from, region, offset, size);

@@ -324,7 +324,7 @@ pub(crate) fn run(
         let Some(end) = wb else {
             return Err(abort(sh, &mut workers));
         };
-        durable::cycle_end_drain(sh.mem, DeviceId::Nvm, end);
+        durable::cycle_end_drain(sh.mem, end);
         end
     } else {
         scan_end

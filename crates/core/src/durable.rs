@@ -1,7 +1,10 @@
 //! The durable-record primitive: how a GC record becomes durable and how
-//! recovery judges it. Every client of the durability ledger goes through
-//! this module; nothing else in the crate touches the ledger's persist,
-//! drain or crash-image calls (CI greps for it).
+//! recovery judges it. Durability is a fact about NVM — Optane behind ADR;
+//! no DRAM store survives a power failure — so the one ledger is NVM's
+//! ([`MemorySystem::ledger`]), and this module is its only driver: nothing
+//! else in the crate reaches the ledger, its fences or its crash image (CI
+//! greps for it). The fences it adds and the `"persist-fence"` /
+//! `"persist-drain"` trace instants on the NVM lane are emitted here too.
 //!
 //! **Keys.** A record is named by a typed [`RecordKey`]; its `u64`
 //! encoding is the ledger key *and* the `arg` of the `"persist-fence"`
@@ -17,9 +20,9 @@
 //! **Publish order** (the durable-linearizable order of Sela & Petrank):
 //! payload [`write_back`] → [`publish`] of the destination's `Region`
 //! record → [`publish`] of the forwarding record, where a publish is the
-//! entry write-back followed by one blocking fence — `persist_meta`
-//! stamping the key when the ledger is on, the plain fence otherwise.
-//! Stamp-only kinds have no entry to fence and are free in volatile mode.
+//! entry write-back followed by one blocking fence — stamping the key in
+//! the ledger when it is on, the plain fence otherwise. Stamp-only kinds
+//! have no entry to fence and are free in volatile mode.
 //!
 //! **Classification.** A [`Classifier`] judges a crash image at an
 //! instant `t`: a key is fenced at `t`, a payload range is durable at
@@ -30,7 +33,9 @@ use crate::error::{accounting, GcError};
 use crate::header_map::{HeaderMap, ENTRY_BYTES};
 use nvmgc_heap::verify::{classify_lines, LineCoverage};
 use nvmgc_heap::{Addr, Heap, RegionId};
-use nvmgc_memsim::{CrashImage, DeviceId, LineRec, MemorySystem, Ns};
+use nvmgc_memsim::{
+    device_track, CrashImage, DeviceId, LineRec, MemorySystem, Ns, TraceCat, FENCE_NS,
+};
 
 /// The typed key of one durable record (see the module table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,55 +77,74 @@ impl RecordKey {
     }
 }
 
-/// Hands the payload `[addr, addr + len)` to the device's write-combining
+/// Hands the payload `[addr, addr + len)` to NVM's write-combining
 /// buffer (CLWB) — the step that precedes publishing a record that points
 /// at it. Free, and a no-op when the ledger is off.
-pub(crate) fn write_back(mem: &mut MemorySystem, dev: DeviceId, addr: u64, len: u64, now: Ns) {
-    mem.persist_write_back(dev, addr, len, now);
+pub(crate) fn write_back(mem: &mut MemorySystem, addr: u64, len: u64, now: Ns) {
+    if let Some(ledger) = mem.ledger_mut() {
+        ledger.write_back(addr, len, now);
+    }
 }
 
 /// Publishes one record whose entry bytes the caller has already stored
 /// and charged: entry write-back, then one blocking fence. Returns the
 /// fence's completion time (`now` for a stamp-only kind in volatile mode).
-pub(crate) fn publish(mem: &mut MemorySystem, dev: DeviceId, key: RecordKey, now: Ns) -> Ns {
+pub(crate) fn publish(mem: &mut MemorySystem, key: RecordKey, now: Ns) -> Ns {
     if let Some((addr, len)) = key.entry() {
-        mem.persist_write_back(dev, addr, len, now);
-        if !mem.persist_enabled(dev) {
+        write_back(mem, addr, len, now);
+        if mem.ledger().is_none() {
             return mem.fence(now);
         }
     }
-    mem.persist_meta(dev, key.raw(), now)
+    stamp(mem, &[key], key.raw(), now)
 }
 
 /// Publishes a batch of journal records under one fence (the safepoint
 /// allocator-journal drain): each entry word is stored — charged here,
 /// the journal has no other writer — and written back, then a single
 /// fence stamps every key at one watermark.
-pub(crate) fn publish_batch(
-    mem: &mut MemorySystem,
-    dev: DeviceId,
-    keys: &[RecordKey],
-    now: Ns,
-) -> Ns {
+pub(crate) fn publish_batch(mem: &mut MemorySystem, keys: &[RecordKey], now: Ns) -> Ns {
     let mut t = now;
     for key in keys {
         let (addr, len) = key.entry().expect("stamp-only records are not journaled");
-        t = mem.write_word(0, dev, addr, t);
-        mem.persist_write_back(dev, addr, len, t);
+        t = mem.write_word(0, DeviceId::Nvm, addr, t);
+        write_back(mem, addr, len, t);
     }
-    if !mem.persist_enabled(dev) {
+    if mem.ledger().is_none() {
         return mem.fence(t);
     }
-    mem.persist_meta_many(dev, keys.iter().map(|k| k.raw()), t)
+    stamp(mem, keys, keys.len() as u64, t)
 }
 
-/// The cycle-end fence lands in the ADR domain: everything the device's
+/// Stamps every key in the ledger under one blocking fence at `now`,
+/// marked by a `"persist-fence"` instant whose arg is `arg` (the raw key
+/// of a single publish, the count of a batch). Returns the fence's
+/// completion time; `now` when the ledger is off or `keys` is empty.
+fn stamp(mem: &mut MemorySystem, keys: &[RecordKey], arg: u64, now: Ns) -> Ns {
+    let Some(ledger) = mem.ledger_mut().filter(|_| !keys.is_empty()) else {
+        return now;
+    };
+    for key in keys {
+        ledger.persist_meta(key.raw(), now);
+    }
+    let lane = device_track(DeviceId::Nvm);
+    mem.trace_mut()
+        .instant("persist-fence", TraceCat::Fence, lane, now, arg);
+    now + FENCE_NS
+}
+
+/// The cycle-end fence lands in the ADR domain: everything NVM's
 /// write-combining buffer has accepted by `now` drains to the medium
 /// before mutators resume. Volatile cache lines are *not* flushed. Free —
 /// it moves durability state, not time — and a no-op when the ledger is
 /// off.
-pub(crate) fn cycle_end_drain(mem: &mut MemorySystem, dev: DeviceId, now: Ns) {
-    mem.persist_drain_all(dev, now);
+pub(crate) fn cycle_end_drain(mem: &mut MemorySystem, now: Ns) {
+    if let Some(ledger) = mem.ledger_mut() {
+        ledger.drain_all(now);
+        let lane = device_track(DeviceId::Nvm);
+        mem.trace_mut()
+            .instant("persist-drain", TraceCat::Fence, lane, now, 0);
+    }
 }
 
 /// Returns `region` to the allocator and ends this life of its address
@@ -136,7 +160,9 @@ pub(crate) fn release_region(
     let len = heap.config().region_size as u64;
     heap.release_region(region).map_err(accounting)?;
     mem.invalidate_range(base, len);
-    mem.persist_forget_range(base, len);
+    if let Some(ledger) = mem.ledger_mut() {
+        ledger.forget_range(base, len);
+    }
     Ok(())
 }
 
@@ -192,7 +218,7 @@ impl ForwardingRecord {
     }
 }
 
-/// A device's crash image judged at instant `at`: what a power failure
+/// NVM's crash image judged at instant `at`: what a power failure
 /// at `at` would have left on the medium. Ledger entries stamped later
 /// are phantoms of workers that had not yet observed the crash;
 /// `Ns::MAX` judges the image as it stands.
@@ -203,9 +229,10 @@ pub(crate) struct Classifier<'a> {
 }
 
 impl<'a> Classifier<'a> {
-    /// `None` when the persistence model is inactive for `dev`.
-    pub(crate) fn new(mem: &'a MemorySystem, dev: DeviceId, at: Ns) -> Option<Self> {
-        mem.crash_image(dev).map(|img| Classifier { img, at })
+    /// `None` when the persistence model is off.
+    pub(crate) fn new(mem: &'a MemorySystem, at: Ns) -> Option<Self> {
+        let img = mem.ledger()?.crash_image();
+        Some(Classifier { img, at })
     }
 
     /// When `key`'s publish fence completed, if it did by `at`.
@@ -256,54 +283,99 @@ impl<'a> Classifier<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvmgc_memsim::MemConfig;
+    use nvmgc_memsim::{MemConfig, TraceEvent};
     use proptest::prelude::*;
     use RecordKey::*;
 
-    const NVM: DeviceId = DeviceId::Nvm;
-
-    fn mem(ledger: bool) -> (MemorySystem, Ns) {
+    fn mem(ledger: bool) -> MemorySystem {
         let mut cfg = MemConfig::default();
         cfg.persist.enabled = ledger;
-        (MemorySystem::new(cfg), nvmgc_memsim::FENCE_NS)
+        let mut m = MemorySystem::new(cfg);
+        m.trace_mut().set_enabled(true);
+        m
     }
 
+    /// An instant on the NVM trace lane — what `trace_timeline.json`
+    /// shows of a fence or a drain.
+    fn nvm_instant(name: &'static str, ts: Ns, arg: u64) -> TraceEvent {
+        TraceEvent {
+            ts,
+            dur: 0,
+            track: device_track(DeviceId::Nvm),
+            name,
+            cat: TraceCat::Fence,
+            arg,
+        }
+    }
+
+    /// With the ledger on, a publish costs one fence, stamps the key at
+    /// its start and marks it with one `"persist-fence"` instant whose arg
+    /// is the raw key. With it off, fenced kinds pay the plain fence,
+    /// stamp-only kinds are free, nothing is marked and there is no image.
     #[test]
     fn publish_costs_one_fence_and_stamps_the_key() {
         for key in [Region(3), MapEntry(17), Header(Addr(0x2040)), AllocEntry(5)] {
-            let (mut on, fence) = mem(true);
-            assert_eq!(publish(&mut on, NVM, key, 1_000), 1_000 + fence, "{key:?}");
-            let fenced = |at| Classifier::new(&on, NVM, at).unwrap().fenced_at(key);
+            let mut on = mem(true);
+            assert_eq!(publish(&mut on, key, 1_000), 1_000 + FENCE_NS, "{key:?}");
+            let fence = nvm_instant("persist-fence", 1_000, key.raw());
+            assert_eq!(on.trace().events(), [fence], "{key:?}");
+            let fenced = |at| Classifier::new(&on, at).unwrap().fenced_at(key);
             assert_eq!(fenced(Ns::MAX), Some(1_000), "{key:?}");
             assert_eq!(fenced(1_000), Some(1_000), "{key:?}");
             assert_eq!(fenced(999), None, "a crash before the fence: {key:?}");
 
-            // Ledger off: fenced kinds pay the plain fence, stamp-only
-            // kinds are free, and there is no image to judge.
-            let (mut off, fence) = mem(false);
-            let cost = if key.entry().is_some() { fence } else { 0 };
-            assert_eq!(publish(&mut off, NVM, key, 1_000), 1_000 + cost, "{key:?}");
-            assert!(Classifier::new(&off, NVM, Ns::MAX).is_none());
+            let mut off = mem(false);
+            let cost = if key.entry().is_some() { FENCE_NS } else { 0 };
+            assert_eq!(publish(&mut off, key, 1_000), 1_000 + cost, "{key:?}");
+            assert!(off.trace().events().is_empty(), "{key:?}");
+            assert!(Classifier::new(&off, Ns::MAX).is_none());
         }
     }
 
+    /// A batch pays its entry-word stores and one fence, stamps every key
+    /// at one watermark and, with the ledger on, is marked by one
+    /// `"persist-fence"` instant whose arg is the key count. An empty
+    /// batch costs nothing with the ledger on and the plain fence without.
     #[test]
     fn batch_costs_one_fence_and_stamps_every_key_at_one_watermark() {
         let keys: Vec<RecordKey> = (0..5).map(AllocEntry).collect();
         for ledger in [true, false] {
-            let (mut m, fence) = mem(ledger);
+            let mut m = mem(ledger);
             // The entry-word stores alone, on an identical system.
             let mut stores = m.clone();
             let stored = keys.iter().fold(1_000, |t, k| {
-                stores.write_word(0, NVM, k.entry().unwrap().0, t)
+                stores.write_word(0, DeviceId::Nvm, k.entry().unwrap().0, t)
             });
-            assert_eq!(publish_batch(&mut m, NVM, &keys, 1_000), stored + fence);
-            if let Some(c) = Classifier::new(&m, NVM, Ns::MAX) {
+            assert_eq!(publish_batch(&mut m, &keys, 1_000), stored + FENCE_NS);
+            if let Some(c) = Classifier::new(&m, Ns::MAX) {
                 for &k in &keys {
                     assert_eq!(c.fenced_at(k), Some(stored), "{k:?}");
                 }
+                let fence = nvm_instant("persist-fence", stored, keys.len() as u64);
+                assert_eq!(m.trace().events(), [fence]);
+            } else {
+                assert!(m.trace().events().is_empty());
             }
+            let empty = if ledger { 0 } else { FENCE_NS };
+            assert_eq!(publish_batch(&mut mem(ledger), &[], 1_000), 1_000 + empty);
         }
+    }
+
+    /// The cycle-end drain is free, makes every NT-accepted line durable
+    /// and marks the NVM lane with one `"persist-drain"` instant; with the
+    /// ledger off it does nothing.
+    #[test]
+    fn cycle_end_drain_drains_the_buffer_and_marks_the_lane() {
+        let mut on = mem(true);
+        on.nt_write_bulk(DeviceId::Nvm, 0x4000, 4096, 10);
+        cycle_end_drain(&mut on, 20);
+        assert_eq!(on.trace().events(), [nvm_instant("persist-drain", 20, 0)]);
+        let img = on.ledger().unwrap().crash_image();
+        assert_eq!((img.durable_lines(), img.discarded_lines), (64, 0));
+
+        let mut off = mem(false);
+        cycle_end_drain(&mut off, 20);
+        assert!(off.trace().events().is_empty());
     }
 
     proptest! {

@@ -77,11 +77,6 @@ impl MarkState {
         self.bitmaps[r][w] & bit != 0
     }
 
-    /// Live bytes recorded for a region.
-    pub fn live_bytes(&self, region: RegionId) -> u64 {
-        self.live_bytes[region as usize]
-    }
-
     /// Live objects recorded for a region.
     pub fn live_objects(&self, region: RegionId) -> u64 {
         self.live_objects[region as usize]
@@ -255,10 +250,10 @@ mod tests {
         let _dead1 = h.alloc_object(e1, 1).unwrap();
         let _dead2 = h.alloc_object(e2, 0).unwrap();
         let out = mark_heap(&mut h, &mut m, 1, &[live], 0).unwrap();
-        assert_eq!(out.state.live_bytes(e1), 16);
-        assert_eq!(out.state.live_bytes(e2), 0);
-        assert!(out.state.liveness(&h, e1) > 0.0);
+        // Half of e1's bytes are live: one of its two 16 B leaves.
+        assert_eq!(out.state.liveness(&h, e1), 0.5);
         assert_eq!(out.state.liveness(&h, e2), 0.0);
+        assert_eq!(out.state.total_live_bytes(), 16);
         // Empty region liveness is zero, not NaN.
         let free = h.take_region(RegionKind::Old).unwrap();
         assert_eq!(out.state.liveness(&h, free), 0.0);

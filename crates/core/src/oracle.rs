@@ -348,7 +348,7 @@ pub fn check_power_failure(
     cache: &WriteCachePool,
     mem: &MemorySystem,
 ) -> Result<Option<PowerFailureReport>, OracleViolation> {
-    let Some(judge) = Classifier::new(mem, DeviceId::Nvm, Ns::MAX) else {
+    let Some(judge) = Classifier::new(mem, Ns::MAX) else {
         return Ok(None);
     };
     let img = &judge.img;

@@ -28,7 +28,7 @@ use crate::durable::{self, RecordKey};
 use crate::error::GcError;
 use crate::plan::CopyPolicyKind;
 use nvmgc_heap::{Addr, HeapError, RegionId, RegionKind};
-use nvmgc_memsim::{DeviceId, Ns};
+use nvmgc_memsim::Ns;
 
 /// A PS local allocation buffer carved out of a shared region.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +54,7 @@ fn take_dest(
     let region = sh.heap.take_region(kind)?;
     w.clock += sync;
     if sh.cfg.durable_map_active() {
-        w.clock = durable::publish(sh.mem, DeviceId::Nvm, RecordKey::Region(region), w.clock);
+        w.clock = durable::publish(sh.mem, RecordKey::Region(region), w.clock);
     }
     Ok(region)
 }
@@ -197,7 +197,7 @@ fn ps_survivor_copy(
                 let (region, offset, cached) = (lab.region, lab.cursor, lab.cached);
                 lab.cursor += size;
                 let clock = w.clock;
-                let (copy, t) = sh.gx().copy_object_at(obj, region, offset, clock);
+                let (copy, t) = sh.gx().copy_object_at(obj, region, offset, size, clock);
                 w.clock = t;
                 return Ok((copy, cached));
             }

@@ -9,7 +9,7 @@
 use crate::config::GcConfig;
 use crate::durable::{self, RecordKey};
 use nvmgc_heap::Heap;
-use nvmgc_memsim::{DeviceId, MemorySystem, Ns};
+use nvmgc_memsim::{MemorySystem, Ns};
 
 /// Journals the allocator's dirty lower-table entries to the NVM
 /// durability ledger (durable-allocator mode): one line write plus
@@ -35,7 +35,7 @@ pub(crate) fn drain_allocator_journal(
     }
     let dirty = heap.allocator().dirty_regions();
     let keys: Vec<RecordKey> = dirty.iter().map(|&r| RecordKey::AllocEntry(r)).collect();
-    let t = durable::publish_batch(mem, DeviceId::Nvm, &keys, now);
+    let t = durable::publish_batch(mem, &keys, now);
     *fences += keys.len() as u64;
     heap.allocator_mut().drain_dirty(t);
     t

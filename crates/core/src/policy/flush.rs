@@ -64,7 +64,7 @@ pub(crate) fn flush_chunk(w: &mut Worker, sh: &mut CycleShared<'_>, during_scan:
         // metadata reaches the medium before any of its payload (one
         // synchronous fence at the start of the region's flush).
         if task.cursor == 0 {
-            w.clock = durable::publish(sh.mem, nvm, RecordKey::Region(nvm_region), w.clock);
+            w.clock = durable::publish(sh.mem, RecordKey::Region(nvm_region), w.clock);
         }
         let tw = if sh.cache.config().nt_store {
             sh.mem.nt_write_bulk(nvm, dst, chunk as u64, w.clock)
@@ -72,7 +72,7 @@ pub(crate) fn flush_chunk(w: &mut Worker, sh: &mut CycleShared<'_>, during_scan:
             let t = sh.mem.write_bulk(nvm, dst, chunk as u64, w.clock);
             // Regular-store drains are explicitly written back (CLWB
             // over the chunk) so the flush still advances durability.
-            durable::write_back(sh.mem, nvm, dst, chunk as u64, t);
+            durable::write_back(sh.mem, dst, chunk as u64, t);
             t
         };
         w.clock = tr.max(tw);

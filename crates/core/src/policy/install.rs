@@ -94,8 +94,7 @@ pub(crate) fn install_forwarding(
                     // from-space address, and remembered so recovery can
                     // classify it against the durable prefix.
                     sh.full_installs.push((obj, public));
-                    w.clock =
-                        durable::publish(sh.mem, DeviceId::Nvm, RecordKey::Header(obj), w.clock);
+                    w.clock = durable::publish(sh.mem, RecordKey::Header(obj), w.clock);
                 }
             }
         }
@@ -155,5 +154,5 @@ fn durable_install_fence(w: &mut Worker, sh: &mut CycleShared<'_>, idx: u64) {
     let (dev, entry) = (DeviceId::Nvm, HeaderMap::entry_addr(idx));
     w.clock = sh.mem.write_word(w.id, dev, entry, w.clock) + CAS_EXTRA_NS;
     w.clock = sh.mem.write_word(w.id, dev, entry + 8, w.clock);
-    w.clock = durable::publish(sh.mem, dev, RecordKey::MapEntry(idx), w.clock);
+    w.clock = durable::publish(sh.mem, RecordKey::MapEntry(idx), w.clock);
 }

@@ -109,7 +109,7 @@ pub(crate) fn recover(
     // Every forwarding record the crashed cycle established that names a
     // real move, and whether it lies inside the durable prefix.
     let decisions: Vec<_> = {
-        let judge = Classifier::new(mem, nvm, at);
+        let judge = Classifier::new(mem, at);
         if let Some(j) = &judge {
             stats.fault_events.discarded_lines = j.img.discarded_lines;
             stats.fault_events.torn_lines = j.img.torn_lines;
@@ -154,9 +154,9 @@ pub(crate) fn recover(
         let size = u64::from(size);
         now = mem.read_bulk(heap.device_of(rec.old), rec.old.raw(), size, now);
         now = mem.write_bulk(nvm, rec.new.raw(), size, now);
-        durable::write_back(mem, nvm, rec.new.raw(), size, now);
-        now = durable::publish(mem, nvm, RecordKey::Region(dst), now);
-        now = durable::publish(mem, nvm, rec.key, now);
+        durable::write_back(mem, rec.new.raw(), size, now);
+        now = durable::publish(mem, RecordKey::Region(dst), now);
+        now = durable::publish(mem, rec.key, now);
     }
     // --- Allocator recovery scan (durable-allocator mode). The crash
     // caught the lower-table journal partially durable: entries dirtied

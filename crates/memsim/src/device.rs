@@ -109,10 +109,6 @@ pub struct DeviceParams {
     /// weighted traffic in the current epoch. NVM uses a large `k` —
     /// this single knob produces the bandwidth collapse of Fig. 2b.
     pub interference: f64,
-    /// Whether the device retains drained data across a power failure.
-    /// Persistent devices get a durability ledger when the persistence
-    /// model is enabled; volatile devices never do.
-    pub persistent: bool,
 }
 
 impl DeviceParams {
@@ -132,7 +128,6 @@ impl DeviceParams {
             bw_thread_write: 8.0,
             bw_thread_write_nt: 12.0,
             interference: 0.25,
-            persistent: false,
         }
     }
 
@@ -152,7 +147,6 @@ impl DeviceParams {
             bw_thread_write: 1.6,
             bw_thread_write_nt: 4.6,
             interference: 1.55,
-            persistent: true,
         }
     }
 
@@ -179,7 +173,6 @@ impl DeviceParams {
             bw_thread_write: local.bw_thread_write * 0.6,
             bw_thread_write_nt: local.bw_thread_write_nt * 0.6,
             interference: local.interference * 1.3,
-            persistent: true,
         }
     }
 

@@ -69,11 +69,11 @@ pub enum DeviceFault {
     /// The device's internal write-combining buffer stops draining
     /// inside `window`: accepted XPLines pile up past the buffer
     /// capacity and nothing new becomes durable until the window
-    /// closes. Only meaningful on persistent devices with the
-    /// durability ledger enabled. Latency/bandwidth are unaffected,
-    /// but bulk stores crossing a window edge are segmented so lines
-    /// written inside the window are recorded as during-stall (see
-    /// [`FaultObservations::bulk_grant_splits`]).
+    /// closes. Only meaningful on NVM with the durability ledger
+    /// enabled. Latency/bandwidth are unaffected, but bulk stores
+    /// crossing a window edge are segmented so lines written inside the
+    /// window are recorded as during-stall (see
+    /// [`MemStats::bulk_grant_splits`](crate::MemStats::bulk_grant_splits)).
     WcDrainStall {
         /// Affected device.
         dev: DeviceId,
@@ -144,13 +144,6 @@ pub struct FaultObservations {
     /// Bandwidth-ledger epoch accesses that referenced an epoch older
     /// than the advanced ledger base and were clamped to it.
     pub stale_epoch_grants: u64,
-    /// Contiguous bulk transfers split into multiple grants because a
-    /// fault-window edge (stall, collapse or write-combining drain
-    /// stall) fell inside the transfer. Counts the extra grants: a run
-    /// split into three segments adds two. Without splitting, a window
-    /// opening mid-burst was invisible — grants sample fault state only
-    /// at their start time.
-    pub bulk_grant_splits: u64,
 }
 
 impl FaultObservations {
@@ -162,7 +155,6 @@ impl FaultObservations {
             + self.stall_retry_aborts
             + self.wc_drain_stalls
             + self.stale_epoch_grants
-            + self.bulk_grant_splits
     }
 }
 

@@ -10,11 +10,12 @@
 //! land in the write-combining buffer directly — which is why the
 //! paper's NT write-back plus one fence is the fast path to durability.
 //!
-//! The [`DurabilityLedger`] tracks every written line through those
-//! three states for one device. It is pure bookkeeping: recording never
-//! changes the timing model, so enabling it cannot perturb simulated
-//! results — it only answers the question "if power failed *now*, which
-//! lines would the medium still hold?" via [`DurabilityLedger::crash_image`].
+//! The [`DurabilityLedger`] tracks every written NVM line through those
+//! three states (DRAM has no ledger: none of its stores survives). It is
+//! pure bookkeeping: recording never changes the timing model, so
+//! enabling it cannot perturb simulated results — it only answers the
+//! question "if power failed *now*, which lines would the medium still
+//! hold?" via [`DurabilityLedger::crash_image`].
 //!
 //! Model decisions (see DESIGN.md, "Persistence-order model"):
 //!
@@ -437,7 +438,7 @@ impl fmt::Debug for CrashImage<'_> {
     }
 }
 
-/// Per-device durability ledger (see the module docs).
+/// The NVM durability ledger (see the module docs).
 ///
 /// A clone is a deep copy: pages are owned, not shared (module docs,
 /// "Data layout").

@@ -10,7 +10,7 @@ use crate::bus::Ledger;
 use crate::cache::LlcModel;
 use crate::device::{AccessKind, DeviceId, DeviceParams, Pattern};
 use crate::fault::{DeviceFault, FaultObservations, FaultWindow, MemFaultPlan};
-use crate::persist::{CrashImage, DurabilityLedger, PersistConfig};
+use crate::persist::{DurabilityLedger, PersistConfig};
 use crate::prefetch::PrefetchTable;
 use crate::sampler::{device_track, TraceCat, TraceLog, TrafficSampler};
 use crate::{Ns, CACHE_LINE};
@@ -39,9 +39,9 @@ pub struct MemConfig {
     pub dram: DeviceParams,
     /// NVM device parameters.
     pub nvm: DeviceParams,
-    /// Persistence-order model configuration. Only devices whose
-    /// parameters mark them [`persistent`](DeviceParams::persistent) get
-    /// a durability ledger, and only when `persist.enabled` is set.
+    /// Persistence-order model configuration. When `persist.enabled` is
+    /// set, NVM gets a durability ledger; DRAM never does, since no store
+    /// to it survives a power failure.
     pub persist: PersistConfig,
 }
 
@@ -82,8 +82,10 @@ pub struct MemStats {
     /// LLC line installs from prefetch fills and bulk store runs.
     /// Deterministic, like `bus_grants`.
     pub llc_installs: u64,
-    /// Bulk grants segmented at fault-window edges (zero without an
-    /// injected fault plan). Deterministic, like `bus_grants`.
+    /// Extra grants issued because a bulk run crossed a fault-window edge
+    /// (stall, collapse or write-combining drain stall) and was segmented:
+    /// a run split into three segments adds two. Zero without an injected
+    /// fault plan. Deterministic, like `bus_grants`.
     pub bulk_grant_splits: u64,
 }
 
@@ -119,12 +121,11 @@ pub struct MemorySystem {
     spikes: [Vec<(FaultWindow, f64)>; 2],
     /// Accesses whose latency an active spike inflated.
     latency_spikes: u64,
-    /// Extra grants issued because a bulk run crossed a fault-window
-    /// edge and was segmented (see [`FaultObservations::bulk_grant_splits`]).
+    /// See [`MemStats::bulk_grant_splits`].
     bulk_grant_splits: u64,
-    /// Durability ledgers for persistent devices (None when the
-    /// persistence model is disabled or the device is volatile).
-    persist: [Option<DurabilityLedger>; 2],
+    /// The NVM durability ledger (None when the persistence model is
+    /// disabled).
+    persist: Option<DurabilityLedger>,
 }
 
 impl MemorySystem {
@@ -136,12 +137,10 @@ impl MemorySystem {
         ];
         let llc = LlcModel::new(cfg.llc_bytes);
         let sampler = TrafficSampler::new(SAMPLE_BIN_NS);
-        let persist = [
-            (cfg.persist.enabled && cfg.dram.persistent)
-                .then(|| DurabilityLedger::new(cfg.persist.clone())),
-            (cfg.persist.enabled && cfg.nvm.persistent)
-                .then(|| DurabilityLedger::new(cfg.persist.clone())),
-        ];
+        let persist = cfg
+            .persist
+            .enabled
+            .then(|| DurabilityLedger::new(cfg.persist.clone()));
         let mut line_floor = [[0 as Ns; 3]; 2];
         for (di, params) in [&cfg.dram, &cfg.nvm].into_iter().enumerate() {
             for kind in [AccessKind::Read, AccessKind::Write, AccessKind::NtWrite] {
@@ -190,7 +189,7 @@ impl MemorySystem {
         }
         let mut stalls: [Vec<FaultWindow>; 2] = [Vec::new(), Vec::new()];
         let mut collapses: [Vec<(FaultWindow, f64)>; 2] = [Vec::new(), Vec::new()];
-        let mut drain_stalls: [Vec<FaultWindow>; 2] = [Vec::new(), Vec::new()];
+        let mut drain_stalls = Vec::new();
         self.spikes = [Vec::new(), Vec::new()];
         for ev in &plan.events {
             let di = ev.device().index();
@@ -202,16 +201,18 @@ impl MemorySystem {
                     collapses[di].push((window, factor));
                 }
                 DeviceFault::Stall { window, .. } => stalls[di].push(window),
-                DeviceFault::WcDrainStall { window, .. } => drain_stalls[di].push(window),
+                DeviceFault::WcDrainStall { dev, window } => {
+                    if dev == DeviceId::Nvm {
+                        drain_stalls.push(window);
+                    }
+                }
             }
         }
         for (di, (s, c)) in stalls.into_iter().zip(collapses).enumerate() {
             self.ledgers[di].set_faults(s, c);
         }
-        for (di, d) in drain_stalls.into_iter().enumerate() {
-            if let Some(ledger) = &mut self.persist[di] {
-                ledger.set_stall_windows(d);
-            }
+        if let Some(ledger) = &mut self.persist {
+            ledger.set_stall_windows(drain_stalls);
         }
         self.latency_spikes = 0;
     }
@@ -220,7 +221,6 @@ impl MemorySystem {
     pub fn fault_observations(&self) -> FaultObservations {
         let mut obs = FaultObservations {
             latency_spikes: self.latency_spikes,
-            bulk_grant_splits: self.bulk_grant_splits,
             ..FaultObservations::default()
         };
         for l in &self.ledgers {
@@ -230,8 +230,8 @@ impl MemorySystem {
             obs.collapsed_grants += collapsed;
             obs.stale_epoch_grants += stale;
         }
-        for p in self.persist.iter().flatten() {
-            obs.wc_drain_stalls += p.wc_drain_stalls();
+        if let Some(p) = &self.persist {
+            obs.wc_drain_stalls = p.wc_drain_stalls();
         }
         obs
     }
@@ -328,32 +328,23 @@ impl MemorySystem {
     /// The earliest fault-window edge after `after` that a bulk run on
     /// device index `di` must be re-granted at: bandwidth-ledger edges
     /// (stall/collapse) always, durability-ledger drain-stall edges only
-    /// when the run records persistent stores.
+    /// when the run records NVM stores.
     fn bulk_fault_boundary(&self, di: usize, track_persist: bool, after: Ns) -> Option<Ns> {
         let bus = self.ledgers[di].next_fault_boundary(after);
-        let wc = if track_persist {
-            self.persist[di]
-                .as_ref()
-                .and_then(|p| p.next_stall_boundary(after))
-        } else {
-            None
-        };
+        let wc = self
+            .persist
+            .as_ref()
+            .filter(|_| track_persist)
+            .and_then(|p| p.next_stall_boundary(after));
         match (bus, wc) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 
-    /// Records one segment of a bulk store into `di`'s durability ledger.
-    fn record_bulk_persist(
-        &mut self,
-        di: usize,
-        persist: BulkPersist,
-        offset: u64,
-        len: u64,
-        now: Ns,
-    ) {
-        match (persist, &mut self.persist[di]) {
+    /// Records one segment of a bulk store into the durability ledger.
+    fn record_bulk_persist(&mut self, persist: BulkPersist, offset: u64, len: u64, now: Ns) {
+        match (persist, &mut self.persist) {
             (BulkPersist::Store(addr), Some(p)) => p.record_store(addr + offset, len, now),
             (BulkPersist::NtStore(addr), Some(p)) => p.record_nt_store(addr + offset, len, now),
             _ => {}
@@ -387,14 +378,20 @@ impl MemorySystem {
         now: Ns,
     ) -> Ns {
         let di = dev.index();
-        let track_persist = !matches!(persist, BulkPersist::None) && self.persist[di].is_some();
+        // Only NVM stores reach the ledger, and only when there is one.
+        let persist = match (dev, &self.persist) {
+            (DeviceId::Nvm, Some(_)) => persist,
+            _ => BulkPersist::None,
+        };
+        let track_persist = !matches!(persist, BulkPersist::None);
         let split = self.ledgers[di].has_fault_windows()
             || (track_persist
-                && self.persist[di]
+                && self
+                    .persist
                     .as_ref()
                     .is_some_and(DurabilityLedger::has_stall_windows));
         if !split || len == 0 {
-            self.record_bulk_persist(di, persist, 0, len, now);
+            self.record_bulk_persist(persist, 0, len, now);
             let done = self.charge(dev, kind, pattern, len, now);
             return self.finish(dev, kind, pattern, len, now, done);
         }
@@ -412,7 +409,7 @@ impl MemorySystem {
                 }
                 None => remaining,
             };
-            self.record_bulk_persist(di, persist, offset, seg, cur);
+            self.record_bulk_persist(persist, offset, seg, cur);
             let q = self.charge(dev, kind, pattern, seg, cur);
             offset += seg;
             if offset >= len {
@@ -506,7 +503,7 @@ impl MemorySystem {
     pub fn write_word(&mut self, tid: usize, dev: DeviceId, addr: u64, now: Ns) -> Ns {
         let _ = tid;
         let hit = self.llc.access(addr);
-        if let Some(p) = &mut self.persist[dev.index()] {
+        if let (DeviceId::Nvm, Some(p)) = (dev, &mut self.persist) {
             // Known quirk, kept because fixing it re-blesses every durable
             // result: `addr` is the unaligned word address, so the 64 B
             // recorded here end in the *next* line for seven word offsets
@@ -618,103 +615,16 @@ impl MemorySystem {
         self.llc.invalidate_range(start, len);
     }
 
-    /// Whether durability tracking is active for `dev`.
-    pub fn persist_enabled(&self, dev: DeviceId) -> bool {
-        self.persist[dev.index()].is_some()
+    /// The NVM durability ledger; `None` when the persistence model is
+    /// off. Only `nvmgc_core::durable` drives it.
+    pub fn ledger(&self) -> Option<&DurabilityLedger> {
+        self.persist.as_ref()
     }
 
-    /// Explicitly writes back `[addr, addr + len)` toward the device
-    /// (CLWB-like): volatile dirty lines in the range are handed to the
-    /// device's write-combining buffer. Timing is the caller's business
-    /// (the paper's flush paths already charge their traffic); this only
-    /// advances durability state, so it is free and a no-op when the
-    /// persistence model is off.
-    pub fn persist_write_back(&mut self, dev: DeviceId, addr: u64, len: u64, now: Ns) {
-        if let Some(p) = &mut self.persist[dev.index()] {
-            p.write_back(addr, len, now);
-        }
-    }
-
-    /// Synchronously persists a small metadata record under `key`
-    /// (region allocation metadata ahead of its payload). Returns the
-    /// completion time: one fence when the model is active for `dev`,
-    /// `now` otherwise.
-    pub fn persist_meta(&mut self, dev: DeviceId, key: u64, now: Ns) -> Ns {
-        match &mut self.persist[dev.index()] {
-            Some(p) => {
-                p.persist_meta(key, now);
-                self.trace.instant(
-                    "persist-fence",
-                    TraceCat::Fence,
-                    device_track(dev),
-                    now,
-                    key,
-                );
-                now + FENCE_NS
-            }
-            None => now,
-        }
-    }
-
-    /// Batch variant of [`MemorySystem::persist_meta`]: synchronously
-    /// persists every key in `keys` under one fence (several metadata
-    /// slots — e.g. the allocator journal's dirty lower-table entries —
-    /// made durable by a single safepoint drain). Returns the completion
-    /// time: one fence when the model is active for `dev` and any key was
-    /// persisted, `now` otherwise.
-    pub fn persist_meta_many(
-        &mut self,
-        dev: DeviceId,
-        keys: impl IntoIterator<Item = u64>,
-        now: Ns,
-    ) -> Ns {
-        match &mut self.persist[dev.index()] {
-            Some(p) => {
-                let mut count = 0u64;
-                for key in keys {
-                    p.persist_meta(key, now);
-                    count += 1;
-                }
-                if count == 0 {
-                    return now;
-                }
-                self.trace.instant(
-                    "persist-fence",
-                    TraceCat::Fence,
-                    device_track(dev),
-                    now,
-                    count,
-                );
-                now + FENCE_NS
-            }
-            None => now,
-        }
-    }
-
-    /// Drains the device's entire write-combining buffer (the cycle-end
-    /// fence on ADR hardware: everything the buffer accepted before the
-    /// fence reaches the medium even across a power failure).
-    pub fn persist_drain_all(&mut self, dev: DeviceId, now: Ns) {
-        if let Some(p) = &mut self.persist[dev.index()] {
-            p.drain_all(now);
-            self.trace
-                .instant("persist-drain", TraceCat::Fence, device_track(dev), now, 0);
-        }
-    }
-
-    /// Forgets durability state for a recycled address range on every
-    /// tracked device (call alongside [`invalidate_range`](Self::invalidate_range)
-    /// when a region is freed).
-    pub fn persist_forget_range(&mut self, start: u64, len: u64) {
-        for p in self.persist.iter_mut().flatten() {
-            p.forget_range(start, len);
-        }
-    }
-
-    /// Snapshot of what `dev`'s medium would hold if power failed now.
-    /// `None` when the persistence model is inactive for the device.
-    pub fn crash_image(&self, dev: DeviceId) -> Option<CrashImage<'_>> {
-        self.persist[dev.index()].as_ref().map(|p| p.crash_image())
+    /// The NVM durability ledger (mutable); `None` when the persistence
+    /// model is off.
+    pub fn ledger_mut(&mut self) -> Option<&mut DurabilityLedger> {
+        self.persist.as_mut()
     }
 }
 
@@ -876,7 +786,7 @@ mod tests {
         assert_eq!(m.fault_observations().stall_deferrals, 1);
     }
 
-    fn persist_sys() -> MemorySystem {
+    fn ledger_sys() -> MemorySystem {
         let mut cfg = MemConfig::default();
         cfg.persist.enabled = true;
         cfg.persist.seed = 11;
@@ -885,19 +795,29 @@ mod tests {
         m
     }
 
+    /// Each store path — word, bulk and NT bulk — records into the NVM
+    /// ledger when it targets NVM and never when it targets DRAM; with the
+    /// model disabled there is no ledger at all.
     #[test]
-    fn persistence_tracks_only_persistent_devices() {
-        let mut m = persist_sys();
-        assert!(m.persist_enabled(DeviceId::Nvm));
-        assert!(!m.persist_enabled(DeviceId::Dram));
-        m.nt_write_bulk(DeviceId::Nvm, 0x4000, 256, 0);
-        m.nt_write_bulk(DeviceId::Dram, 0x4000, 256, 0);
-        let img = m.crash_image(DeviceId::Nvm).unwrap();
-        assert!(img.discarded_lines + img.durable_lines() > 0);
-        assert!(m.crash_image(DeviceId::Dram).is_none());
+    fn dram_stores_never_reach_the_ledger() {
+        type Store = fn(&mut MemorySystem, DeviceId) -> Ns;
+        let paths: [(&str, Store); 3] = [
+            ("word", |m, dev| m.write_word(0, dev, 0x4000, 0)),
+            ("bulk", |m, dev| m.write_bulk(dev, 0x4000, 256, 0)),
+            ("nt bulk", |m, dev| m.nt_write_bulk(dev, 0x4000, 256, 0)),
+        ];
+        let image = |m: &MemorySystem| format!("{:?}", m.ledger().unwrap().crash_image());
+        let untouched = image(&ledger_sys());
+        for (name, store) in paths {
+            let mut dram = ledger_sys();
+            store(&mut dram, DeviceId::Dram);
+            assert_eq!(image(&dram), untouched, "{name} store to DRAM");
+            let mut nvm = ledger_sys();
+            store(&mut nvm, DeviceId::Nvm);
+            assert_ne!(image(&nvm), untouched, "{name} store to NVM");
+        }
         // Disabled model: no ledger anywhere.
-        let m2 = sys();
-        assert!(!m2.persist_enabled(DeviceId::Nvm));
+        assert!(sys().ledger().is_none());
     }
 
     #[test]
@@ -907,35 +827,28 @@ mod tests {
             t = m.write_word(0, DeviceId::Nvm, 0x100, t);
             t = m.write_bulk(DeviceId::Nvm, 0x8000, 4096, t);
             t = m.nt_write_bulk(DeviceId::Nvm, 0x10_000, 4096, t);
-            m.persist_drain_all(DeviceId::Nvm, t);
-            m.persist_forget_range(0x8000, 4096);
+            if let Some(ledger) = m.ledger_mut() {
+                ledger.drain_all(t);
+                ledger.forget_range(0x8000, 4096);
+            }
             t
         };
-        assert_eq!(run(sys()), run(persist_sys()));
-    }
-
-    #[test]
-    fn persist_meta_costs_one_fence_when_active() {
-        let mut m = persist_sys();
-        let done = m.persist_meta(DeviceId::Nvm, 7, 100);
-        assert_eq!(done, 100 + FENCE_NS);
-        // Inactive device: free no-op.
-        assert_eq!(m.persist_meta(DeviceId::Dram, 7, 100), 100);
+        assert_eq!(run(sys()), run(ledger_sys()));
     }
 
     #[test]
     fn drain_all_then_crash_keeps_nt_lines() {
-        let mut m = persist_sys();
+        let mut m = ledger_sys();
         m.nt_write_bulk(DeviceId::Nvm, 0x4000, 4096, 10);
-        m.persist_drain_all(DeviceId::Nvm, 20);
-        let img = m.crash_image(DeviceId::Nvm).unwrap();
+        m.ledger_mut().unwrap().drain_all(20);
+        let img = m.ledger().unwrap().crash_image();
         assert_eq!(img.durable_lines(), 64);
         assert_eq!(img.discarded_lines, 0);
     }
 
     #[test]
     fn wc_drain_stall_routes_to_the_persist_ledger() {
-        let mut m = persist_sys();
+        let mut m = ledger_sys();
         m.set_fault_plan(&MemFaultPlan {
             events: vec![DeviceFault::WcDrainStall {
                 dev: DeviceId::Nvm,
