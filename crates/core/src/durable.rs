@@ -31,7 +31,6 @@
 
 use crate::error::{accounting, GcError};
 use crate::header_map::{HeaderMap, ENTRY_BYTES};
-use nvmgc_heap::verify::{classify_lines, LineCoverage};
 use nvmgc_heap::{Addr, Heap, RegionId};
 use nvmgc_memsim::{
     device_track, CrashImage, DeviceId, LineRec, MemorySystem, Ns, TraceCat, FENCE_NS,
@@ -248,13 +247,15 @@ impl<'a> Classifier<'a> {
         lines
     }
 
-    /// Whether every line of the object `[addr, addr + size)` reached the
-    /// medium by `at`.
+    /// Whether every line the object `[addr, addr + size)` spans — at
+    /// least one — reached the medium by `at`.
     pub(crate) fn payload_durable(&self, addr: Addr, size: u32) -> bool {
-        let base = addr.raw() & !63;
-        let lines = self.lines_in(base, u64::from(size) + (addr.raw() - base));
-        let mut durable = |line: u64| lines.binary_search_by_key(&line, |&(l, _)| l).is_ok();
-        classify_lines(addr.raw(), size, &mut durable) == LineCoverage::Full
+        let (addr, size) = (addr.raw(), u64::from(size));
+        let base = addr & !63;
+        // Every durable line of `[base, addr + size)` is one the object
+        // spans, so the counts agree exactly when none is missing.
+        let spans = (addr + size.max(1) - 1) / 64 - base / 64 + 1;
+        self.lines_in(base, size + (addr - base)).len() as u64 == spans
     }
 
     /// Drain-path persistence order for NVM region `region`: every
@@ -376,6 +377,31 @@ mod tests {
         let mut off = mem(false);
         cycle_end_drain(&mut off, 20);
         assert!(off.trace().events().is_empty());
+    }
+
+    /// An object's payload is durable when every line it spans is: three
+    /// of three, not three of four, not none; a zero-size object spans
+    /// one line, and an unaligned one may straddle two.
+    #[test]
+    fn payload_durable_counts_the_lines_an_object_spans() {
+        let mut m = mem(true);
+        // 0x2000..0x20C0 durable, 0x20C0 onwards not.
+        m.nt_write_bulk(DeviceId::Nvm, 0x2000, 192, 10);
+        cycle_end_drain(&mut m, 20);
+        let c = Classifier::new(&m, Ns::MAX).unwrap();
+        let durable = |addr: u64, size: u32| c.payload_durable(Addr(addr), size);
+        assert!(durable(0x2000, 192), "full");
+        assert!(!durable(0x2000, 256), "one line missing");
+        assert!(!durable(0x3000, 256), "none");
+        assert!(durable(0x2010, 0), "zero size");
+        assert!(
+            !durable(0x20B0, 32),
+            "unaligned, straddling into a missing line"
+        );
+        assert!(
+            durable(0x2030, 32),
+            "unaligned, straddling two durable lines"
+        );
     }
 
     proptest! {

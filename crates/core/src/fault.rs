@@ -258,7 +258,6 @@ impl FaultPlan {
                 let ds_start = splitmix64(&mut rng) % horizon_ns;
                 let ds_len = (horizon_ns / (window_frac * 2)).max(1);
                 mem_events.push(DeviceFault::WcDrainStall {
-                    dev: DeviceId::Nvm,
                     window: FaultWindow {
                         start: ds_start,
                         end: ds_start.saturating_add(ds_len).min(horizon_ns),

@@ -68,11 +68,6 @@ pub struct PauseSpan {
 }
 
 impl PauseSpan {
-    /// The pause duration.
-    pub fn duration_ns(&self) -> Ns {
-        self.end_ns.saturating_sub(self.start_ns)
-    }
-
     /// Whether this span overlaps the half-open window `[start, end)`.
     pub fn overlaps(&self, start: Ns, end: Ns) -> bool {
         self.start_ns < end && start < self.end_ns

@@ -194,49 +194,6 @@ pub fn verify_remsets(heap: &Heap, roots: &[Addr]) -> Result<u64, VerifyError> {
     Ok(checked)
 }
 
-/// How much of an object's address range a durable-line predicate covers.
-///
-/// Used by the power-failure oracle: an object is recoverable from a
-/// crash image only if one of its copies is [`LineCoverage::Full`] —
-/// partial coverage means a torn object whose missing lines are
-/// unrecoverable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LineCoverage {
-    /// Every cache line of the range satisfies the predicate.
-    Full,
-    /// Some, but not all, lines satisfy the predicate.
-    Partial,
-    /// No line of the range satisfies the predicate.
-    None,
-}
-
-/// Classifies the cache-line coverage of `[addr, addr + size)` under a
-/// per-line predicate (e.g. "is this line durable in the crash image").
-/// The predicate receives each 64 B line base address exactly once.
-pub fn classify_lines(addr: u64, size: u32, durable: &mut dyn FnMut(u64) -> bool) -> LineCoverage {
-    const LINE: u64 = 64;
-    let first = addr & !(LINE - 1);
-    let last = (addr + u64::from(size.max(1)) - 1) & !(LINE - 1);
-    let mut hit = 0u64;
-    let mut total = 0u64;
-    let mut line = first;
-    loop {
-        total += 1;
-        if durable(line) {
-            hit += 1;
-        }
-        if line == last {
-            break;
-        }
-        line += LINE;
-    }
-    match hit {
-        0 => LineCoverage::None,
-        h if h == total => LineCoverage::Full,
-        _ => LineCoverage::Partial,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,33 +352,5 @@ mod tests {
         let h = heap_with(2);
         let d = verify_heap(&h, &[Addr::NULL]).unwrap();
         assert_eq!(d.objects, 0);
-    }
-
-    #[test]
-    fn classify_lines_covers_full_partial_none() {
-        let durable = |limit: u64| move |line: u64| line < limit;
-        // Object spanning 4 lines at 0x2000..0x2100.
-        assert_eq!(
-            classify_lines(0x2000, 256, &mut durable(0x2100)),
-            LineCoverage::Full
-        );
-        assert_eq!(
-            classify_lines(0x2000, 256, &mut durable(0x2080)),
-            LineCoverage::Partial
-        );
-        assert_eq!(
-            classify_lines(0x2000, 256, &mut durable(0x2000)),
-            LineCoverage::None
-        );
-        // Unaligned interior object: single line, size clamped to ≥ 1.
-        assert_eq!(
-            classify_lines(0x2010, 0, &mut durable(0x2040)),
-            LineCoverage::Full
-        );
-        // Unaligned two-line straddle.
-        assert_eq!(
-            classify_lines(0x2030, 32, &mut durable(0x2040)),
-            LineCoverage::Partial
-        );
     }
 }

@@ -42,7 +42,7 @@
 //! two after every operation of random scripts.
 
 use crate::device::{AccessKind, DeviceParams, Pattern};
-use crate::fault::FaultWindow;
+use crate::fault::Windows;
 use crate::Ns;
 use std::collections::VecDeque;
 
@@ -96,20 +96,9 @@ pub struct Ledger {
     base_epoch: u64,
     epochs: VecDeque<EpochUse>,
     /// Injected stall windows: no grants start inside one.
-    stall_windows: Vec<FaultWindow>,
+    stalls: Windows,
     /// Injected bandwidth-collapse windows with their cost multipliers.
-    collapse_windows: Vec<(FaultWindow, f64)>,
-    /// Grant attempts deferred past a stall window.
-    stall_deferrals: u64,
-    /// Grants that exhausted [`STALL_RETRY_LIMIT`].
-    stall_retry_aborts: u64,
-    /// Grants whose cost a collapse window inflated.
-    collapsed_grants: u64,
-    /// Epoch accesses that referenced an epoch older than the advanced
-    /// ledger base and were clamped to it. A stall-deferred request can
-    /// legally replay an epoch the minimum-clock retirement already
-    /// dropped; before the clamp, the index subtraction wrapped.
-    stale_epoch_grants: u64,
+    collapses: Windows,
     /// Non-empty grant requests served. A deterministic work counter:
     /// it depends only on the simulated access stream.
     grants: u64,
@@ -156,12 +145,8 @@ impl Ledger {
             fresh_cap,
             base_epoch: 0,
             epochs: VecDeque::new(),
-            stall_windows: Vec::new(),
-            collapse_windows: Vec::new(),
-            stall_deferrals: 0,
-            stall_retry_aborts: 0,
-            collapsed_grants: 0,
-            stale_epoch_grants: 0,
+            stalls: Windows::default(),
+            collapses: Windows::default(),
             grants: 0,
             last_epoch: 0,
             last_epoch_start: 0,
@@ -169,53 +154,22 @@ impl Ledger {
         }
     }
 
-    /// Installs injected fault windows for this device. Replaces any
-    /// previously installed set; pass empty vectors to clear.
-    pub fn set_faults(&mut self, stalls: Vec<FaultWindow>, collapses: Vec<(FaultWindow, f64)>) {
-        self.stall_windows = stalls;
-        self.collapse_windows = collapses;
+    /// Installs injected stall and collapse windows for this device.
+    /// Replaces any previously installed set; pass empty sets to clear.
+    pub fn set_faults(&mut self, stalls: Windows, collapses: Windows) {
+        self.stalls = stalls;
+        self.collapses = collapses;
         self.calm = (0, 0);
     }
 
-    /// Whether any injected fault window (stall or collapse) is
-    /// installed. Bulk callers use this as a fast path: with no windows
-    /// there is nothing to split a contiguous run against.
-    pub fn has_fault_windows(&self) -> bool {
-        !self.stall_windows.is_empty() || !self.collapse_windows.is_empty()
-    }
-
-    /// The earliest fault-window edge (start or end of a stall or
-    /// collapse window) strictly after `after`, if any.
+    /// The installed stall and collapse windows.
     ///
     /// A grant samples stall deferral and the collapse factor only at its
     /// start time, so a multi-epoch bulk transfer must be re-granted at
-    /// every window edge it crosses — otherwise a window opening (or
-    /// closing) mid-burst is invisible to it. This is the query the
-    /// splitting loop in `MemorySystem` iterates on.
-    pub fn next_fault_boundary(&self, after: Ns) -> Option<Ns> {
-        self.fault_edges().filter(|&edge| edge > after).min()
-    }
-
-    /// Every installed window, stall or collapse.
-    fn fault_windows(&self) -> impl Iterator<Item = &FaultWindow> {
-        let collapses = self.collapse_windows.iter().map(|(w, _)| w);
-        self.stall_windows.iter().chain(collapses)
-    }
-
-    /// The start and end of every installed window.
-    fn fault_edges(&self) -> impl Iterator<Item = Ns> + '_ {
-        self.fault_windows().flat_map(|w| [w.start, w.end])
-    }
-
-    /// Fault-observation counters: `(stall_deferrals, stall_retry_aborts,
-    /// collapsed_grants, stale_epoch_grants)`.
-    pub fn fault_counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.stall_deferrals,
-            self.stall_retry_aborts,
-            self.collapsed_grants,
-            self.stale_epoch_grants,
-        )
+    /// every edge of these it crosses — otherwise a window opening (or
+    /// closing) mid-burst is invisible to it.
+    pub fn windows(&self) -> [&Windows; 2] {
+        [&self.stalls, &self.collapses]
     }
 
     /// Total non-empty grant requests served.
@@ -229,46 +183,19 @@ impl Ledger {
     /// exhausted the request jumps past the latest scheduled stall end so
     /// a pathological schedule degrades to a one-time delay instead of an
     /// unbounded spin.
-    fn defer_past_stalls(&mut self, mut now: Ns) -> Ns {
-        if self.stall_windows.is_empty() {
-            return now;
-        }
+    fn defer_past_stalls(&self, mut now: Ns) -> Ns {
         for _ in 0..STALL_RETRY_LIMIT {
-            let Some(w) = self.stall_windows.iter().find(|w| w.contains(now)) else {
+            let Some(w) = self.stalls.open_at(now) else {
                 return now;
             };
-            self.stall_deferrals += 1;
             now = w.end;
         }
-        if let Some(w) = self.stall_windows.iter().find(|w| w.contains(now)) {
-            let _ = w;
-            self.stall_retry_aborts += 1;
-            let max_end = self
-                .stall_windows
-                .iter()
-                .map(|w| w.end)
-                .max()
-                .unwrap_or(now);
-            now = now.max(max_end);
+        if self.stalls.open_at(now).is_some() {
+            // Every window ends at or after its start, so the last edge
+            // is the latest end.
+            now = now.max(self.stalls.edges().max().unwrap_or(now));
         }
         now
-    }
-
-    /// Cost multiplier from any collapse window containing `now`.
-    fn collapse_factor(&mut self, now: Ns) -> f64 {
-        if self.collapse_windows.is_empty() {
-            return 1.0;
-        }
-        let mut factor = 1.0;
-        for (w, f) in &self.collapse_windows {
-            if w.contains(now) {
-                factor *= f.max(1.0);
-            }
-        }
-        if factor > 1.0 {
-            self.collapsed_grants += 1;
-        }
-        factor
     }
 
     /// The configured epoch length in nanoseconds.
@@ -300,12 +227,7 @@ impl Ledger {
     /// so the oldest tracked epoch is the closest accounting bucket.
     #[inline]
     fn epoch_index(&mut self, epoch: u64) -> usize {
-        let epoch = if epoch < self.base_epoch {
-            self.stale_epoch_grants += 1;
-            self.base_epoch
-        } else {
-            epoch
-        };
+        let epoch = epoch.max(self.base_epoch);
         let idx = (epoch - self.base_epoch) as usize;
         if self.epochs.len() <= idx {
             self.epochs.resize(idx + 1, EpochUse::default());
@@ -380,7 +302,7 @@ impl Ledger {
     fn grant_slow(&mut self, now: Ns, kind: AccessKind, pattern: Pattern, bytes: u64) -> Ns {
         self.grants += 1;
         let now = self.defer_past_stalls(now);
-        let mut remaining = self.weight(kind, pattern, bytes) * self.collapse_factor(now);
+        let mut remaining = self.weight(kind, pattern, bytes) * self.collapses.scale(1.0, now);
         if now.wrapping_sub(self.calm.0) >= self.calm.1 {
             self.calm = self.calm_around(now);
         }
@@ -426,13 +348,17 @@ impl Ledger {
     /// The largest interval around `now` free of fault-window edges, as
     /// `(start, length)`; empty when a window is open at `now`.
     fn calm_around(&self, now: Ns) -> (Ns, Ns) {
-        if self.fault_windows().any(|w| w.contains(now)) {
+        let windows = self.windows();
+        if windows.iter().any(|w| w.open_at(now).is_some()) {
             return (0, 0);
         }
-        let before = self.fault_edges().filter(|&edge| edge <= now);
+        let before = windows
+            .iter()
+            .flat_map(|w| w.edges())
+            .filter(|&edge| edge <= now);
         let lo = before.max().unwrap_or(0);
-        let hi = self.next_fault_boundary(now).unwrap_or(Ns::MAX);
-        (lo, hi - lo)
+        let next = windows.iter().filter_map(|w| w.next_edge(now)).min();
+        (lo, next.unwrap_or(Ns::MAX) - lo)
     }
 
     /// Drops accounting for epochs that end before `ns`.
@@ -456,9 +382,17 @@ impl Ledger {
 mod tests {
     use super::*;
     use crate::device::DeviceParams;
+    use crate::fault::FaultWindow;
 
     fn nvm_ledger() -> Ledger {
         Ledger::new(DeviceParams::optane(), 50_000)
+    }
+
+    /// Stall windows `[start, end)`.
+    fn stalls(ws: &[(Ns, Ns)]) -> Windows {
+        ws.iter()
+            .map(|&(start, end)| (FaultWindow { start, end }, 1.0))
+            .collect()
     }
 
     #[test]
@@ -546,21 +480,18 @@ mod tests {
         }
     }
 
+    /// A fault-free ledger's completion of a 64 B read granted at `at`.
+    fn healthy_read(at: Ns) -> Ns {
+        nvm_ledger().grant(at, AccessKind::Read, Pattern::Seq, 64)
+    }
+
     #[test]
     fn stall_window_defers_grants_past_its_end() {
         let mut l = nvm_ledger();
-        l.set_faults(
-            vec![FaultWindow {
-                start: 0,
-                end: 10_000,
-            }],
-            vec![],
-        );
+        l.set_faults(stalls(&[(0, 10_000)]), Windows::default());
+        // Granted exactly as a healthy device grants it at the window end.
         let done = l.grant(5_000, AccessKind::Read, Pattern::Seq, 64);
-        assert!(done >= 10_000, "grant inside stall must defer: {done}");
-        let (deferrals, aborts, _, _) = l.fault_counters();
-        assert_eq!(deferrals, 1);
-        assert_eq!(aborts, 0);
+        assert_eq!(done, healthy_read(10_000));
         // Outside the window nothing happens.
         let d2 = l.grant(20_000, AccessKind::Read, Pattern::Seq, 64);
         assert!((20_000..21_000).contains(&d2));
@@ -568,43 +499,41 @@ mod tests {
 
     #[test]
     fn chained_stalls_exhaust_retry_budget_gracefully() {
-        let mut l = nvm_ledger();
-        // More back-to-back windows than the retry budget: each deferral
-        // lands exactly at the start of the next window.
-        let windows: Vec<FaultWindow> = (0..(STALL_RETRY_LIMIT + 4) as u64)
-            .map(|i| FaultWindow {
-                start: i * 1_000,
-                end: (i + 1) * 1_000,
-            })
-            .collect();
-        let last_end = windows.last().unwrap().end;
-        l.set_faults(windows, vec![]);
-        let done = l.grant(0, AccessKind::Read, Pattern::Seq, 64);
-        assert!(done >= last_end, "abort path must clear every window");
-        let (deferrals, aborts, _, _) = l.fault_counters();
-        assert_eq!(deferrals, u64::from(STALL_RETRY_LIMIT));
-        assert_eq!(aborts, 1);
+        // `n` back-to-back windows from 0: each deferral lands exactly at
+        // the start of the next one. A later, disjoint window ends at
+        // 30 µs.
+        let chained = |n: u64| {
+            let mut ws: Vec<(Ns, Ns)> = (0..n).map(|i| (i * 1_000, (i + 1) * 1_000)).collect();
+            ws.push((20_000, 30_000));
+            let mut l = nvm_ledger();
+            l.set_faults(stalls(&ws), Windows::default());
+            l.grant(0, AccessKind::Read, Pattern::Seq, 64)
+        };
+        // Within the retry budget the grant walks the chain window by
+        // window and starts where it ends.
+        let limit = u64::from(STALL_RETRY_LIMIT);
+        assert_eq!(chained(limit), healthy_read(limit * 1_000));
+        // One window more and the budget runs out inside the chain: the
+        // grant jumps past the last stall end of the whole set.
+        assert_eq!(chained(limit + 1), healthy_read(30_000));
     }
 
     #[test]
     fn collapse_window_inflates_grant_cost() {
         let mut l = nvm_ledger();
-        let base = l.grant(0, AccessKind::Read, Pattern::Seq, 1 << 20);
-        let mut l2 = nvm_ledger();
-        l2.set_faults(
-            vec![],
-            vec![(
-                FaultWindow {
-                    start: 0,
-                    end: 1_000_000_000,
-                },
-                4.0,
-            )],
-        );
-        let collapsed = l2.grant(0, AccessKind::Read, Pattern::Seq, 1 << 20);
-        assert!(collapsed > 3 * base, "collapsed {collapsed} vs base {base}");
-        let (_, _, inflated, _) = l2.fault_counters();
-        assert_eq!(inflated, 1);
+        let collapses = [(
+            FaultWindow {
+                start: 0,
+                end: 1_000_000_000,
+            },
+            4.0,
+        )];
+        l.set_faults(Windows::default(), collapses.into_iter().collect());
+        // A 4x collapse costs what a request 4x the size costs.
+        let collapsed = l.grant(0, AccessKind::Read, Pattern::Seq, 1 << 20);
+        let fourfold = nvm_ledger().grant(0, AccessKind::Read, Pattern::Seq, 4 << 20);
+        assert_eq!(collapsed, fourfold);
+        assert!(collapsed > 3 * healthy_read(0), "collapsed {collapsed}");
     }
 
     #[test]
@@ -617,8 +546,6 @@ mod tests {
         l.retire_before(10 * l.epoch_ns());
         let idx = l.epoch_index(3); // epoch 3 < base epoch 10
         l.charge(idx, 1.0, false);
-        let (_, _, _, stale) = l.fault_counters();
-        assert_eq!(stale, 1);
         // The charge landed on the base epoch's bucket, and the budget
         // stored beside it is the one its totals give.
         assert_eq!(l.epoch_index(10), idx);
@@ -646,28 +573,23 @@ mod tests {
 
     #[test]
     fn next_fault_boundary_walks_every_window_edge() {
+        let next = |l: &Ledger, after| l.windows().iter().filter_map(|w| w.next_edge(after)).min();
         let mut l = nvm_ledger();
-        assert!(!l.has_fault_windows());
-        assert_eq!(l.next_fault_boundary(0), None);
+        assert!(l.windows().iter().all(|w| w.is_empty()));
+        assert_eq!(next(&l, 0), None);
+        let collapse = FaultWindow {
+            start: 1_500,
+            end: 3_000,
+        };
         l.set_faults(
-            vec![FaultWindow {
-                start: 1_000,
-                end: 2_000,
-            }],
-            vec![(
-                FaultWindow {
-                    start: 1_500,
-                    end: 3_000,
-                },
-                4.0,
-            )],
+            stalls(&[(1_000, 2_000)]),
+            [(collapse, 4.0)].into_iter().collect(),
         );
-        assert!(l.has_fault_windows());
-        assert_eq!(l.next_fault_boundary(0), Some(1_000));
-        assert_eq!(l.next_fault_boundary(1_000), Some(1_500));
-        assert_eq!(l.next_fault_boundary(1_500), Some(2_000));
-        assert_eq!(l.next_fault_boundary(2_000), Some(3_000));
-        assert_eq!(l.next_fault_boundary(3_000), None);
+        assert_eq!(next(&l, 0), Some(1_000));
+        assert_eq!(next(&l, 1_000), Some(1_500));
+        assert_eq!(next(&l, 1_500), Some(2_000));
+        assert_eq!(next(&l, 2_000), Some(3_000));
+        assert_eq!(next(&l, 3_000), None);
     }
 
     #[test]
@@ -676,13 +598,7 @@ mod tests {
         // after the minimum-clock retirement advanced the base must be
         // granted at (or after) the base epoch, never panic or wrap.
         let mut l = nvm_ledger();
-        l.set_faults(
-            vec![FaultWindow {
-                start: 0,
-                end: 2 * 50_000,
-            }],
-            vec![],
-        );
+        l.set_faults(stalls(&[(0, 2 * 50_000)]), Windows::default());
         l.retire_before(10 * 50_000);
         let done = l.grant(0, AccessKind::Write, Pattern::Rand, 4 << 10);
         assert!(done >= 2 * 50_000, "deferred past the stall: {done}");
@@ -722,7 +638,7 @@ mod tests {
             }
             l.grants += 1;
             let now = l.defer_past_stalls(now);
-            let mut remaining = l.weight(kind, pattern, bytes) * l.collapse_factor(now);
+            let mut remaining = l.weight(kind, pattern, bytes) * l.collapses.scale(1.0, now);
             let epoch_of_now = if now.wrapping_sub(l.last_epoch_start) < l.epoch_ns {
                 l.last_epoch
             } else {
@@ -831,15 +747,14 @@ mod tests {
         ]
     }
 
-    /// Everything the ledger can show: counters, the tracked range, and
-    /// the bit patterns of every tracked epoch's totals.
+    /// Everything the ledger can show: the grant count, the tracked
+    /// range, and the bit patterns of every tracked epoch's totals.
     fn observed(l: &Ledger) -> String {
         let bits = |u: &EpochUse| (u.weighted.to_bits(), u.weighted_write.to_bits());
         let epochs: Vec<(u64, u64)> = l.epochs.iter().map(bits).collect();
         format!(
-            "{} grants, faults {:?}, base epoch {}, totals {epochs:x?}",
+            "{} grants, base epoch {}, totals {epochs:x?}",
             l.grants(),
-            l.fault_counters(),
             l.base_epoch
         )
     }
@@ -876,15 +791,14 @@ mod tests {
                     }
                     Op::Faults { ref stalls, ref collapses } => {
                         let window = |off: Ns, len: Ns| FaultWindow { start: clock + off, end: clock + off + len };
-                        let stalls: Vec<FaultWindow> =
-                            stalls.iter().map(|&(off, len)| window(off, len)).collect();
+                        let stalls: Windows =
+                            stalls.iter().map(|&(off, len)| (window(off, len), 1.0)).collect();
                         // Factors 0.5 (clamped to 1), 1, 1.5, … 3.
-                        let collapses: Vec<(FaultWindow, f64)> = collapses
+                        let collapses: Windows = collapses
                             .iter()
                             .map(|&(off, len, f)| (window(off, len), 0.5 + f64::from(f) * 0.5))
                             .collect();
-                        let all = stalls.iter().chain(collapses.iter().map(|(w, _)| w));
-                        edges = all.flat_map(|w| [w.start, w.end]).collect();
+                        edges = stalls.edges().chain(collapses.edges()).collect();
                         new.set_faults(stalls.clone(), collapses.clone());
                         old.set_faults(stalls, collapses);
                         None

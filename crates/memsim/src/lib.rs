@@ -53,7 +53,7 @@ pub mod system;
 pub use bus::Ledger;
 pub use cache::LlcModel;
 pub use device::{AccessKind, DeviceId, DeviceParams, Pattern};
-pub use fault::{DeviceFault, FaultObservations, FaultWindow, MemFaultPlan};
+pub use fault::{DeviceFault, FaultWindow, MemFaultPlan};
 pub use hashfast::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use persist::{CrashImage, DurabilityLedger, LineRec, PersistConfig};
 pub use prefetch::PrefetchTable;

@@ -78,7 +78,7 @@
 //! an oracle check costs a walk of the plane words, not of every line
 //! that ever drained.
 
-use crate::fault::{splitmix64, FaultWindow};
+use crate::fault::{splitmix64, Windows};
 use crate::hashfast::FxHashMap;
 use crate::{Ns, CACHE_LINE};
 use std::collections::VecDeque;
@@ -466,12 +466,10 @@ pub struct DurabilityLedger {
     /// the one reader that prints them sorts first.
     meta: FxHashMap<u64, Ns>,
     /// Injected write-combining drain-stall windows.
-    stall_windows: Vec<FaultWindow>,
+    stalls: Windows,
     drain_rng: u64,
     /// XPLines drained to media (it seeds the torn-prefix draw).
     drained_xplines: u64,
-    /// Capacity drains skipped because an injected drain stall was open.
-    wc_drain_stalls: u64,
     /// Scratch for drain candidate collection (reused across drains).
     drain_scratch: Vec<(usize, u64)>,
 }
@@ -490,42 +488,26 @@ impl DurabilityLedger {
             volatile_queue: VecDeque::new(),
             accept_queue: VecDeque::new(),
             meta: FxHashMap::default(),
-            stall_windows: Vec::new(),
+            stalls: Windows::default(),
             drain_rng,
             drained_xplines: 0,
-            wc_drain_stalls: 0,
             drain_scratch: Vec::new(),
         }
     }
 
-    /// Capacity drains skipped because an injected write-combining drain
-    /// stall was open (the buffer grows past its capacity meanwhile).
-    pub fn wc_drain_stalls(&self) -> u64 {
-        self.wc_drain_stalls
-    }
-
     /// Installs injected write-combining drain-stall windows (replaces
     /// any previous set).
-    pub fn set_stall_windows(&mut self, windows: Vec<FaultWindow>) {
-        self.stall_windows = windows;
+    pub fn set_stall_windows(&mut self, windows: Windows) {
+        self.stalls = windows;
     }
 
-    /// Whether any drain-stall window is installed.
-    pub fn has_stall_windows(&self) -> bool {
-        !self.stall_windows.is_empty()
-    }
-
-    /// The earliest drain-stall window edge strictly after `after`, if
-    /// any. Bulk store paths segment their recording at these edges so
-    /// the lines written inside a stall window are attributed to it —
-    /// a single whole-burst record carries only the burst's start time
-    /// and would bypass a window opening mid-burst.
-    pub fn next_stall_boundary(&self, after: Ns) -> Option<Ns> {
-        self.stall_windows
-            .iter()
-            .flat_map(|w| [w.start, w.end])
-            .filter(|&edge| edge > after)
-            .min()
+    /// The installed drain-stall windows. Bulk store paths segment their
+    /// recording at their edges so the lines written inside a stall
+    /// window are attributed to it — a single whole-burst record carries
+    /// only the burst's start time and would bypass a window opening
+    /// mid-burst.
+    pub fn stall_windows(&self) -> &Windows {
+        &self.stalls
     }
 
     /// Advances the ledger watermark (max over all recorded clocks).
@@ -667,12 +649,7 @@ impl DurabilityLedger {
     /// buffered entries. Returns false when nothing can drain (empty
     /// buffer or an open injected drain stall).
     fn drain_one(&mut self) -> bool {
-        if self
-            .stall_windows
-            .iter()
-            .any(|w| w.contains(self.watermark))
-        {
-            self.wc_drain_stalls += 1;
+        if self.stalls.open_at(self.watermark).is_some() {
             return false;
         }
         // Collect up to `reorder_window` live (still-buffered) XPLines
@@ -781,6 +758,7 @@ impl DurabilityLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultWindow;
 
     fn small() -> DurabilityLedger {
         DurabilityLedger::new(PersistConfig {
@@ -962,11 +940,28 @@ mod tests {
 
     #[test]
     fn drain_stall_window_defers_capacity_drains() {
-        let mut l = small();
-        l.set_stall_windows(vec![FaultWindow { start: 0, end: 100 }]);
-        l.record_nt_store(0x2000, 1024, 5); // 4 XPLines > capacity 2
-        assert!(l.wc_drain_stalls() > 0);
-        assert_eq!(l.durable_len(), 0, "stall blocked every drain");
+        let accept_four = |stall: bool| {
+            let mut l = small();
+            if stall {
+                let window = FaultWindow { start: 0, end: 100 };
+                l.set_stall_windows([(window, 1.0)].into_iter().collect());
+            }
+            l.record_nt_store(0x2000, 1024, 5); // 4 XPLines > capacity 2
+            l
+        };
+        let (mut l, healthy) = (accept_four(true), accept_four(false));
+        // A healthy buffer drains down to its two-XPLine capacity; the
+        // stall keeps all four XPLines buffered and nothing durable.
+        let planes = |l: &DurabilityLedger| (l.lines(|p| &p.buffered), l.lines(|p| &p.durable));
+        let (buffered, durable) = planes(&healthy);
+        assert_eq!((buffered.len(), durable.len()), (8, 8));
+        let (buffered, durable) = planes(&l);
+        let all: Vec<u64> = (0..16).map(|i| 0x2000 + i * 64).collect();
+        assert_eq!(
+            (buffered, durable),
+            (all, vec![]),
+            "stall blocked every drain"
+        );
         // Past the window, the next accept drains the backlog.
         l.record_nt_store(0x8000, 256, 200);
         assert!(l.drained_xplines > 0);
@@ -1044,6 +1039,11 @@ mod tests {
         durable: Option<LineRec>,
     }
 
+    /// The reference's volatile, buffered and buffered-NT flags, in the
+    /// order of [`PLANES`].
+    const PLANE_FLAGS: [fn(&RefLine) -> bool; 3] =
+        [|l| l.volatile, |l| l.buffered, |l| l.buffered_nt];
+
     #[derive(Clone)]
     struct Reference {
         cfg: PersistConfig,
@@ -1055,7 +1055,6 @@ mod tests {
         stalls: Vec<FaultWindow>,
         rng: u64,
         drained_xplines: u64,
-        wc_drain_stalls: u64,
         /// Lines a store or an NT store wrote, less the forgotten ones:
         /// kept apart from `lines` for the provenance check.
         written: BTreeSet<u64>,
@@ -1118,7 +1117,6 @@ mod tests {
                     break;
                 }
                 if self.stalls.iter().any(|w| w.contains(self.watermark)) {
-                    self.wc_drain_stalls += 1;
                     break;
                 }
                 // A drain drops the dead entries at the queue front; dead
@@ -1257,7 +1255,10 @@ mod tests {
                     self.meta
                 ),
                 drained_xplines: self.drained_xplines,
-                wc_drain_stalls: self.wc_drain_stalls,
+                planes: PLANE_FLAGS.map(|on| {
+                    let set = self.lines.iter().filter(|(_, l)| on(l));
+                    set.map(|(&a, _)| a).collect()
+                }),
                 durable,
             }
         }
@@ -1275,14 +1276,15 @@ mod tests {
     }
 
     /// What a ledger shows: the crash image (`Debug` text and one
-    /// `durable_lines_in` window), the two counters, and the durable
-    /// plane with the running count it must agree with.
+    /// `durable_lines_in` window), the drain counter, the volatile,
+    /// buffered and buffered-NT planes, and the durable plane with the
+    /// running count it must agree with.
     #[derive(Debug, PartialEq)]
     struct View {
         image: String,
         windowed: Vec<(u64, LineRec)>,
         drained_xplines: u64,
-        wc_drain_stalls: u64,
+        planes: [Vec<u64>; 3],
         durable: Vec<(u64, LineRec)>,
     }
 
@@ -1316,7 +1318,7 @@ mod tests {
             image: format!("{img:?}"),
             windowed: img.durable_lines_in(window.0, window.1),
             drained_xplines: l.drained_xplines,
-            wc_drain_stalls: l.wc_drain_stalls(),
+            planes: [PLANES[0], PLANES[1], PLANES[2]].map(|plane| l.lines(plane)),
             durable,
         }
     }
@@ -1335,7 +1337,7 @@ mod tests {
     /// An empty ledger and an empty reference of one configuration.
     fn start(cfg: &PersistConfig, stall: Option<FaultWindow>) -> (DurabilityLedger, Reference) {
         let mut l = DurabilityLedger::new(cfg.clone());
-        l.set_stall_windows(stall.into_iter().collect());
+        l.set_stall_windows(stall.into_iter().map(|w| (w, 1.0)).collect());
         let r = Reference {
             cfg: cfg.clone(),
             watermark: 0,
@@ -1346,7 +1348,6 @@ mod tests {
             stalls: stall.into_iter().collect(),
             rng: cfg.seed ^ 0xD01A_B1E5,
             drained_xplines: 0,
-            wc_drain_stalls: 0,
             written: BTreeSet::new(),
         };
         (l, r)

@@ -9,7 +9,7 @@
 use crate::bus::Ledger;
 use crate::cache::LlcModel;
 use crate::device::{AccessKind, DeviceId, DeviceParams, Pattern};
-use crate::fault::{DeviceFault, FaultObservations, FaultWindow, MemFaultPlan};
+use crate::fault::{DeviceFault, MemFaultPlan, Windows};
 use crate::persist::{DurabilityLedger, PersistConfig};
 use crate::prefetch::PrefetchTable;
 use crate::sampler::{device_track, TraceCat, TraceLog, TrafficSampler};
@@ -118,9 +118,7 @@ pub struct MemorySystem {
     trace: TraceLog,
     stats: MemStats,
     /// Injected latency-spike windows per device index.
-    spikes: [Vec<(FaultWindow, f64)>; 2],
-    /// Accesses whose latency an active spike inflated.
-    latency_spikes: u64,
+    spikes: [Windows; 2],
     /// See [`MemStats::bulk_grant_splits`].
     bulk_grant_splits: u64,
     /// The NVM durability ledger (None when the persistence model is
@@ -157,27 +155,27 @@ impl MemorySystem {
             sampler,
             trace: TraceLog::new(),
             stats: MemStats::default(),
-            spikes: [Vec::new(), Vec::new()],
-            latency_spikes: 0,
+            spikes: Default::default(),
             bulk_grant_splits: 0,
             persist,
         }
     }
 
     /// Installs a device fault plan: stall and bandwidth-collapse windows
-    /// go to the per-device ledgers, latency-spike windows stay local.
-    /// Replaces any previously installed plan.
+    /// go to the per-device ledgers, drain stalls to the durability
+    /// ledger, latency-spike windows stay local. Replaces any previously
+    /// installed plan.
+    ///
+    /// Every scheduled window is annotated on its device's trace lane
+    /// (no-op while tracing is disabled): enable tracing *before*
+    /// installing the plan to capture these.
     pub fn set_fault_plan(&mut self, plan: &MemFaultPlan) {
-        // Annotate every scheduled window on the device's trace lane
-        // (no-op while tracing is disabled). Enable tracing *before*
-        // installing the plan to capture these.
+        let mut stalls: [Windows; 2] = Default::default();
+        let mut collapses: [Windows; 2] = Default::default();
+        let mut drain_stalls = Windows::default();
+        self.spikes = Default::default();
         for ev in &plan.events {
-            let window = match *ev {
-                DeviceFault::LatencySpike { window, .. }
-                | DeviceFault::BandwidthCollapse { window, .. }
-                | DeviceFault::Stall { window, .. }
-                | DeviceFault::WcDrainStall { window, .. } => window,
-            };
+            let (window, di) = (ev.window(), ev.device().index());
             self.trace.span(
                 ev.name(),
                 TraceCat::Fault,
@@ -186,26 +184,11 @@ impl MemorySystem {
                 window.end,
                 0,
             );
-        }
-        let mut stalls: [Vec<FaultWindow>; 2] = [Vec::new(), Vec::new()];
-        let mut collapses: [Vec<(FaultWindow, f64)>; 2] = [Vec::new(), Vec::new()];
-        let mut drain_stalls = Vec::new();
-        self.spikes = [Vec::new(), Vec::new()];
-        for ev in &plan.events {
-            let di = ev.device().index();
             match *ev {
-                DeviceFault::LatencySpike { window, factor, .. } => {
-                    self.spikes[di].push((window, factor));
-                }
-                DeviceFault::BandwidthCollapse { window, factor, .. } => {
-                    collapses[di].push((window, factor));
-                }
-                DeviceFault::Stall { window, .. } => stalls[di].push(window),
-                DeviceFault::WcDrainStall { dev, window } => {
-                    if dev == DeviceId::Nvm {
-                        drain_stalls.push(window);
-                    }
-                }
+                DeviceFault::LatencySpike { factor, .. } => self.spikes[di].push(window, factor),
+                DeviceFault::BandwidthCollapse { factor, .. } => collapses[di].push(window, factor),
+                DeviceFault::Stall { .. } => stalls[di].push(window, 1.0),
+                DeviceFault::WcDrainStall { .. } => drain_stalls.push(window, 1.0),
             }
         }
         for (di, (s, c)) in stalls.into_iter().zip(collapses).enumerate() {
@@ -214,26 +197,6 @@ impl MemorySystem {
         if let Some(ledger) = &mut self.persist {
             ledger.set_stall_windows(drain_stalls);
         }
-        self.latency_spikes = 0;
-    }
-
-    /// Counters recording which injected device faults actually fired.
-    pub fn fault_observations(&self) -> FaultObservations {
-        let mut obs = FaultObservations {
-            latency_spikes: self.latency_spikes,
-            ..FaultObservations::default()
-        };
-        for l in &self.ledgers {
-            let (deferrals, aborts, collapsed, stale) = l.fault_counters();
-            obs.stall_deferrals += deferrals;
-            obs.stall_retry_aborts += aborts;
-            obs.collapsed_grants += collapsed;
-            obs.stale_epoch_grants += stale;
-        }
-        if let Some(p) = &self.persist {
-            obs.wc_drain_stalls = p.wc_drain_stalls();
-        }
-        obs
     }
 
     /// The active configuration.
@@ -325,21 +288,14 @@ impl MemorySystem {
         done
     }
 
-    /// The earliest fault-window edge after `after` that a bulk run on
-    /// device index `di` must be re-granted at: bandwidth-ledger edges
-    /// (stall/collapse) always, durability-ledger drain-stall edges only
-    /// when the run records NVM stores.
-    fn bulk_fault_boundary(&self, di: usize, track_persist: bool, after: Ns) -> Option<Ns> {
-        let bus = self.ledgers[di].next_fault_boundary(after);
-        let wc = self
-            .persist
-            .as_ref()
-            .filter(|_| track_persist)
-            .and_then(|p| p.next_stall_boundary(after));
-        match (bus, wc) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+    /// The windows a bulk run on device index `di` is re-granted at the
+    /// edges of: the bandwidth ledger's stalls and collapses always, the
+    /// durability ledger's drain stalls only when the run records NVM
+    /// stores.
+    fn bulk_windows(&self, di: usize, track_persist: bool) -> impl Iterator<Item = &Windows> {
+        let drain = self.persist.as_ref().filter(|_| track_persist);
+        let drain = drain.map(DurabilityLedger::stall_windows);
+        self.ledgers[di].windows().into_iter().chain(drain)
     }
 
     /// Records one segment of a bulk store into the durability ledger.
@@ -384,12 +340,7 @@ impl MemorySystem {
             _ => BulkPersist::None,
         };
         let track_persist = !matches!(persist, BulkPersist::None);
-        let split = self.ledgers[di].has_fault_windows()
-            || (track_persist
-                && self
-                    .persist
-                    .as_ref()
-                    .is_some_and(DurabilityLedger::has_stall_windows));
+        let split = self.bulk_windows(di, track_persist).any(|w| !w.is_empty());
         if !split || len == 0 {
             self.record_bulk_persist(persist, 0, len, now);
             let done = self.charge(dev, kind, pattern, len, now);
@@ -400,7 +351,8 @@ impl MemorySystem {
         let mut cur = now;
         let queued = loop {
             let remaining = len - offset;
-            let boundary = self.bulk_fault_boundary(di, track_persist, cur);
+            let edges = self.bulk_windows(di, track_persist);
+            let boundary = edges.filter_map(|w| w.next_edge(cur)).min();
             let seg = match boundary {
                 Some(edge) => {
                     let span = edge.saturating_sub(cur).max(1);
@@ -444,7 +396,7 @@ impl MemorySystem {
     /// per-thread bandwidth ceiling, plus latency (inflated by any active
     /// injected latency spike).
     fn finish(
-        &mut self,
+        &self,
         dev: DeviceId,
         kind: AccessKind,
         pattern: Pattern,
@@ -458,17 +410,7 @@ impl MemorySystem {
         } else {
             (bytes as f64 / p.thread_bandwidth(kind).max(1e-9)) as Ns
         };
-        let mut latency = p.latency(kind, pattern);
-        let mut spiked = false;
-        for (w, f) in &self.spikes[dev.index()] {
-            if w.contains(now) {
-                latency *= f.max(1.0);
-                spiked = true;
-            }
-        }
-        if spiked {
-            self.latency_spikes += 1;
-        }
+        let latency = self.spikes[dev.index()].scale(p.latency(kind, pattern), now);
         let transfer = (queued_done - now).max(floor);
         now + transfer + latency as Ns
     }
@@ -631,6 +573,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultWindow;
     use crate::sampler::{mbps, traffic_in};
 
     fn sys() -> MemorySystem {
@@ -743,7 +686,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_spike_inflates_access_and_is_counted() {
+    fn latency_spike_multiplies_the_access_latency() {
         let mut m = sys();
         let base = m.read_word(0, DeviceId::Nvm, 0x9000, 0);
         let mut m2 = sys();
@@ -758,8 +701,11 @@ mod tests {
             }],
         });
         let spiked = m2.read_word(0, DeviceId::Nvm, 0x9000, 0);
-        assert!(spiked > 4 * base, "spiked {spiked} vs base {base}");
-        assert_eq!(m2.fault_observations().latency_spikes, 1);
+        // The same transfer, with eight times the latency.
+        let lat = m
+            .device(DeviceId::Nvm)
+            .latency(AccessKind::Read, Pattern::Rand);
+        assert_eq!(spiked - base, (lat * 8.0) as Ns - lat as Ns);
         // Past the window the device is healthy again.
         let after = m2.read_word(0, DeviceId::Nvm, 0xF_0000, 2_000_000);
         assert!(after - 2_000_000 <= base + 100);
@@ -780,10 +726,16 @@ mod tests {
         // DRAM unaffected.
         let d = m.read_bulk(DeviceId::Dram, 0, 64, 0);
         assert!(d < 50_000);
-        // NVM defers past the stall.
+        // NVM grants the read as a healthy ledger does at the stall's
+        // end; the latency follows.
         let n = m.read_bulk(DeviceId::Nvm, 0, 64, 0);
-        assert!(n >= 50_000);
-        assert_eq!(m.fault_observations().stall_deferrals, 1);
+        let nvm = m.config().nvm.clone();
+        let granted =
+            Ledger::new(nvm.clone(), EPOCH_NS).grant(50_000, AccessKind::Read, Pattern::Seq, 64);
+        assert_eq!(
+            n,
+            granted + nvm.latency(AccessKind::Read, Pattern::Seq) as Ns
+        );
     }
 
     fn ledger_sys() -> MemorySystem {
@@ -848,20 +800,26 @@ mod tests {
 
     #[test]
     fn wc_drain_stall_routes_to_the_persist_ledger() {
-        let mut m = ledger_sys();
-        m.set_fault_plan(&MemFaultPlan {
-            events: vec![DeviceFault::WcDrainStall {
-                dev: DeviceId::Nvm,
-                window: FaultWindow {
-                    start: 0,
-                    end: 1_000_000,
-                },
-            }],
+        let durable_after_burst = |plan: MemFaultPlan| {
+            let mut m = ledger_sys();
+            m.set_fault_plan(&plan);
+            // Enough NT traffic to exceed the buffer capacity.
+            m.nt_write_bulk(DeviceId::Nvm, 0, 256 * 128, 10);
+            m.ledger().unwrap().crash_image().durable_lines()
+        };
+        let stall = DeviceFault::WcDrainStall {
+            window: FaultWindow {
+                start: 0,
+                end: 1_000_000,
+            },
+        };
+        // Inside the stall window the capacity drains defer, so the crash
+        // image holds fewer durable lines than a healthy device's.
+        let stalled = durable_after_burst(MemFaultPlan {
+            events: vec![stall],
         });
-        // Enough NT traffic to exceed the buffer capacity inside the
-        // stall window: drains defer and are counted.
-        m.nt_write_bulk(DeviceId::Nvm, 0, 256 * 128, 10);
-        assert!(m.fault_observations().wc_drain_stalls > 0);
+        let healthy = durable_after_burst(MemFaultPlan::none());
+        assert!(stalled < healthy, "{stalled} vs {healthy}");
     }
 
     #[test]
