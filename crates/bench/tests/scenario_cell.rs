@@ -90,29 +90,68 @@ fn fault_free_cells_have_no_fault_attribution() {
     }
 }
 
-/// The open finding of ROADMAP 2(a): with a volatile header map, the
-/// moderate fault plan of seed `0xEE81` injects a power failure that
-/// workload seed 203 does not survive. Pinned as today's exact typed
-/// error so it cannot drift unseen; the PR that resolves it — in the
-/// fault-plan generator, the oracle clause or the volatile path's flush
-/// order — flips this test to `run_app(&cfg).is_ok()`.
-#[test]
-fn seed_203_under_fault_seed_ee81_is_an_open_oracle_violation_until_fixed() {
+/// Runs workload seed `seed` in the `g1/+all` moderate scenario cell with
+/// a volatile header map under fault seed `0xEE81`, and returns the phase,
+/// cycle and oracle addresses `(old, new)` of the clause-1 violation it
+/// ends in. Workload seeds 203, 226, 229 and 239 of 200–239 fail this way
+/// (ROADMAP 1(c)); each is pinned below.
+fn ee81_clause_1_violation(seed: u64) -> (RunPhase, usize, u64, u64) {
     let mut cell = scenario_matrix_cells(false)
         .into_iter()
         .find(|c| c.config_name == "g1/+all" && c.severity == Severity::Moderate)
         .expect("the full grid has a faulted g1/+all cell");
     cell.seed = 0xEE81;
     let mut cfg = scenario_matrix_config(&cell);
-    cfg.seed = 203;
+    cfg.seed = seed;
 
     let err = run_app(&cfg).expect_err("the finding is still open");
-    assert_eq!((err.phase, err.cycle), (RunPhase::Gc, 15), "{err}");
     let RunFailure::Gc(GcError::Oracle(OracleViolation::UnrecoverableEvacuation {
         old, new, ..
     })) = &err.failure
     else {
         panic!("{err}");
     };
-    assert_eq!((old.raw(), new.raw()), (0xdf360, 0x188000), "{err}");
+    (err.phase, err.cycle, old.raw(), new.raw())
+}
+
+/// The open finding of ROADMAP 1(c): with a volatile header map, the
+/// moderate fault plan of seed `0xEE81` injects a power failure that
+/// workload seed 203 does not survive. Pinned as today's exact typed
+/// error so it cannot drift unseen; the PR that resolves it — in the
+/// fault-plan generator, the oracle clause or the volatile path's flush
+/// order — flips this test and its three siblings below to
+/// `run_app(&cfg).is_ok()`.
+#[test]
+fn seed_203_under_fault_seed_ee81_is_an_open_oracle_violation_until_fixed() {
+    assert_eq!(
+        ee81_clause_1_violation(203),
+        (RunPhase::Gc, 15, 0xdf360, 0x188000)
+    );
+}
+
+/// ROADMAP 1(c), the same cell and failure shape as seed 203.
+#[test]
+fn seed_226_under_fault_seed_ee81_is_an_open_oracle_violation_until_fixed() {
+    assert_eq!(
+        ee81_clause_1_violation(226),
+        (RunPhase::Gc, 22, 0x16a790, 0x150000)
+    );
+}
+
+/// ROADMAP 1(c), the same cell and failure shape as seed 203.
+#[test]
+fn seed_229_under_fault_seed_ee81_is_an_open_oracle_violation_until_fixed() {
+    assert_eq!(
+        ee81_clause_1_violation(229),
+        (RunPhase::Gc, 22, 0x5a2dd8, 0x150000)
+    );
+}
+
+/// ROADMAP 1(c), the same cell and failure shape as seed 203.
+#[test]
+fn seed_239_under_fault_seed_ee81_is_an_open_oracle_violation_until_fixed() {
+    assert_eq!(
+        ee81_clause_1_violation(239),
+        (RunPhase::Gc, 22, 0x59cbf8, 0x110000)
+    );
 }

@@ -5,6 +5,16 @@
 //! pointer, the device it is placed on, and the bookkeeping the NVM-aware
 //! optimizations need: the write-cache mapping (paper §3.2) and the
 //! asynchronous-flush tracking state (paper §4.2, Fig. 4).
+//!
+//! A region owns its backing memory only once it is used: `Region::new`
+//! allocates nothing, and the first `bump` allocates the region's full,
+//! zero-filled capacity, which it keeps from then on (`reset` leaves the
+//! bytes as they were). A heap whose regions are mostly free therefore
+//! clones — and a warm snapshot restores or forks — in proportion to the
+//! regions it has used, not to its size. The contract that makes this
+//! invisible: every read and write lands inside a region that has been
+//! bumped, which allocation, copying and write-back all keep by bumping
+//! before they write.
 
 use crate::addr::Addr;
 use crate::remset::RememberedSet;
@@ -41,7 +51,9 @@ pub struct Region {
     id: RegionId,
     kind: RegionKind,
     device: DeviceId,
+    /// Backing bytes: empty until the first `bump`, then `size` bytes.
     data: Box<[u8]>,
+    size: u32,
     top: u32,
     /// Remembered set: old-space slots that point into this region.
     pub remset: RememberedSet,
@@ -65,13 +77,15 @@ pub struct Region {
 }
 
 impl Region {
-    /// Creates a free region of `size` bytes on `device`.
+    /// Creates a free region of `size` bytes on `device`. Its backing
+    /// memory is allocated at its first `bump`.
     pub fn new(id: RegionId, size: u32, device: DeviceId) -> Region {
         Region {
             id,
             kind: RegionKind::Free,
             device,
-            data: vec![0u8; size as usize].into_boxed_slice(),
+            data: Box::default(),
+            size,
             top: 0,
             remset: RememberedSet::new(),
             last_ref: Addr::NULL,
@@ -113,7 +127,7 @@ impl Region {
 
     /// The region capacity in bytes.
     pub fn capacity(&self) -> u32 {
-        self.data.len() as u32
+        self.size
     }
 
     /// Bytes currently allocated.
@@ -127,18 +141,23 @@ impl Region {
     }
 
     /// Bump-allocates `size` bytes, returning the offset, or `None` if the
-    /// region is too full.
+    /// region is too full. The region's first bump allocates its backing
+    /// memory, zero-filled.
     pub fn bump(&mut self, size: u32) -> Option<u32> {
         debug_assert_eq!(size % 8, 0);
         if self.free_bytes() < size {
             return None;
+        }
+        if self.data.is_empty() {
+            self.data = vec![0u8; self.size as usize].into_boxed_slice();
         }
         let off = self.top;
         self.top += size;
         Some(off)
     }
 
-    /// Resets the region to an empty state with a new role.
+    /// Resets the region to an empty state with a new role. The backing
+    /// bytes are kept as they are: a reused region reads its stale contents.
     pub fn reset(&mut self, kind: RegionKind) {
         self.kind = kind;
         self.top = 0;
@@ -156,7 +175,8 @@ impl Region {
     ///
     /// # Panics
     ///
-    /// Panics if the offset is out of bounds or unaligned.
+    /// Panics if the offset is out of bounds or unaligned, or if the region
+    /// has never been bumped (it has no backing memory yet).
     #[inline]
     pub fn read_u64(&self, offset: u32) -> u64 {
         let o = offset as usize;
@@ -164,7 +184,8 @@ impl Region {
     }
 
     /// Hints the host to load the line holding byte `offset`; a no-op past
-    /// the region's end. Reads and changes nothing.
+    /// the region's end or on a region never bumped. Reads and changes
+    /// nothing.
     #[inline]
     pub fn host_prefetch(&self, offset: u32) {
         if let Some(byte) = self.data.get(offset as usize) {
@@ -173,18 +194,23 @@ impl Region {
     }
 
     /// Writes the 64-bit word at `offset`.
+    ///
+    /// # Panics
+    ///
+    /// As `read_u64`: the region must have been bumped.
     #[inline]
     pub fn write_u64(&mut self, offset: u32, value: u64) {
         let o = offset as usize;
         self.data[o..o + 8].copy_from_slice(&value.to_le_bytes());
     }
 
-    /// Borrows `len` raw bytes starting at `offset`.
+    /// Borrows `len` raw bytes starting at `offset` of a bumped region.
     pub fn bytes(&self, offset: u32, len: u32) -> &[u8] {
         &self.data[offset as usize..(offset + len) as usize]
     }
 
-    /// Mutably borrows `len` raw bytes starting at `offset`.
+    /// Mutably borrows `len` raw bytes starting at `offset` of a bumped
+    /// region.
     pub fn bytes_mut(&mut self, offset: u32, len: u32) -> &mut [u8] {
         &mut self.data[offset as usize..(offset + len) as usize]
     }
@@ -207,6 +233,7 @@ mod tests {
     #[test]
     fn read_write_roundtrip() {
         let mut r = Region::new(0, 64, DeviceId::Dram);
+        assert_eq!(r.bump(16), Some(0));
         r.write_u64(8, 0xFEED_BEEF_1234_5678);
         assert_eq!(r.read_u64(8), 0xFEED_BEEF_1234_5678);
         assert_eq!(r.read_u64(0), 0, "untouched memory is zero");
@@ -246,8 +273,26 @@ mod tests {
     #[test]
     fn bytes_slices_are_consistent_with_words() {
         let mut r = Region::new(0, 64, DeviceId::Dram);
+        assert_eq!(r.bump(24), Some(0));
         r.bytes_mut(16, 8).copy_from_slice(&7u64.to_le_bytes());
         assert_eq!(r.read_u64(16), 7);
         assert_eq!(r.bytes(16, 8), &7u64.to_le_bytes());
+    }
+
+    #[test]
+    fn a_region_owns_no_storage_until_its_first_bump() {
+        let mut r = Region::new(0, 64, DeviceId::Nvm);
+        assert_eq!((r.data.len(), r.capacity(), r.free_bytes()), (0, 64, 64));
+        let twin = r.clone();
+        assert_eq!((twin.data.len(), twin.capacity()), (0, 64));
+        r.host_prefetch(0); // a no-op, not a panic
+        assert_eq!(r.bump(16), Some(0));
+        assert_eq!(r.data.len(), 64);
+        r.write_u64(8, 0xC0DE);
+        // A released region keeps its bytes: reuse reads them stale.
+        r.reset(RegionKind::Survivor);
+        assert_eq!((r.data.len(), r.used()), (64, 0));
+        assert_eq!(r.bump(16), Some(0));
+        assert_eq!(r.read_u64(8), 0xC0DE);
     }
 }

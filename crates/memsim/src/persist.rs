@@ -68,9 +68,11 @@
 //! indexing and a bit operation, wherever it lands.
 //!
 //! A page has one owner. Cloning a ledger (the fork of a warm simulation
-//! image) copies every page: 4 416 B per 32 KiB written, at most 13.5 % of
-//! what the heap's own clone copies beside it (1.7 MiB more peak memory on
-//! the benchmark's `durable_crash`, a restore that stays at 1.5 ms). The
+//! image) copies every page: 4 416 B per 32 KiB written. The heap's own
+//! clone copies only the regions the warmup has bumped, so on the
+//! benchmark's `durable_crash` snapshots the pages are 0.34 MiB beside
+//! 2.53 MiB of heap regions, 13.5 % of it (1.7 MiB more peak memory when
+//! they were first made owned, a restore that stayed at 1.5 ms). The
 //! alternative, reference-counted pages copied on first write, puts an
 //! atomic compare-exchange on every store, eviction and drain of a run's
 //! life to save that one copy: it measured a tenth of a faulted run's host

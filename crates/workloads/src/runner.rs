@@ -367,8 +367,10 @@ impl AppRunResult {
 /// configuration (the collector is constructed *after* the boundary and
 /// touches no heap or memory state on construction). Sweep harnesses
 /// therefore run the warmup once per group ([`SimSnapshot::capture`])
-/// and complete each cell from a cheap clone ([`SimSnapshot::fork`]),
-/// bit-identical to a cold start.
+/// and complete each cell from a clone ([`SimSnapshot::fork`]),
+/// bit-identical to a cold start. The clone is cheap because a heap region
+/// owns backing memory only from its first bump: it copies the regions
+/// the warmup used, not the whole configured heap.
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
     heap: Heap,
